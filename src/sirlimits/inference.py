@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._csv import fmt, write_csv
 from .errors import (
     DegenerateParameterError,
     DegenerateVarianceError,
@@ -35,9 +36,8 @@ from .errors import (
     OptimizationFailureError,
 )
 from .simulate import NoiseModel, ObservationSeries, observe_batch, sigma_sequence
-from .sir import InitialCondition, SirParams, integrate_exact
+from .sir import InitialCondition, SirParams, _rk4, integrate_exact
 
-_GUARD = 1e9  # sensitivity states beyond this are treated as blown up
 _PENALTY = 1e12
 
 
@@ -48,48 +48,9 @@ def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
     Returns six arrays of length horizon + 1: s, i, ds/dbeta, di/dbeta,
     ds/dgamma, di/dgamma. Sensitivities start at zero.
     """
-    beta = params.beta
-    gamma = params.gamma
     spd = int(steps_per_day)
-    h = 1.0 / spd
-    h6 = h / 6.0
-    horizon = int(horizon)
-    out = np.empty((horizon + 1, 6))
-    y = (float(init.s0), float(init.i0), 0.0, 0.0, 0.0, 0.0)
-    out[0] = y
-
-    def rhs(s, i, sb, ib, sg, ig):
-        x = beta * i * s
-        xb = i * s + beta * (ib * s + i * sb)
-        xg = beta * (ig * s + i * sg)
-        return (
-            -x,
-            x - gamma * i,
-            -xb,
-            xb - gamma * ib,
-            -xg,
-            xg - i - gamma * ig,
-        )
-
-    row = 1
-    for k in range(horizon * spd):
-        k1 = rhs(*y)
-        k2 = rhs(*(y[j] + 0.5 * h * k1[j] for j in range(6)))
-        k3 = rhs(*(y[j] + 0.5 * h * k2[j] for j in range(6)))
-        k4 = rhs(*(y[j] + h * k3[j] for j in range(6)))
-        y = tuple(
-            y[j] + h6 * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]) for j in range(6)
-        )
-        if not all(-_GUARD < v < _GUARD for v in y):
-            raise IntegrationError(
-                f"non-finite sensitivity state at substep {k + 1}",
-                step=k + 1,
-                time=(k + 1) * h,
-            )
-        if (k + 1) % spd == 0:
-            out[row] = y
-            row += 1
-    return (out[:, 0], out[:, 1], out[:, 2], out[:, 3], out[:, 4], out[:, 5])
+    y0 = (float(init.s0), float(init.i0), 0.0, 0.0, 0.0, 0.0)
+    return _rk4(float(params.beta), float(params.gamma), y0, int(horizon) * spd, 1.0 / spd, spd)
 
 
 @dataclass(frozen=True)
@@ -99,9 +60,6 @@ class LikelihoodSpec:
     ``noise`` defaults to the observation series' own model. When
     ``sigma_inferred`` is set the noise must be of the infection-proportional
     kind and the scale sigma becomes a free parameter of the likelihood.
-    ``variance_gradient`` chooses whether the parameter dependence of a
-    coupled variance is differentiated in the quadratic term ("full", the
-    default) or ignored there ("plug_in").
     """
 
     obs: ObservationSeries
@@ -109,15 +67,12 @@ class LikelihoodSpec:
     noise: NoiseModel | None = None
     sigma_inferred: bool = False
     steps_per_day: int = 50
-    variance_gradient: str = "full"
 
     def __post_init__(self):
         if self.noise is None:
             object.__setattr__(self, "noise", self.obs.noise)
         if self.sigma_inferred and self.noise.kind != "case2":
             raise ValueError("sigma_inferred requires infection-proportional (case2) noise")
-        if self.variance_gradient not in ("full", "plug_in"):
-            raise ValueError(f"variance_gradient must be 'full' or 'plug_in', got {self.variance_gradient!r}")
 
     @property
     def T(self) -> int:
@@ -183,8 +138,6 @@ def _loglik_core(params: SirParams, sigma, spec: LikelihoodSpec, want_grad: bool
         quad_g = np.sum(0.5 * r * r / v**2 * dv_g)
         norm_b = np.sum(-0.5 * dv_b / v)
         norm_g = np.sum(-0.5 * dv_g / v)
-        if spec.variance_gradient == "plug_in":
-            quad_b = quad_g = 0.0
         g_b += float(quad_b + norm_b)
         g_g += float(quad_g + norm_g)
     grad = [g_b, g_g]
@@ -276,7 +229,7 @@ _LOG_BOUNDS = (math.log(1e-6), math.log(500.0))
 
 
 def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | None,
-                gradient_tol: float, max_iterations: int, trace: list | None):
+                gradient_tol: float, max_iterations: int):
     x0 = [math.log(start.beta), math.log(start.gamma)]
     if spec.sigma_inferred:
         x0.append(math.log(sigma_start))
@@ -295,18 +248,12 @@ def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | Non
             return _PENALTY * (1.0 + float(np.dot(x, x))), 2.0 * _PENALTY * x
         return -ll, -grad * theta  # chain rule for log coordinates
 
-    callback = None
-    if trace is not None:
-        def callback(xk):
-            trace.append(-objective(xk)[0])
-
     res = minimize(
         objective,
         x0,
         jac=True,
         method="L-BFGS-B",
         bounds=[_LOG_BOUNDS] * ndim,
-        callback=callback,
         options={"maxiter": max_iterations, "ftol": 1e-14, "gtol": gradient_tol,
                  "maxcor": 20},
     )
@@ -332,9 +279,13 @@ def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | Non
 
 def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
             sigma_starts: list[float] | None = None, n_starts: int = 8,
-            gradient_tol: float = 1e-8, max_iterations: int = 500,
-            trace: list | None = None) -> MleResult:
-    """Best local maximum across multi-started quasi-Newton ascents."""
+            gradient_tol: float = 1e-8, max_iterations: int = 500) -> MleResult:
+    """Best local maximum across multi-started quasi-Newton ascents.
+
+    Starts rank by (converged, loglik): a start that passed the first-order
+    test beats one that did not, whatever their log-likelihoods, so a start
+    stopped a rounding error above the optimum cannot displace a converged one.
+    """
     if starts is None:
         starts = default_starts(spec, n_starts)
     if spec.sigma_inferred and sigma_starts is None:
@@ -344,11 +295,11 @@ def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
     for idx, start in enumerate(starts):
         sig0 = sigma_starts[idx] if spec.sigma_inferred else None
         try:
-            result = _fit_single(spec, start, sig0, gradient_tol, max_iterations, trace)
+            result = _fit_single(spec, start, sig0, gradient_tol, max_iterations)
         except (OptimizationFailureError, IntegrationError, DegenerateVarianceError) as exc:
             diagnostics.append(f"start {idx} ({start.beta:.4g}, {start.gamma:.4g}): {exc}")
             continue
-        if best is None or result.loglik > best.loglik:
+        if best is None or (result.converged, result.loglik) > (best.converged, best.loglik):
             best = result
     if best is None:
         raise OptimizationFailureError("all optimizer starts failed", diagnostics=diagnostics)
@@ -357,9 +308,14 @@ def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
 
 @dataclass(frozen=True)
 class MleEnsemble:
-    """Replicate fits against independently simulated data sets."""
+    """Replicate fits against independently simulated data sets.
+
+    ``indices[k]`` is the replicate number of ``replicates[k]``; failed
+    replicates are listed in ``failures`` instead.
+    """
 
     replicates: list[MleResult]
+    indices: list[int]
     failures: list[tuple[int, str]]
     seed_base: int
     true_params: SirParams
@@ -449,31 +405,26 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
         outcomes = [_ensemble_fit_one(job) for job in jobs]
     outcomes.sort(key=lambda item: item[0])
     results = []
+    indices = []
     failures = []
     for index, result, message in outcomes:
         if result is None:
             failures.append((index, message))
         else:
             results.append(result)
+            indices.append(index)
     if len(failures) > max_failure_fraction * replicates:
         raise OptimizationFailureError(
             f"{len(failures)} of {replicates} replicate fits failed",
             diagnostics=[f"replicate {i}: {m}" for i, m in failures],
         )
-    return MleEnsemble(replicates=results, failures=failures, seed_base=int(seed),
-                       true_params=true_params)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    return MleEnsemble(replicates=results, indices=indices, failures=failures,
+                       seed_base=int(seed), true_params=true_params)
 
 
 def write_ensemble_csv(ensemble: MleEnsemble, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("replicate,beta_hat,gamma_hat,sigma_hat,loglik,converged\n")
-        for idx, r in enumerate(ensemble.replicates):
-            sig = "" if r.sigma_hat is None else _fmt(r.sigma_hat)
-            fh.write(
-                f"{idx},{_fmt(r.beta_hat)},{_fmt(r.gamma_hat)},{sig},"
-                f"{_fmt(r.loglik)},{int(r.converged)}\n"
-            )
+    write_csv(path, "replicate,beta_hat,gamma_hat,sigma_hat,loglik,converged", (
+        f"{idx},{fmt(r.beta_hat)},{fmt(r.gamma_hat)},{fmt(r.sigma_hat)},{fmt(r.loglik)},"
+        f"{int(r.converged)}"
+        for idx, r in zip(ensemble.indices, ensemble.replicates)
+    ))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import fmt, write_csv
 from .errors import (
     IndistinguishableHypothesesError,
     InsufficientDataError,
@@ -95,10 +96,13 @@ def _materialize(spec: TestSpec):
     return incidence(null_traj).values, incidence(alt_traj).values, sigma
 
 
+def _v(spec: TestSpec, d0, de, sigma) -> float:
+    return float(np.sum((spec.p * (de - d0)) ** 2 / sigma**2))
+
+
 def v_statistic(spec: TestSpec) -> float:
     """Signal-to-noise functional V_T from exact incidences."""
-    d0, de, sigma = _materialize(spec)
-    return float(np.sum((spec.p * (de - d0)) ** 2 / sigma**2))
+    return _v(spec, *_materialize(spec))
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,10 @@ def lrt_decide(obs: ObservationSeries, spec: TestSpec) -> LrtDecision:
 
 def type2_exact(spec: TestSpec) -> float:
     """Exact Gaussian type II error of the level-alpha LRT."""
-    v = v_statistic(spec)
+    return _type2_from_v(spec, v_statistic(spec))
+
+
+def _type2_from_v(spec: TestSpec, v: float) -> float:
     if v <= 0.0:
         raise IndistinguishableHypothesesError(
             "V_T = 0: the hypotheses produce identical observation distributions"
@@ -294,47 +301,41 @@ class EmpiricalRate:
     replicates: int
 
 
-def _simulate_log_lr(spec: TestSpec, replicates: int, seed: int, under_alternative: bool):
-    d0, de, sigma = _materialize(spec)
+def _empirical_rate(spec: TestSpec, d0, de, sigma, replicates: int, seed: int,
+                    under_alternative: bool) -> EmpiricalRate:
+    """Monte Carlo rate of the LRT's wrong decisions on data drawn under the
+    alternative (type II) or the null (type I)."""
+    if replicates < 100:
+        raise ValueError(f"need at least 100 replicates, got {replicates}")
     mean = spec.p * (de if under_alternative else d0)
     w = spec.p * (de - d0) / sigma**2
     const = float(np.sum(((mean - spec.p * d0) ** 2 - (mean - spec.p * de) ** 2) / (2.0 * sigma**2)))
-    v = float(np.sum((spec.p * (de - d0)) ** 2 / sigma**2))
+    v = _v(spec, d0, de, sigma)
     if v <= 0.0:
         raise IndistinguishableHypothesesError("V_T = 0: hypotheses are indistinguishable")
-    out = np.empty(replicates)
+    log_lr = np.empty(replicates)
     for r in range(replicates):
         gen = np.random.Generator(np.random.Philox(replicate_seed(seed, r)))
         xi = sigma * gen.standard_normal(spec.T)
-        out[r] = const + float(np.dot(w, xi))
+        log_lr[r] = const + float(np.dot(w, xi))
     threshold = -norm_ppf(spec.alpha) * math.sqrt(v) - 0.5 * v
-    return out, threshold
+    wrong = log_lr < threshold if under_alternative else log_lr >= threshold
+    value = float(np.mean(wrong))
+    return EmpiricalRate(
+        value=value,
+        stderr=math.sqrt(max(value * (1.0 - value), 1e-12) / replicates),
+        replicates=replicates,
+    )
 
 
 def empirical_type2(spec: TestSpec, replicates: int, seed: int) -> EmpiricalRate:
     """Monte Carlo type II error: data under the alternative, LRT at level alpha."""
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
-    log_lr, threshold = _simulate_log_lr(spec, replicates, seed, under_alternative=True)
-    fails = float(np.mean(log_lr < threshold))
-    return EmpiricalRate(
-        value=fails,
-        stderr=math.sqrt(max(fails * (1.0 - fails), 1e-12) / replicates),
-        replicates=replicates,
-    )
+    return _empirical_rate(spec, *_materialize(spec), replicates, seed, under_alternative=True)
 
 
 def empirical_type1(spec: TestSpec, replicates: int, seed: int) -> EmpiricalRate:
     """Monte Carlo type I error: data under the null, LRT at level alpha."""
-    if replicates < 100:
-        raise ValueError(f"need at least 100 replicates, got {replicates}")
-    log_lr, threshold = _simulate_log_lr(spec, replicates, seed, under_alternative=False)
-    rejects = float(np.mean(log_lr >= threshold))
-    return EmpiricalRate(
-        value=rejects,
-        stderr=math.sqrt(max(rejects * (1.0 - rejects), 1e-12) / replicates),
-        replicates=replicates,
-    )
+    return _empirical_rate(spec, *_materialize(spec), replicates, seed, under_alternative=False)
 
 
 @dataclass(frozen=True)
@@ -351,34 +352,30 @@ class PowerResult:
 
 def power_summary(spec: TestSpec, replicates: int | None = None,
                   seed: int = 0) -> PowerResult:
+    """Every type II view of ``spec``, from one integration of each hypothesis."""
+    d0, de, sigma = _materialize(spec)
     emp = stderr = None
     if replicates is not None:
-        rate = empirical_type2(spec, replicates, seed)
+        rate = _empirical_rate(spec, d0, de, sigma, replicates, seed, under_alternative=True)
         emp, stderr = rate.value, rate.stderr
+    v = _v(spec, d0, de, sigma)
     return PowerResult(
-        type2_exact=type2_exact(spec),
+        type2_exact=_type2_from_v(spec, v),
         type2_approx1=type2_approx(spec, "first"),
         type2_approx2=type2_approx(spec, "second"),
-        v_T=v_statistic(spec),
+        v_T=v,
         type2_empirical=emp,
         empirical_stderr=stderr,
     )
 
 
-def _fmt(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
 def write_power_csv(rows, path) -> None:
     """rows: iterables of (omega, epsilon, sigma, PowerResult)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "omega,epsilon,sigma,type2_exact,type2_approx1,type2_approx2,"
-            "type2_empirical,stderr\n"
-        )
-        for omega, epsilon, sigma, res in rows:
-            fh.write(
-                f"{_fmt(omega)},{_fmt(epsilon)},{_fmt(sigma)},{_fmt(res.type2_exact)},"
-                f"{_fmt(res.type2_approx1)},{_fmt(res.type2_approx2)},"
-                f"{_fmt(res.type2_empirical)},{_fmt(res.empirical_stderr)}\n"
-            )
+    write_csv(
+        path,
+        "omega,epsilon,sigma,type2_exact,type2_approx1,type2_approx2,type2_empirical,stderr",
+        (f"{fmt(omega)},{fmt(epsilon)},{fmt(sigma)},{fmt(res.type2_exact)},"
+         f"{fmt(res.type2_approx1)},{fmt(res.type2_approx2)},"
+         f"{fmt(res.type2_empirical)},{fmt(res.empirical_stderr)}"
+         for omega, epsilon, sigma, res in rows),
+    )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import fmt, write_csv
 from .data import CaseData
 from .errors import OptimizationFailureError
 from .gaussian import norm_ppf
@@ -131,17 +132,10 @@ def fitted_band(data: CaseData, fit: MleResult, p: float, level: float = 0.95,
     )
 
 
-def _fmt(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
 def write_nyc_table_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("p,beta_hat,gamma_hat,sigma_hat,r0_hat,loglik,converged,error\n")
-        for row in rows:
-            err = row.error.replace(",", ";").replace("\n", " ") if row.error else ""
-            fh.write(
-                f"{_fmt(row.p)},{_fmt(row.beta_hat)},{_fmt(row.gamma_hat)},"
-                f"{_fmt(row.sigma_hat)},{_fmt(row.r0_hat)},{_fmt(row.loglik)},"
-                f"{int(row.converged)},{err}\n"
-            )
+    write_csv(path, "p,beta_hat,gamma_hat,sigma_hat,r0_hat,loglik,converged,error", (
+        f"{fmt(row.p)},{fmt(row.beta_hat)},{fmt(row.gamma_hat)},{fmt(row.sigma_hat)},"
+        f"{fmt(row.r0_hat)},{fmt(row.loglik)},{int(row.converged)},"
+        + (row.error.replace(",", ";").replace("\n", " ") if row.error else "")
+        for row in rows
+    ))

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import fmt, write_csv
 from .errors import FitDegenerateError, HorizonTooShortError, PerturbationTooLargeError
 from .sir import (
     DEFAULT_STEPS_PER_DAY,
@@ -329,20 +330,18 @@ def theoretical_error_bound(base: SirParams, init: InitialCondition,
     return (term_pert + term_base) * init.i0
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_sweep_csv(curves: list[SeparationCurve], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("omega,t,distance,s_distance\n")
+    def lines():
         for curve in curves:
+            omega = fmt(curve.omega)
             for t, d, sd in zip(curve.times, curve.distance, curve.s_distance):
-                fh.write(f"{_fmt(curve.omega)},{_fmt(t)},{_fmt(d)},{_fmt(sd)}\n")
+                yield f"{omega},{fmt(t)},{fmt(d)},{fmt(sd)}"
+
+    write_csv(path, "omega,t,distance,s_distance", lines())
 
 
 def write_error_fit_csv(fit: ErrorFit, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("omega,slope,intercept\n")
-        for omega, slope, intercept in zip(fit.omegas, fit.angle_slopes, fit.angle_intercepts):
-            fh.write(f"{_fmt(omega)},{_fmt(slope)},{_fmt(intercept)}\n")
+    write_csv(path, "omega,slope,intercept", (
+        f"{fmt(omega)},{fmt(slope)},{fmt(intercept)}"
+        for omega, slope, intercept in zip(fit.omegas, fit.angle_slopes, fit.angle_intercepts)
+    ))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import fmt, write_csv
 from .errors import DegenerateVarianceError, InsufficientDataError
 from .sir import Trajectory, incidence
 
@@ -160,15 +161,8 @@ def observe_batch(traj: Trajectory, noise: NoiseModel, p: float, T: int,
     return out
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_observations_csv(obs: ObservationSeries, path, sidecar_path=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,y\n")
-        for t, y in enumerate(obs.values, start=1):
-            fh.write(f"{t},{_fmt(y)}\n")
+    write_csv(path, "t,y", (f"{t},{fmt(y)}" for t, y in enumerate(obs.values, start=1)))
     if sidecar_path is not None:
         meta = {
             "reporting_rate": obs.reporting_rate,

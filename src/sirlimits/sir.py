@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import fmt, write_csv
 from .errors import (
     DegenerateParameterError,
     HorizonTooShortError,
@@ -34,8 +35,9 @@ from .errors import (
 DEFAULT_STEPS_PER_DAY = 50
 
 # Beyond this magnitude a trajectory is considered blown up. Proportions in a
-# healthy integration never leave [0, 1]; the slack tolerates RK4 transients
-# probed by optimizers before the failure is reported.
+# healthy integration never leave [0, 1], and their parameter sensitivities
+# stay within a few tens over a 120-day horizon; the slack tolerates RK4
+# transients probed by optimizers before the failure is reported.
 _STATE_GUARD = 1e6
 
 
@@ -123,45 +125,95 @@ class Trajectory:
         write_trajectory_csv(self, path)
 
 
-def _rk4_scalar(beta, gamma, s0, i0, n_steps, h):
-    """RK4 over n_steps of size h; returns (s_list, i_list) including t=0."""
+def _rk4(beta, gamma, y0, n_steps, h, stride):
+    """Classical RK4 of the SIR system, with forward sensitivities on request.
+
+    ``beta`` and ``gamma`` are floats, or equal-length 1-d arrays with one
+    lane per parameter set. ``y0`` holds (s, i), or (s, i, ds/dbeta,
+    di/dbeta, ds/dgamma, di/dgamma) to integrate the sensitivities too. The
+    state is recorded at t = 0 and after every ``stride`` substeps of size
+    ``h``; a tuple of one array per state comes back, each of shape
+    (n_steps // stride + 1,) plus the lane axis for arrays. No state may leave |x| < _STATE_GUARD
+    (NaN fails too); the first recorded row that does raises IntegrationError.
+    """
+    sens = len(y0) == 6
+    s, i, sb, ib, sg, ig = y0 if sens else (*y0, None, None, None, None)
+    h2 = 0.5 * h
     h6 = h / 6.0
-    s = [0.0] * (n_steps + 1)
-    i = [0.0] * (n_steps + 1)
-    sc = float(s0)
-    ic = float(i0)
-    s[0] = sc
-    i[0] = ic
-    for k in range(n_steps):
-        x = beta * ic * sc
-        k1s = -x
-        k1i = x - gamma * ic
-        s2 = sc + 0.5 * h * k1s
-        i2 = ic + 0.5 * h * k1i
-        x = beta * i2 * s2
-        k2s = -x
-        k2i = x - gamma * i2
-        s3 = sc + 0.5 * h * k2s
-        i3 = ic + 0.5 * h * k2i
-        x = beta * i3 * s3
-        k3s = -x
-        k3i = x - gamma * i3
-        s4 = sc + h * k3s
-        i4 = ic + h * k3i
-        x = beta * i4 * s4
-        k4s = -x
-        k4i = x - gamma * i4
-        sc = sc + h6 * (k1s + 2.0 * (k2s + k3s) + k4s)
-        ic = ic + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
-        if not (-_STATE_GUARD < sc < _STATE_GUARD and -_STATE_GUARD < ic < _STATE_GUARD):
-            raise IntegrationError(
-                f"non-finite state at substep {k + 1} (t = {(k + 1) * h:.6g} days)",
-                step=k + 1,
-                time=(k + 1) * h,
-            )
-        s[k + 1] = sc
-        i[k + 1] = ic
-    return s, i
+    rows = [[v] for v in y0]
+    record = [row.append for row in rows]
+    # A lane that blows up runs on as inf/NaN; the guard below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            if sens:
+                x = beta * i * s
+                xb = i * s + beta * (ib * s + i * sb)
+                xg = beta * (ig * s + i * sg)
+                k1s, k1i = -x, x - gamma * i
+                k1sb, k1ib = -xb, xb - gamma * ib
+                k1sg, k1ig = -xg, xg - i - gamma * ig
+                s2, i2 = s + h2 * k1s, i + h2 * k1i
+                sb2, ib2 = sb + h2 * k1sb, ib + h2 * k1ib
+                sg2, ig2 = sg + h2 * k1sg, ig + h2 * k1ig
+                x = beta * i2 * s2
+                xb = i2 * s2 + beta * (ib2 * s2 + i2 * sb2)
+                xg = beta * (ig2 * s2 + i2 * sg2)
+                k2s, k2i = -x, x - gamma * i2
+                k2sb, k2ib = -xb, xb - gamma * ib2
+                k2sg, k2ig = -xg, xg - i2 - gamma * ig2
+                s3, i3 = s + h2 * k2s, i + h2 * k2i
+                sb3, ib3 = sb + h2 * k2sb, ib + h2 * k2ib
+                sg3, ig3 = sg + h2 * k2sg, ig + h2 * k2ig
+                x = beta * i3 * s3
+                xb = i3 * s3 + beta * (ib3 * s3 + i3 * sb3)
+                xg = beta * (ig3 * s3 + i3 * sg3)
+                k3s, k3i = -x, x - gamma * i3
+                k3sb, k3ib = -xb, xb - gamma * ib3
+                k3sg, k3ig = -xg, xg - i3 - gamma * ig3
+                s4, i4 = s + h * k3s, i + h * k3i
+                sb4, ib4 = sb + h * k3sb, ib + h * k3ib
+                sg4, ig4 = sg + h * k3sg, ig + h * k3ig
+                x = beta * i4 * s4
+                xb = i4 * s4 + beta * (ib4 * s4 + i4 * sb4)
+                xg = beta * (ig4 * s4 + i4 * sg4)
+                k4s, k4i = -x, x - gamma * i4
+                k4sb, k4ib = -xb, xb - gamma * ib4
+                k4sg, k4ig = -xg, xg - i4 - gamma * ig4
+                sb = sb + h6 * (k1sb + 2.0 * (k2sb + k3sb) + k4sb)
+                ib = ib + h6 * (k1ib + 2.0 * (k2ib + k3ib) + k4ib)
+                sg = sg + h6 * (k1sg + 2.0 * (k2sg + k3sg) + k4sg)
+                ig = ig + h6 * (k1ig + 2.0 * (k2ig + k3ig) + k4ig)
+            else:
+                x = beta * i * s
+                k1s, k1i = -x, x - gamma * i
+                s2, i2 = s + h2 * k1s, i + h2 * k1i
+                x = beta * i2 * s2
+                k2s, k2i = -x, x - gamma * i2
+                s3, i3 = s + h2 * k2s, i + h2 * k2i
+                x = beta * i3 * s3
+                k3s, k3i = -x, x - gamma * i3
+                s4, i4 = s + h * k3s, i + h * k3i
+                x = beta * i4 * s4
+                k4s, k4i = -x, x - gamma * i4
+            s = s + h6 * (k1s + 2.0 * (k2s + k3s) + k4s)
+            i = i + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
+            if k % stride == 0:
+                record[0](s)
+                record[1](i)
+                if sens:
+                    for rec, v in zip(record[2:], (sb, ib, sg, ig)):
+                        rec(v)
+    out = tuple(np.array(row) for row in rows)
+    ok = np.abs(np.stack(out)) < _STATE_GUARD
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok.reshape(len(out), len(out[0]), -1).all(axis=(0, 2)))[0])
+        step = bad * stride
+        raise IntegrationError(
+            f"state beyond {_STATE_GUARD:g} at substep {step} (t = {step * h:.6g} days)",
+            step=step,
+            time=step * h,
+        )
+    return out
 
 
 def integrate_exact(
@@ -179,9 +231,8 @@ def integrate_exact(
     spd = int(steps_per_day)
     n = horizon * spd
     h = 1.0 / spd
-    fs, fi = _rk4_scalar(params.beta, params.gamma, init.s0, init.i0, n, h)
-    fine_s = np.asarray(fs)
-    fine_i = np.asarray(fi)
+    fine_s, fine_i = _rk4(float(params.beta), float(params.gamma),
+                          (float(init.s0), float(init.i0)), n, h, 1)
     fine_t = np.arange(n + 1) * h
     return Trajectory(
         times=np.arange(horizon + 1, dtype=float),
@@ -209,49 +260,9 @@ def integrate_day_grid_batch(betas, gammas, init: InitialCondition, horizon: int
     gammas = np.asarray(gammas, dtype=float)
     if betas.shape != gammas.shape or betas.ndim != 1:
         raise ValueError("betas and gammas must be 1-d arrays of equal length")
-    m = betas.shape[0]
-    horizon = int(horizon)
     spd = int(steps_per_day)
-    h = 1.0 / spd
-    h6 = h / 6.0
-    s = np.empty((horizon + 1, m))
-    i = np.empty((horizon + 1, m))
-    sc = np.full(m, init.s0)
-    ic = np.full(m, init.i0)
-    s[0] = sc
-    i[0] = ic
-    for day in range(horizon):
-        for _ in range(spd):
-            x = betas * ic * sc
-            k1s = -x
-            k1i = x - gammas * ic
-            s2 = sc + 0.5 * h * k1s
-            i2 = ic + 0.5 * h * k1i
-            x = betas * i2 * s2
-            k2s = -x
-            k2i = x - gammas * i2
-            s3 = sc + 0.5 * h * k2s
-            i3 = ic + 0.5 * h * k2i
-            x = betas * i3 * s3
-            k3s = -x
-            k3i = x - gammas * i3
-            s4 = sc + h * k3s
-            i4 = ic + h * k3i
-            x = betas * i4 * s4
-            k4s = -x
-            k4i = x - gammas * i4
-            sc = sc + h6 * (k1s + 2.0 * (k2s + k3s) + k4s)
-            ic = ic + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
-        if not (np.all(np.isfinite(sc)) and np.all(np.isfinite(ic))):
-            bad = int(np.flatnonzero(~(np.isfinite(sc) & np.isfinite(ic)))[0])
-            raise IntegrationError(
-                f"non-finite state for parameter set {bad} at day {day + 1}",
-                step=(day + 1) * spd,
-                time=float(day + 1),
-            )
-        s[day + 1] = sc
-        i[day + 1] = ic
-    return s, i
+    y0 = (np.full(betas.shape, init.s0), np.full(betas.shape, init.i0))
+    return _rk4(betas, gammas, y0, int(horizon) * spd, 1.0 / spd, spd)
 
 
 def linearized_state(params: SirParams, init: InitialCondition, t):
@@ -382,19 +393,10 @@ def epidemic_summary(traj: Trajectory) -> EpidemicSummary:
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,s,i,r\n")
-        for t, s, i, r in zip(traj.times, traj.s, traj.i, traj.r):
-            fh.write(f"{_fmt(t)},{_fmt(s)},{_fmt(i)},{_fmt(r)}\n")
+    write_csv(path, "t,s,i,r", (f"{fmt(t)},{fmt(s)},{fmt(i)},{fmt(r)}"
+                                for t, s, i, r in zip(traj.times, traj.s, traj.i, traj.r)))
 
 
 def write_incidence_csv(inc: Incidence, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,delta\n")
-        for t, d in enumerate(inc.values, start=1):
-            fh.write(f"{t},{_fmt(d)}\n")
+    write_csv(path, "t,delta", (f"{t},{fmt(d)}" for t, d in enumerate(inc.values, start=1)))

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
+from sirlimits import inference
 from sirlimits.inference import (
     LikelihoodSpec,
     fit_mle,
@@ -146,16 +148,6 @@ class TestGradient:
         fd = fd_gradient(params, sigma, spec, rel_step=1e-4)
         np.testing.assert_allclose(grad, fd, rtol=1e-4)
 
-    def test_plug_in_mode_drops_quadratic_coupling(self):
-        noise = NoiseModel.case2(0.3)
-        obs = make_obs(BASE, INIT7, noise, p=1.0, T=25, seed=1)
-        full_spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=20)
-        plug_spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=20,
-                                   variance_gradient="plug_in")
-        g_full = log_likelihood_gradient(BASE, None, full_spec)
-        g_plug = log_likelihood_gradient(BASE, None, plug_spec)
-        assert not np.allclose(g_full, g_plug)
-
 
 class TestFit:
     def test_recovers_truth_from_noiseless_data(self):
@@ -180,12 +172,21 @@ class TestFit:
         grad = log_likelihood_gradient(fit.params(), None, spec)
         assert np.linalg.norm(grad) < 1e-6 * abs(fit.loglik)
 
-    def test_monotone_accepted_steps(self):
+    def test_monotone_accepted_steps(self, monkeypatch):
         noise = NoiseModel.known(np.full(40, 2e4))
         obs = make_obs(BASE, INIT7, noise, p=1.0, T=40, seed=8)
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
         trace = []
-        fit_mle(spec, starts=[moment_start(obs)], trace=trace)
+
+        def record(intermediate_result):
+            trace.append(-intermediate_result.fun)
+
+        def minimize_recording(*args, **kwargs):
+            return scipy_minimize(*args, callback=record, **kwargs)
+
+        monkeypatch.setattr(inference, "minimize", minimize_recording)
+        fit_mle(spec, starts=[moment_start(obs)])
+        assert len(trace) > 2
         diffs = np.diff(np.array(trace))
         assert np.all(diffs >= -1e-7 * np.abs(np.array(trace)[:-1]))
 
@@ -243,3 +244,21 @@ class TestEnsemble:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "replicate,beta_hat,gamma_hat,sigma_hat,loglik,converged"
         assert len(lines) == 4
+
+    def test_csv_keeps_replicate_indices_after_a_failure(self, tmp_path, monkeypatch):
+        fit_one = inference._ensemble_fit_one
+
+        def fail_replicate_1(job):
+            index, result, message = fit_one(job)
+            return (index, None, "forced failure") if index == 1 else (index, result, message)
+
+        monkeypatch.setattr(inference, "_ensemble_fit_one", fail_replicate_1)
+        noise = NoiseModel.known(np.full(20, 3e4))
+        ensemble = mle_ensemble(BASE, INIT7, noise, p=1.0, T=20, replicates=3, seed=2,
+                                workers=1, fit_steps_per_day=5, n_starts=1,
+                                max_failure_fraction=0.5)
+        assert ensemble.failures == [(1, "forced failure")]
+        path = tmp_path / "ens.csv"
+        ensemble.to_csv(path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "2"]

@@ -54,6 +54,12 @@ class TestSweep:
         r0s = [row.r0_hat for row in rows]
         assert all(a < b for a, b in zip(r0s, r0s[1:]))
 
+    def test_sweep_rows_converged(self, data):
+        # at p = 0.25 the warm start from p = 0.1 stops a rounding error above
+        # a converged start without passing the first-order test itself
+        rows = reporting_rate_sweep(data, [0.1, 0.25])
+        assert [row.converged for row in rows] == [True, True]
+
     def test_table_csv(self, data, tmp_path):
         rows = reporting_rate_sweep(data, [0.05], n_starts=2)
         path = tmp_path / "table.csv"

@@ -10,12 +10,14 @@ from sirlimits.errors import (
     InsufficientDataError,
     IntegrationError,
 )
+from sirlimits.inference import integrate_with_sensitivities
 from sirlimits.perturb import reference_grid
 from sirlimits.sir import (
     InitialCondition,
     SirParams,
     epidemic_summary,
     incidence,
+    integrate_day_grid_batch,
     integrate_exact,
     integrate_linearized,
     linearized_state,
@@ -128,6 +130,20 @@ class TestExactIntegration:
         init = InitialCondition(s0=0.5, i0=0.5, population=100)
         with pytest.raises(IntegrationError):
             integrate_exact(wild, init, 50, steps_per_day=1)
+
+    def test_blowup_guard_shared_by_every_integrator(self):
+        wild = SirParams(400.0, 0.1)
+        init = InitialCondition(s0=0.5, i0=0.5, population=100)
+        with pytest.raises(IntegrationError) as exact:
+            integrate_exact(wild, init, 50, steps_per_day=1)
+        with pytest.raises(IntegrationError) as batch:
+            integrate_day_grid_batch([BASE.beta, wild.beta], [BASE.gamma, wild.gamma],
+                                     init, 50, steps_per_day=1)
+        with pytest.raises(IntegrationError) as sens:
+            integrate_with_sensitivities(wild, init, 50, 1)
+        # the same arithmetic blows up at the same substep in every lane
+        assert batch.value.step == exact.value.step
+        assert 1 <= sens.value.step <= exact.value.step
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
