@@ -33,6 +33,7 @@ from .lrt import (
     gamma_test_power,
     lrt_decide,
     lrt_threshold,
+    power_grid,
     power_summary,
     type2_approx,
     type2_exact,

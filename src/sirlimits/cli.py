@@ -34,9 +34,9 @@ from .config import (
 from .data import NYC_POPULATION, load_cases, nyc_fixture_path
 from .errors import ConfigError, SirLimitsError
 from .inference import LikelihoodSpec, fit_mle, mle_ensemble, write_ensemble_csv
-from .lrt import TestSpec, epsilon_for_power, power_summary, write_power_csv
+from .lrt import epsilon_for_power, power_grid, write_power_csv
 from .nyc import reporting_rate_sweep, write_nyc_table_csv
-from .perturb import Perturbation, error_fit, separation_sweep, write_error_fit_csv, write_sweep_csv
+from .perturb import error_fit, separation_sweep, write_error_fit_csv, write_sweep_csv
 from .simulate import NoiseModel, ObservationSeries, observe
 from .sir import integrate_exact, write_trajectory_csv
 
@@ -219,26 +219,17 @@ def _run_power(config: ExperimentConfig, out: Path, empirical: bool) -> list[Pat
     omegas = [float(w) for w in config.get("omegas")]
     epsilons = [float(e) for e in config.get("epsilons")]
     sigmas = config.get("sigmas")
-    sigmas = [None] if sigmas is None else [float(s) for s in sigmas]
-    replicates = int(config.get("replicates", 0)) if empirical else None
-    spd = int(config.get("steps_per_day", 50))
-    rows = []
-    for sigma in sigmas:
-        noise = base_noise if sigma is None else NoiseModel(kind=base_noise.kind, sigma=sigma)
-        for omega in omegas:
-            for eps in epsilons:
-                spec = TestSpec(
-                    null_params=params,
-                    pert=Perturbation(params, eps, omega),
-                    alpha=float(config.get("alpha")),
-                    T=int(config.get("T")),
-                    p=float(config.get("p")),
-                    noise=noise,
-                    init=init,
-                    steps_per_day=spd,
-                )
-                res = power_summary(spec, replicates=replicates, seed=config.seed)
-                rows.append((omega, eps, noise.sigma, res))
+    noises = ([base_noise] if sigmas is None
+              else [NoiseModel(kind=base_noise.kind, sigma=float(s)) for s in sigmas])
+    rows = power_grid(
+        params, init, noises, omegas, epsilons,
+        alpha=float(config.get("alpha")),
+        T=int(config.get("T")),
+        p=float(config.get("p")),
+        steps_per_day=int(config.get("steps_per_day", 50)),
+        replicates=int(config.get("replicates", 0)) if empirical else None,
+        seed=config.seed,
+    )
     path = out / "power.csv"
     write_power_csv(rows, path)
     return [path]

@@ -44,6 +44,7 @@ from .sir import (
     InitialCondition,
     SirParams,
     incidence,
+    integrate_day_grid_batch,
     integrate_exact,
     peak_time_for,
 )
@@ -112,15 +113,21 @@ class LrtDecision:
     reject: bool
 
 
-def lrt_threshold(spec: TestSpec) -> float:
-    """log eta calibrated so the type I error equals alpha exactly."""
-    v = v_statistic(spec)
+def _check_v(v: float) -> float:
     if v <= 0.0:
         raise IndistinguishableHypothesesError(
             "V_T = 0: the hypotheses produce identical observation distributions"
         )
-    root = math.sqrt(v)
-    return -norm_ppf(spec.alpha) * root - 0.5 * v
+    return v
+
+
+def _threshold(spec: TestSpec, v: float) -> float:
+    return -norm_ppf(spec.alpha) * math.sqrt(_check_v(v)) - 0.5 * v
+
+
+def lrt_threshold(spec: TestSpec) -> float:
+    """log eta calibrated so the type I error equals alpha exactly."""
+    return _threshold(spec, v_statistic(spec))
 
 
 def lrt_decide(obs: ObservationSeries, spec: TestSpec) -> LrtDecision:
@@ -135,7 +142,7 @@ def lrt_decide(obs: ObservationSeries, spec: TestSpec) -> LrtDecision:
     log_lr = float(
         np.sum(((y - spec.p * d0) ** 2 - (y - spec.p * de) ** 2) / (2.0 * sigma**2))
     )
-    threshold = lrt_threshold(spec)
+    threshold = _threshold(spec, _v(spec, d0, de, sigma))
     return LrtDecision(log_lr=log_lr, threshold=threshold, reject=log_lr >= threshold)
 
 
@@ -145,11 +152,7 @@ def type2_exact(spec: TestSpec) -> float:
 
 
 def _type2_from_v(spec: TestSpec, v: float) -> float:
-    if v <= 0.0:
-        raise IndistinguishableHypothesesError(
-            "V_T = 0: the hypotheses produce identical observation distributions"
-        )
-    return 1.0 - norm_cdf(norm_ppf(spec.alpha) + math.sqrt(v))
+    return 1.0 - norm_cdf(norm_ppf(spec.alpha) + math.sqrt(_check_v(v)))
 
 
 def _approx_weights(spec: TestSpec, days: np.ndarray) -> tuple[np.ndarray, float]:
@@ -301,26 +304,28 @@ class EmpiricalRate:
     replicates: int
 
 
-def _empirical_rate(spec: TestSpec, d0, de, sigma, replicates: int, seed: int,
-                    under_alternative: bool) -> EmpiricalRate:
-    """Monte Carlo rate of the LRT's wrong decisions on data drawn under the
-    alternative (type II) or the null (type I)."""
+def _standard_normals(replicates: int, seed: int, T: int) -> np.ndarray:
+    """A (replicates, T) array whose row r is drawn from replicate_seed(seed, r)."""
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
+    return np.array([
+        np.random.Generator(np.random.Philox(replicate_seed(seed, r))).standard_normal(T)
+        for r in range(replicates)
+    ])
+
+
+def _empirical_rate(spec: TestSpec, d0, de, sigma, xi, under_alternative: bool) -> EmpiricalRate:
+    """Monte Carlo rate of the LRT's wrong decisions on data drawn under the
+    alternative (type II) or the null (type I); row r of ``xi`` is replicate
+    r's noise, sigma_t times its standard normals."""
+    threshold = _threshold(spec, _v(spec, d0, de, sigma))
     mean = spec.p * (de if under_alternative else d0)
     w = spec.p * (de - d0) / sigma**2
     const = float(np.sum(((mean - spec.p * d0) ** 2 - (mean - spec.p * de) ** 2) / (2.0 * sigma**2)))
-    v = _v(spec, d0, de, sigma)
-    if v <= 0.0:
-        raise IndistinguishableHypothesesError("V_T = 0: hypotheses are indistinguishable")
-    log_lr = np.empty(replicates)
-    for r in range(replicates):
-        gen = np.random.Generator(np.random.Philox(replicate_seed(seed, r)))
-        xi = sigma * gen.standard_normal(spec.T)
-        log_lr[r] = const + float(np.dot(w, xi))
-    threshold = -norm_ppf(spec.alpha) * math.sqrt(v) - 0.5 * v
+    log_lr = const + xi @ w
     wrong = log_lr < threshold if under_alternative else log_lr >= threshold
     value = float(np.mean(wrong))
+    replicates = len(xi)
     return EmpiricalRate(
         value=value,
         stderr=math.sqrt(max(value * (1.0 - value), 1e-12) / replicates),
@@ -328,14 +333,20 @@ def _empirical_rate(spec: TestSpec, d0, de, sigma, replicates: int, seed: int,
     )
 
 
+def _empirical(spec: TestSpec, replicates: int, seed: int, under_alternative: bool) -> EmpiricalRate:
+    z = _standard_normals(replicates, seed, spec.T)
+    d0, de, sigma = _materialize(spec)
+    return _empirical_rate(spec, d0, de, sigma, sigma * z, under_alternative)
+
+
 def empirical_type2(spec: TestSpec, replicates: int, seed: int) -> EmpiricalRate:
     """Monte Carlo type II error: data under the alternative, LRT at level alpha."""
-    return _empirical_rate(spec, *_materialize(spec), replicates, seed, under_alternative=True)
+    return _empirical(spec, replicates, seed, under_alternative=True)
 
 
 def empirical_type1(spec: TestSpec, replicates: int, seed: int) -> EmpiricalRate:
     """Monte Carlo type I error: data under the null, LRT at level alpha."""
-    return _empirical_rate(spec, *_materialize(spec), replicates, seed, under_alternative=False)
+    return _empirical(spec, replicates, seed, under_alternative=False)
 
 
 @dataclass(frozen=True)
@@ -350,13 +361,12 @@ class PowerResult:
     empirical_stderr: float | None = None
 
 
-def power_summary(spec: TestSpec, replicates: int | None = None,
-                  seed: int = 0) -> PowerResult:
-    """Every type II view of ``spec``, from one integration of each hypothesis."""
-    d0, de, sigma = _materialize(spec)
+def _power_point(spec: TestSpec, d0, de, sigma, xi) -> PowerResult:
+    """Every type II view of ``spec`` from its incidences, its sigma_t and,
+    unless ``xi`` is None, the Monte Carlo noise rows."""
     emp = stderr = None
-    if replicates is not None:
-        rate = _empirical_rate(spec, d0, de, sigma, replicates, seed, under_alternative=True)
+    if xi is not None:
+        rate = _empirical_rate(spec, d0, de, sigma, xi, under_alternative=True)
         emp, stderr = rate.value, rate.stderr
     v = _v(spec, d0, de, sigma)
     return PowerResult(
@@ -367,6 +377,54 @@ def power_summary(spec: TestSpec, replicates: int | None = None,
         type2_empirical=emp,
         empirical_stderr=stderr,
     )
+
+
+def power_summary(spec: TestSpec, replicates: int | None = None,
+                  seed: int = 0) -> PowerResult:
+    """Every type II view of ``spec``, from one integration of each hypothesis."""
+    z = None if replicates is None else _standard_normals(replicates, seed, spec.T)
+    d0, de, sigma = _materialize(spec)
+    return _power_point(spec, d0, de, sigma, None if z is None else sigma * z)
+
+
+def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, epsilons,
+               alpha: float, T: int, p: float, steps_per_day: int = 50,
+               replicates: int | None = None, seed: int = 0) -> list:
+    """``power_summary`` at every point of the noises x omegas x epsilons grid
+    (sequences, nested in that order); returns (omega, epsilon, noise.sigma,
+    PowerResult) rows in the same order.
+
+    Every point's TestSpec is built before anything is integrated. The null
+    is integrated once, the distinct alternatives in one batch, sigma_t once
+    per noise model, and the Monte Carlo normals are drawn once: every point
+    uses ``seed``, so all points share their replicate streams (common random
+    numbers), exactly as separate ``power_summary`` calls would.
+    """
+    specs = [
+        TestSpec(null_params=null_params, pert=Perturbation(null_params, eps, omega),
+                 alpha=alpha, T=T, p=p, noise=noise, init=init, steps_per_day=steps_per_day)
+        for noise in noises for omega in omegas for eps in epsilons
+    ]
+    if not specs:
+        return []
+    z = None if replicates is None else _standard_normals(replicates, seed, T)
+    lanes = {}
+    lane_of = [lanes.setdefault(spec.alternative_params(), len(lanes)) for spec in specs]
+    null_traj = integrate_exact(null_params, init, T, steps_per_day)
+    d0 = incidence(null_traj).values
+    s, _ = integrate_day_grid_batch([a.beta for a in lanes], [a.gamma for a in lanes],
+                                    init, T, steps_per_day)
+    alt = np.ascontiguousarray((init.population * (s[:-1] - s[1:])).T)
+    rows = []
+    for noise in noises:
+        sigma = sigma_sequence(noise, null_traj, T)
+        xi = None if z is None else sigma * z
+        for omega in omegas:
+            for eps in epsilons:
+                k = len(rows)
+                rows.append((omega, eps, noise.sigma,
+                             _power_point(specs[k], d0, alt[lane_of[k]], sigma, xi)))
+    return rows
 
 
 def write_power_csv(rows, path) -> None:

@@ -19,6 +19,7 @@ exponential growth of infections; it is evaluated directly, with no stepping:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -339,10 +340,16 @@ def peak_time(traj: Trajectory) -> float:
     return float(t[m] + offset * (t[1] - t[0]))
 
 
+@functools.lru_cache(maxsize=64)
 def peak_time_for(params: SirParams, init: InitialCondition,
                   steps_per_day: int = DEFAULT_STEPS_PER_DAY,
                   max_horizon: int = 16384) -> float:
-    """Peak time located by integrating with a doubling horizon."""
+    """Peak time located by integrating with a doubling horizon.
+
+    Memoized: the arguments are frozen and hashable and the result depends
+    on nothing else, so repeated validation against one null (every
+    ``lrt.TestSpec`` does it) integrates the epidemic once.
+    """
     horizon = 64
     while True:
         traj = integrate_exact(params, init, horizon, steps_per_day)

@@ -8,8 +8,10 @@ from sirlimits.errors import (
     InsufficientDataError,
     NoDetectablePerturbationError,
 )
+from sirlimits import lrt, sir
 from sirlimits.gaussian import norm_ppf
 from sirlimits.lrt import (
+    EmpiricalRate,
     TestSpec,
     case2_pi4_type2,
     empirical_type1,
@@ -18,6 +20,7 @@ from sirlimits.lrt import (
     gamma_test_power,
     lrt_decide,
     lrt_threshold,
+    power_grid,
     power_summary,
     type2_approx,
     type2_exact,
@@ -26,7 +29,7 @@ from sirlimits.lrt import (
     write_power_csv,
 )
 from sirlimits.perturb import Perturbation
-from sirlimits.simulate import NoiseModel, ObservationSeries
+from sirlimits.simulate import NoiseModel, ObservationSeries, replicate_seed, sigma_sequence
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
 
 BASE = SirParams(0.21, 0.07)
@@ -284,3 +287,92 @@ def test_power_summary_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("omega,epsilon,sigma,type2_exact")
     assert len(lines) == 2
+
+
+
+def count_calls(monkeypatch, module, name="integrate_exact"):
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_decide_integrates_each_hypothesis_once(monkeypatch):
+    spec = make_spec()
+    obs = noiseless_obs(spec.alternative_params(), spec)
+    calls = count_calls(monkeypatch, lrt)
+    decision = lrt_decide(obs, spec)
+    assert len(calls) == 2
+    assert decision.threshold == lrt_threshold(spec)
+
+
+def test_worst_case_search_runs_one_peak_search(monkeypatch):
+    # a null that no other test validates, so its peak search is not memoized
+    null = SirParams(0.317, 0.113)
+    sir_calls = count_calls(monkeypatch, sir)
+    lrt_calls = count_calls(monkeypatch, lrt)
+    omega, _ = worst_case_direction(null, INIT7, 0.02, 0.05, 40, 1.0, NoiseModel.case2(0.3),
+                                    n_angles=150)
+    assert len(sir_calls) + len(lrt_calls) <= 2
+    assert min(abs(omega - PI4), abs(omega - 5 * PI4)) < 0.3
+
+
+GRID_OMEGAS = (0.0, PI4, math.pi)
+GRID_EPSILONS = (0.01, 0.03)
+
+
+@pytest.mark.parametrize("replicates", [None, 200])
+@pytest.mark.parametrize("noises", [
+    [NoiseModel.case1(s) for s in (1e-4, 3e-4)],
+    [NoiseModel.case2(s) for s in (0.1, 0.3)],
+    [NoiseModel.known(np.linspace(20.0, 400.0, 60))],
+], ids=["case1", "case2", "known_sequence"])
+def test_power_grid_equals_power_summary_per_point(noises, replicates):
+    rows = power_grid(BASE, INIT7, noises, GRID_OMEGAS, GRID_EPSILONS, alpha=0.05, T=60,
+                      p=0.8, replicates=replicates, seed=9)
+    expected = [
+        (omega, eps, noise.sigma,
+         power_summary(make_spec(epsilon=eps, omega=omega, p=0.8, noise=noise),
+                       replicates=replicates, seed=9))
+        for noise in noises for omega in GRID_OMEGAS for eps in GRID_EPSILONS
+    ]
+    assert [row[:3] for row in rows] == [row[:3] for row in expected]  # sigma -> omega -> eps
+    assert [row[3] for row in rows] == [row[3] for row in expected]
+    assert all((row[3].type2_empirical is None) == (replicates is None) for row in rows)
+
+
+def reference_rate(spec, replicates, seed, under_alternative):
+    """The Monte Carlo estimate one replicate at a time: a Philox generator
+    per replicate, seeded by replicate_seed(seed, r), and one np.dot per row."""
+    null = integrate_exact(spec.null_params, spec.init, spec.T, spec.steps_per_day)
+    alt = integrate_exact(spec.alternative_params(), spec.init, spec.T, spec.steps_per_day)
+    d0, de = incidence(null).values, incidence(alt).values
+    sigma = sigma_sequence(spec.noise, null, spec.T)
+    p = spec.p
+    mean = p * (de if under_alternative else d0)
+    w = p * (de - d0) / sigma**2
+    const = float(np.sum(((mean - p * d0) ** 2 - (mean - p * de) ** 2) / (2.0 * sigma**2)))
+    v = float(np.sum((p * (de - d0)) ** 2 / sigma**2))
+    threshold = -norm_ppf(spec.alpha) * math.sqrt(v) - 0.5 * v
+    wrong = 0
+    for r in range(replicates):
+        gen = np.random.Generator(np.random.Philox(replicate_seed(seed, r)))
+        log_lr = const + float(np.dot(w, sigma * gen.standard_normal(spec.T)))
+        wrong += bool(log_lr < threshold if under_alternative else log_lr >= threshold)
+    value = wrong / replicates
+    return EmpiricalRate(value=value, stderr=math.sqrt(max(value * (1.0 - value), 1e-12) / replicates),
+                         replicates=replicates)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
+@pytest.mark.parametrize("T, sigma, replicates", [(6, 0.05, 100), (60, 0.3, 2000), (60, 0.2, 777)])
+def test_empirical_rates_match_one_generator_per_replicate(seed, T, sigma, replicates):
+    spec = make_spec(T=T, noise=NoiseModel.case2(sigma))
+    assert empirical_type2(spec, replicates, seed) == reference_rate(spec, replicates, seed, True)
+    assert empirical_type1(spec, replicates, seed) == reference_rate(spec, replicates, seed, False)
