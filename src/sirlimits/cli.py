@@ -38,7 +38,7 @@ from .lrt import epsilon_for_power, power_grid, write_power_csv
 from .nyc import reporting_rate_sweep, write_nyc_table_csv
 from .perturb import error_fit, separation_sweep, write_error_fit_csv, write_sweep_csv
 from .simulate import NoiseModel, ObservationSeries, observe
-from .sir import integrate_exact, write_trajectory_csv
+from .sir import DEFAULT_STEPS_PER_DAY, integrate_exact, write_trajectory_csv
 
 _JSON_KW = dict(indent=2, sort_keys=True)
 
@@ -78,12 +78,15 @@ def _write_manifest(config: ExperimentConfig, out_dir: Path, outputs: list[Path]
     return path
 
 
+def _steps_per_day(config: ExperimentConfig) -> int:
+    return int(config.get("steps_per_day", DEFAULT_STEPS_PER_DAY))
+
+
 def _run_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
     params = parse_params(config.get("params"))
     init = parse_init(config)
     noise = parse_noise(config.get("noise"))
-    spd = int(config.get("steps_per_day", 50))
-    traj = integrate_exact(params, init, int(config.get("horizon")), spd)
+    traj = integrate_exact(params, init, int(config.get("horizon")), _steps_per_day(config))
     obs = observe(traj, noise, float(config.get("p")), int(config.get("T")), config.seed)
     paths = [out / "trajectory.csv", out / "observations.csv", out / "observations.json"]
     write_trajectory_csv(traj, paths[0])
@@ -98,7 +101,7 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> list[Path]:
     omegas = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     curves = separation_sweep(
         params, init, float(config.get("epsilon")), omegas,
-        int(config.get("horizon")), int(config.get("steps_per_day", 50)),
+        int(config.get("horizon")), _steps_per_day(config),
     )
     path = out / "sweep.csv"
     write_sweep_csv(curves, path)
@@ -109,7 +112,7 @@ def _run_error_fit(config: ExperimentConfig, out: Path) -> list[Path]:
     params = parse_params(config.get("params"))
     init = parse_init(config)
     fit = error_fit(params, init, float(config.get("epsilon")),
-                    int(config.get("horizon")), int(config.get("steps_per_day", 50)))
+                    int(config.get("horizon")), _steps_per_day(config))
     csv_path = out / "error_fit.csv"
     json_path = out / "error_fit.json"
     write_error_fit_csv(fit, csv_path)
@@ -161,7 +164,7 @@ def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
         population=init.population,
     )
     spec = LikelihoodSpec(obs=obs, init=init, noise=noise, sigma_inferred=sigma_inferred,
-                          steps_per_day=int(config.get("steps_per_day", 50)))
+                          steps_per_day=_steps_per_day(config))
     result = fit_mle(spec, n_starts=int(config.get("n_starts", 8)))
     path = out / "fit.json"
     _write_json(
@@ -226,7 +229,7 @@ def _run_power(config: ExperimentConfig, out: Path, empirical: bool) -> list[Pat
         alpha=float(config.get("alpha")),
         T=int(config.get("T")),
         p=float(config.get("p")),
-        steps_per_day=int(config.get("steps_per_day", 50)),
+        steps_per_day=_steps_per_day(config),
         replicates=int(config.get("replicates", 0)) if empirical else None,
         seed=config.seed,
     )
@@ -261,7 +264,7 @@ def _run_nyc_table(config: ExperimentConfig, out: Path) -> list[Path]:
         data,
         [float(p) for p in config.get("p_values")],
         n_starts=int(config.get("n_starts", 8)),
-        steps_per_day=int(config.get("steps_per_day", 50)),
+        steps_per_day=_steps_per_day(config),
     )
     path = out / "nyc_table.csv"
     write_nyc_table_csv(rows, path)

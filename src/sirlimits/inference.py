@@ -32,13 +32,17 @@ from ._csv import fmt, write_csv
 from .errors import (
     DegenerateParameterError,
     DegenerateVarianceError,
+    InsufficientDataError,
     IntegrationError,
     OptimizationFailureError,
 )
 from .simulate import NoiseModel, ObservationSeries, observe_batch, sigma_sequence
-from .sir import InitialCondition, SirParams, _rk4, integrate_exact
+from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _rk4, integrate_exact
 
 _PENALTY = 1e12
+_GRADIENT_TOL = 1e-8  # L-BFGS-B projected-gradient tolerance of every fit
+_MAX_ITERATIONS = 500  # L-BFGS-B iteration cap of every fit
+_MOMENT_FLOOR = 0.02  # least growth rate the moment initializer starts from
 
 
 def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
@@ -66,13 +70,17 @@ class LikelihoodSpec:
     init: InitialCondition
     noise: NoiseModel | None = None
     sigma_inferred: bool = False
-    steps_per_day: int = 50
+    steps_per_day: int = DEFAULT_STEPS_PER_DAY
 
     def __post_init__(self):
         if self.noise is None:
             object.__setattr__(self, "noise", self.obs.noise)
         if self.sigma_inferred and self.noise.kind != "case2":
             raise ValueError("sigma_inferred requires infection-proportional (case2) noise")
+        if self.noise.kind == "known_sequence" and len(self.noise.sigma_t) < self.T:
+            raise InsufficientDataError(
+                f"known_sequence provides {len(self.noise.sigma_t)} days, need {self.T}"
+            )
 
     @property
     def T(self) -> int:
@@ -98,8 +106,6 @@ def _variance_terms(spec: LikelihoodSpec, sigma, i_days, ib, ig):
         return v, dv_b, dv_g, dv_s
     noise = spec.noise
     if noise.kind == "known_sequence":
-        if len(noise.sigma_t) < T:
-            raise DegenerateVarianceError(f"known_sequence provides fewer than T = {T} days")
         sig = np.asarray(noise.sigma_t[:T], dtype=float)
         return sig**2, None, None, None
     if noise.kind == "case1":
@@ -183,7 +189,7 @@ class MleResult:
         return SirParams(self.beta_hat, self.gamma_hat)
 
 
-def moment_start(obs: ObservationSeries, floor: float = 0.02) -> SirParams:
+def moment_start(obs: ObservationSeries) -> SirParams:
     """Moment-based initializer: delta from the log-slope of positive counts."""
     y = np.asarray(obs.values, dtype=float)
     t = np.arange(1.0, len(y) + 1.0)
@@ -192,7 +198,7 @@ def moment_start(obs: ObservationSeries, floor: float = 0.02) -> SirParams:
         slope = np.polyfit(t[pos], np.log(y[pos]), 1)[0]
     else:
         slope = 0.1
-    delta0 = max(float(slope), floor)
+    delta0 = max(float(slope), _MOMENT_FLOOR)
     return SirParams(2.0 * delta0, delta0)
 
 
@@ -228,8 +234,7 @@ def default_starts(spec: LikelihoodSpec, n_starts: int = 8) -> list[SirParams]:
 _LOG_BOUNDS = (math.log(1e-6), math.log(500.0))
 
 
-def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | None,
-                gradient_tol: float, max_iterations: int):
+def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | None):
     x0 = [math.log(start.beta), math.log(start.gamma)]
     if spec.sigma_inferred:
         x0.append(math.log(sigma_start))
@@ -254,7 +259,7 @@ def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | Non
         jac=True,
         method="L-BFGS-B",
         bounds=[_LOG_BOUNDS] * ndim,
-        options={"maxiter": max_iterations, "ftol": 1e-14, "gtol": gradient_tol,
+        options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-14, "gtol": _GRADIENT_TOL,
                  "maxcor": 20},
     )
     theta = np.exp(res.x)
@@ -278,8 +283,7 @@ def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | Non
 
 
 def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
-            sigma_starts: list[float] | None = None, n_starts: int = 8,
-            gradient_tol: float = 1e-8, max_iterations: int = 500) -> MleResult:
+            n_starts: int = 8) -> MleResult:
     """Best local maximum across multi-started quasi-Newton ascents.
 
     Starts rank by (converged, loglik): a start that passed the first-order
@@ -288,14 +292,12 @@ def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
     """
     if starts is None:
         starts = default_starts(spec, n_starts)
-    if spec.sigma_inferred and sigma_starts is None:
-        sigma_starts = [_profile_sigma_start(s, spec) for s in starts]
     best = None
     diagnostics = []
     for idx, start in enumerate(starts):
-        sig0 = sigma_starts[idx] if spec.sigma_inferred else None
+        sig0 = _profile_sigma_start(start, spec) if spec.sigma_inferred else None
         try:
-            result = _fit_single(spec, start, sig0, gradient_tol, max_iterations)
+            result = _fit_single(spec, start, sig0)
         except (OptimizationFailureError, IntegrationError, DegenerateVarianceError) as exc:
             diagnostics.append(f"start {idx} ({start.beta:.4g}, {start.gamma:.4g}): {exc}")
             continue
@@ -348,8 +350,7 @@ class MleEnsemble:
 
 
 def _ensemble_fit_one(args):
-    (y, sigma_t, p, noise, init, population, seed_base, index,
-     fit_spd, n_starts, gradient_tol, max_iterations) = args
+    y, sigma_t, p, noise, init, population, seed_base, index, fit_spd, n_starts = args
     obs = ObservationSeries(
         values=y,
         reporting_rate=p,
@@ -361,8 +362,7 @@ def _ensemble_fit_one(args):
     spec = LikelihoodSpec(obs=obs, init=init, noise=noise, sigma_inferred=False,
                           steps_per_day=fit_spd)
     try:
-        return index, fit_mle(spec, n_starts=n_starts, gradient_tol=gradient_tol,
-                              max_iterations=max_iterations), None
+        return index, fit_mle(spec, n_starts=n_starts), None
     except OptimizationFailureError as exc:
         return index, None, str(exc)
 
@@ -370,8 +370,7 @@ def _ensemble_fit_one(args):
 def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseModel,
                  p: float, T: int, replicates: int, seed: int,
                  workers: int = 1, fit_steps_per_day: int = 10,
-                 data_steps_per_day: int = 50, n_starts: int = 2,
-                 gradient_tol: float = 1e-8, max_iterations: int = 500,
+                 data_steps_per_day: int = DEFAULT_STEPS_PER_DAY, n_starts: int = 2,
                  max_failure_fraction: float = 0.05,
                  fit_noise: NoiseModel | None = None) -> MleEnsemble:
     """Replicate study of the MLE sampling distribution.
@@ -392,8 +391,7 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
         fit_noise = noise
     sigma_t = sigma_sequence(fit_noise, truth, T)
     jobs = [
-        (ys[r], sigma_t, p, fit_noise, init, init.population, seed, r,
-         fit_steps_per_day, n_starts, gradient_tol, max_iterations)
+        (ys[r], sigma_t, p, fit_noise, init, init.population, seed, r, fit_steps_per_day, n_starts)
         for r in range(replicates)
     ]
     if workers > 1:

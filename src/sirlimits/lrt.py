@@ -39,12 +39,12 @@ from .errors import (
 )
 from .gaussian import norm_cdf, norm_ppf
 from .perturb import Perturbation
-from .simulate import NoiseModel, ObservationSeries, replicate_seed, sigma_sequence
+from .simulate import NoiseModel, ObservationSeries, replicate_normals, sigma_sequence
 from .sir import (
+    DEFAULT_STEPS_PER_DAY,
     InitialCondition,
     SirParams,
     incidence,
-    integrate_day_grid_batch,
     integrate_exact,
     peak_time_for,
 )
@@ -63,7 +63,7 @@ class TestSpec:
     p: float
     noise: NoiseModel
     init: InitialCondition
-    steps_per_day: int = 50
+    steps_per_day: int = DEFAULT_STEPS_PER_DAY
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -176,18 +176,12 @@ def _approx_weights(spec: TestSpec, days: np.ndarray) -> tuple[np.ndarray, float
 
 
 def _approx_bracket(spec: TestSpec, days: np.ndarray, variant: str) -> np.ndarray:
+    pert = spec.pert
     beta = spec.null_params.beta
     delta = spec.null_params.delta()
-    eps = spec.pert.epsilon
-    omega = spec.pert.omega
-    f = math.cos(omega) - math.sin(omega)
-    beta_e = beta + eps * math.cos(omega)
-    delta_e = delta + eps * f
-    if delta_e <= 0.0:
-        raise PerturbationTooLargeError(
-            f"perturbed delta is {delta_e:.6g} <= 0 at omega = {omega:.6g}"
-        )
-    shift = np.exp(eps * f * days)
+    beta_e = pert.beta_eps()
+    delta_e = pert.delta_eps()
+    shift = np.exp(pert.epsilon * pert.direction_factor() * days)
     if variant == "first":
         return beta_e * ((1.0 - math.exp(-delta_e)) / delta_e) * shift - beta * (
             (1.0 - math.exp(-delta)) / delta
@@ -219,28 +213,22 @@ def case2_pi4_type2(alpha: float, epsilon: float, sigma: float, p: float, T: int
 
 def worst_case_direction(null_params: SirParams, init: InitialCondition,
                          epsilon: float, alpha: float, T: int, p: float,
-                         noise: NoiseModel, n_angles: int = 150,
-                         omegas=None, variant: str = "first",
-                         steps_per_day: int = 50) -> tuple[float, float]:
+                         noise: NoiseModel, n_angles: int = 150) -> tuple[float, float]:
     """Direction maximizing the closed-form type II error over an angle grid.
 
     Angles whose perturbed delta would be non-positive are skipped; they are
     maximally distinguishable and cannot attain the supremum.
     """
-    if omegas is None:
-        omegas = np.linspace(0.0, 2.0 * math.pi, int(n_angles), endpoint=False)
-    omegas = np.asarray(omegas, dtype=float)
     best_omega = None
     best_value = -math.inf
-    for omega in omegas:
+    for omega in np.linspace(0.0, 2.0 * math.pi, int(n_angles), endpoint=False):
         try:
             spec = TestSpec(
                 null_params=null_params,
                 pert=Perturbation(null_params, epsilon, float(omega)),
                 alpha=alpha, T=T, p=p, noise=noise, init=init,
-                steps_per_day=steps_per_day,
             )
-            value = type2_approx(spec, variant)
+            value = type2_approx(spec)
         except PerturbationTooLargeError:
             continue
         if value > best_value:
@@ -305,13 +293,10 @@ class EmpiricalRate:
 
 
 def _standard_normals(replicates: int, seed: int, T: int) -> np.ndarray:
-    """A (replicates, T) array whose row r is drawn from replicate_seed(seed, r)."""
+    """``replicate_normals(seed, replicates, T)``, once the replicate floor is checked."""
     if replicates < 100:
         raise ValueError(f"need at least 100 replicates, got {replicates}")
-    return np.array([
-        np.random.Generator(np.random.Philox(replicate_seed(seed, r))).standard_normal(T)
-        for r in range(replicates)
-    ])
+    return replicate_normals(seed, replicates, T)
 
 
 def _empirical_rate(spec: TestSpec, d0, de, sigma, xi, under_alternative: bool) -> EmpiricalRate:
@@ -388,16 +373,16 @@ def power_summary(spec: TestSpec, replicates: int | None = None,
 
 
 def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, epsilons,
-               alpha: float, T: int, p: float, steps_per_day: int = 50,
+               alpha: float, T: int, p: float, steps_per_day: int = DEFAULT_STEPS_PER_DAY,
                replicates: int | None = None, seed: int = 0) -> list:
     """``power_summary`` at every point of the noises x omegas x epsilons grid
     (sequences, nested in that order); returns (omega, epsilon, noise.sigma,
     PowerResult) rows in the same order.
 
     Every point's TestSpec is built before anything is integrated. The null
-    is integrated once, the distinct alternatives in one batch, sigma_t once
-    per noise model, and the Monte Carlo normals are drawn once: every point
-    uses ``seed``, so all points share their replicate streams (common random
+    and each distinct alternative are integrated once, sigma_t once per noise
+    model, and the Monte Carlo normals are drawn once: every point uses
+    ``seed``, so all points share their replicate streams (common random
     numbers), exactly as separate ``power_summary`` calls would.
     """
     specs = [
@@ -408,22 +393,22 @@ def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, e
     if not specs:
         return []
     z = None if replicates is None else _standard_normals(replicates, seed, T)
-    lanes = {}
-    lane_of = [lanes.setdefault(spec.alternative_params(), len(lanes)) for spec in specs]
     null_traj = integrate_exact(null_params, init, T, steps_per_day)
     d0 = incidence(null_traj).values
-    s, _ = integrate_day_grid_batch([a.beta for a in lanes], [a.gamma for a in lanes],
-                                    init, T, steps_per_day)
-    alt = np.ascontiguousarray((init.population * (s[:-1] - s[1:])).T)
+    alt = {}
+    for spec in specs:
+        key = spec.alternative_params()
+        if key not in alt:
+            alt[key] = incidence(integrate_exact(key, init, T, steps_per_day)).values
     rows = []
     for noise in noises:
         sigma = sigma_sequence(noise, null_traj, T)
         xi = None if z is None else sigma * z
         for omega in omegas:
             for eps in epsilons:
-                k = len(rows)
+                spec = specs[len(rows)]
                 rows.append((omega, eps, noise.sigma,
-                             _power_point(specs[k], d0, alt[lane_of[k]], sigma, xi)))
+                             _power_point(spec, d0, alt[spec.alternative_params()], sigma, xi)))
     return rows
 
 

@@ -20,10 +20,11 @@ from .errors import OptimizationFailureError
 from .gaussian import norm_ppf
 from .inference import LikelihoodSpec, MleResult, default_starts, fit_mle
 from .simulate import NoiseModel, ObservationSeries
-from .sir import InitialCondition, incidence, integrate_exact
+from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, incidence, integrate_exact
 
 
-def nyc_likelihood_spec(data: CaseData, p: float, steps_per_day: int = 50) -> LikelihoodSpec:
+def nyc_likelihood_spec(data: CaseData, p: float,
+                        steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> LikelihoodSpec:
     """Likelihood specification for a case-count series at reporting rate p."""
     counts = np.asarray(data.counts, dtype=float)
     if len(counts) < 2:
@@ -61,7 +62,7 @@ class SweepRow:
 
 
 def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
-                         steps_per_day: int = 50) -> list[SweepRow]:
+                         steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> list[SweepRow]:
     """Fit the model once per reporting rate; failures are recorded in-table.
 
     Each fit is warm-started with the previous rate's optimum in addition to
@@ -109,7 +110,7 @@ class FittedBand:
 
 
 def fitted_band(data: CaseData, fit: MleResult, p: float, level: float = 0.95,
-                steps_per_day: int = 50) -> FittedBand:
+                steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> FittedBand:
     """Per-day fitted mean p*N*(s_{k-1}-s_k) with mean +/- z * sigma * sqrt(N i_k)."""
     if not fit.converged:
         raise OptimizationFailureError("refusing to draw a band from a non-converged fit")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import fmt, write_csv
-from .errors import FitDegenerateError, HorizonTooShortError, PerturbationTooLargeError
+from .errors import FitDegenerateError, PerturbationTooLargeError
 from .sir import (
     DEFAULT_STEPS_PER_DAY,
     InitialCondition,
@@ -48,6 +48,10 @@ from .sir import (
     integrate_exact,
     peak_time,
 )
+
+_FIT_PER_ARC = 25  # error_fit's directions on each arc around a slope-one direction
+_FIT_HALF_WIDTH = math.pi / 12.0  # half-width of each arc
+_MIN_FIT_POINTS = 5  # fewest usable days for one direction's line
 
 #: Benchmark configurations: every (beta, gamma, eps) row crossed with the
 #: four population sizes. R0 spans 1.5 to 12.
@@ -96,10 +100,21 @@ class Perturbation:
         return self.base.gamma + self.epsilon * math.sin(self.omega)
 
     def delta_eps(self) -> float:
-        return self.base.delta() + self.epsilon * self.direction_factor()
+        """Perturbed growth rate; PerturbationTooLargeError unless it is positive."""
+        delta_e = self.base.delta() + self.epsilon * self.direction_factor()
+        if delta_e <= 0.0:
+            raise PerturbationTooLargeError(
+                f"perturbed delta is {delta_e:.6g} <= 0 at omega = {self.omega:.6g}"
+            )
+        return delta_e
 
     def perturbed(self) -> SirParams:
         return SirParams(self.beta_eps(), self.gamma_eps())
+
+
+def _check_anchor(base: SirParams, pert: Perturbation) -> None:
+    if pert.base != base:
+        raise ValueError(f"perturbation is anchored at {pert.base}, not at the base {base}")
 
 
 def lower_bound(base: SirParams, init: InitialCondition, epsilon: float, t) -> float:
@@ -128,16 +143,12 @@ def linearized_difference(base: SirParams, init: InitialCondition,
     At omega = pi/4 this reduces to ((1 - e^{delta t}), 0) * eps*i0/(delta*sqrt(2)).
     """
     t = np.asarray(t, dtype=float)
+    pert = Perturbation(base, epsilon, omega)
     beta, delta = base.beta, base.delta()
-    f = math.cos(omega) - math.sin(omega)
-    beta_e = beta + epsilon * math.cos(omega)
-    delta_e = delta + epsilon * f
-    if delta_e <= 0.0:
-        raise PerturbationTooLargeError(
-            f"perturbed delta is {delta_e:.6g} <= 0 at omega = {omega:.6g}"
-        )
+    beta_e = pert.beta_eps()
+    delta_e = pert.delta_eps()
     growth = np.exp(delta * t)
-    shift = np.exp(epsilon * f * t)
+    shift = np.exp(epsilon * pert.direction_factor() * t)
     ds = (beta_e / delta_e - beta / delta + (beta / delta - (beta_e / delta_e) * shift) * growth) * init.i0
     di = (shift - 1.0) * growth * init.i0
     return ds, di
@@ -207,20 +218,17 @@ def approximation_error(base: SirParams, init: InitialCondition, pert: Perturbat
                         horizon: int,
                         steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> ApproximationErrorSeries:
     """Measure how well the closed form tracks the exact separation."""
-    s, i = integrate_day_grid_batch(
-        np.array([base.beta, pert.beta_eps()]),
-        np.array([base.gamma, pert.gamma_eps()]),
-        init, horizon, steps_per_day,
-    )
-    exact = np.hypot(s[:, 1] - s[:, 0], i[:, 1] - i[:, 0])
-    ds, di = linearized_difference(base, init, pert.epsilon, pert.omega, np.arange(horizon + 1))
+    _check_anchor(base, pert)
+    [curve] = separation_sweep(base, init, pert.epsilon, [pert.omega], horizon, steps_per_day)
+    exact = curve.distance
+    ds, di = linearized_difference(base, init, pert.epsilon, pert.omega, curve.times)
     linearized = np.hypot(ds, di)
     err = exact - linearized
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.log(np.abs(err)) - np.log(exact)
     rel = np.where((exact == 0.0) | (err == 0.0), np.nan, rel)
     return ApproximationErrorSeries(
-        times=np.arange(horizon + 1, dtype=float),
+        times=curve.times,
         exact_distance=exact,
         linearized_distance=linearized,
         error=err,
@@ -247,16 +255,16 @@ class ErrorFit:
     omegas: np.ndarray
 
 
-def fit_angles(n_per_arc: int = 25, half_width: float = math.pi / 12.0) -> np.ndarray:
+def fit_angles() -> np.ndarray:
     """Evenly spaced directions around pi/4 and 5*pi/4 (endpoints excluded on the right)."""
-    lo = np.linspace(math.pi / 4 - half_width, math.pi / 4 + half_width, n_per_arc, endpoint=False)
-    hi = np.linspace(5 * math.pi / 4 - half_width, 5 * math.pi / 4 + half_width, n_per_arc, endpoint=False)
-    return np.concatenate([lo, hi])
+    return np.concatenate([
+        np.linspace(c - _FIT_HALF_WIDTH, c + _FIT_HALF_WIDTH, _FIT_PER_ARC, endpoint=False)
+        for c in (math.pi / 4, 5 * math.pi / 4)
+    ])
 
 
 def error_fit(base: SirParams, init: InitialCondition, epsilon: float, horizon: int,
-              steps_per_day: int = DEFAULT_STEPS_PER_DAY,
-              min_points: int = 5) -> ErrorFit:
+              steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> ErrorFit:
     """Average per-direction OLS lines of log relative error over whole days.
 
     Fits run over days [1, 0.95 * t_star] with NaN days dropped; the horizon
@@ -265,10 +273,8 @@ def error_fit(base: SirParams, init: InitialCondition, epsilon: float, horizon: 
     base_traj = integrate_exact(base, init, horizon, steps_per_day)
     t_star = peak_time(base_traj)  # raises HorizonTooShortError pre-peak
     omegas = fit_angles()
-    betas = np.concatenate([[base.beta], base.beta + epsilon * np.cos(omegas)])
-    gammas = np.concatenate([[base.gamma], base.gamma + epsilon * np.sin(omegas)])
-    s, i = integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
-    days = np.arange(horizon + 1, dtype=float)
+    curves = separation_sweep(base, init, epsilon, omegas, horizon, steps_per_day)
+    days = curves[0].times
     t_hi = 0.95 * t_star
     window = (days >= 1.0) & (days <= t_hi)
     if not np.any(window):
@@ -276,16 +282,15 @@ def error_fit(base: SirParams, init: InitialCondition, epsilon: float, horizon: 
 
     slopes = np.empty(len(omegas))
     intercepts = np.empty(len(omegas))
-    for k, omega in enumerate(omegas):
-        exact = np.hypot(s[:, k + 1] - s[:, 0], i[:, k + 1] - i[:, 0])
-        ds, di = linearized_difference(base, init, epsilon, float(omega), days)
-        err = exact - np.hypot(ds, di)
+    for k, curve in enumerate(curves):
+        ds, di = linearized_difference(base, init, epsilon, curve.omega, days)
+        err = curve.distance - np.hypot(ds, di)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.log(np.abs(err)) - np.log(exact)
+            rel = np.log(np.abs(err)) - np.log(curve.distance)
         mask = window & np.isfinite(rel)
-        if mask.sum() < min_points:
+        if mask.sum() < _MIN_FIT_POINTS:
             raise FitDegenerateError(
-                f"only {int(mask.sum())} usable fit points at omega = {omega:.4f}"
+                f"only {int(mask.sum())} usable fit points at omega = {curve.omega:.4f}"
             )
         slope, intercept = np.polyfit(days[mask], rel[mask], 1)
         slopes[k] = slope
@@ -316,15 +321,12 @@ def theoretical_error_bound(base: SirParams, init: InitialCondition,
     holds for every initial condition, direction, and time, and it vanishes
     proportionally to i0.
     """
+    _check_anchor(base, pert)
     t = np.asarray(t, dtype=float)
     beta, gamma, delta = base.beta, base.gamma, base.delta()
     beta_e = pert.beta_eps()
     gamma_e = pert.gamma_eps()
     delta_e = pert.delta_eps()
-    if delta_e <= 0.0:
-        raise PerturbationTooLargeError(
-            f"perturbed delta is {delta_e:.6g} <= 0 at omega = {pert.omega:.6g}"
-        )
     term_pert = math.sqrt(2.0 * beta_e**2 + gamma_e**2) / delta_e * (np.exp(delta_e * t) - 1.0)
     term_base = math.sqrt(2.0 * beta**2 + gamma**2) / delta * (np.exp(delta * t) - 1.0)
     return (term_pert + term_base) * init.i0

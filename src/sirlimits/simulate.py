@@ -102,6 +102,14 @@ def replicate_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
+def replicate_normals(seed: int, replicates: int, T: int) -> np.ndarray:
+    """A (replicates, T) array of standard normals; row r is drawn from replicate_seed(seed, r)."""
+    return np.array([
+        np.random.Generator(np.random.Philox(replicate_seed(seed, r))).standard_normal(T)
+        for r in range(replicates)
+    ]).reshape(replicates, T)
+
+
 @dataclass(frozen=True)
 class ObservationSeries:
     """Observed counts Y_1..Y_T plus everything needed to reproduce them."""
@@ -143,10 +151,11 @@ def observe(traj: Trajectory, noise: NoiseModel, p: float, T: int, seed: int) ->
 
 def observe_batch(traj: Trajectory, noise: NoiseModel, p: float, T: int,
                   seed: int, replicates: int) -> np.ndarray:
-    """Matrix of ``replicates`` observation rows; row r uses replicate_seed(seed, r).
+    """Matrix of ``replicates`` observation rows: p * incidence + sigma_t times
+    the normals of ``replicate_normals(seed, replicates, T)``.
 
-    Equivalent to stacking observe() calls with those seeds, kept separate so
-    Monte Carlo loops avoid per-replicate object overhead.
+    Row r draws from replicate_seed(seed, r), a stream of its own; it is not
+    the series ``observe`` draws for any seed, which comes from SeedSequence(seed).
     """
     if T > traj.horizon:
         raise InsufficientDataError(
@@ -154,11 +163,7 @@ def observe_batch(traj: Trajectory, noise: NoiseModel, p: float, T: int,
         )
     sig = sigma_sequence(noise, traj, T)
     mean = p * incidence(traj).values[:T]
-    out = np.empty((replicates, T))
-    for r in range(replicates):
-        gen = np.random.Generator(np.random.Philox(replicate_seed(seed, r)))
-        out[r] = mean + sig * gen.standard_normal(T)
-    return out
+    return mean + sig * replicate_normals(seed, replicates, T)
 
 
 def write_observations_csv(obs: ObservationSeries, path, sidecar_path=None) -> None:

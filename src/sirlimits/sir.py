@@ -41,6 +41,8 @@ DEFAULT_STEPS_PER_DAY = 50
 # transients probed by optimizers before the failure is reported.
 _STATE_GUARD = 1e6
 
+_MAX_PEAK_HORIZON = 16384  # days; the doubling peak search gives up beyond it
+
 
 @dataclass(frozen=True)
 class SirParams:
@@ -342,8 +344,7 @@ def peak_time(traj: Trajectory) -> float:
 
 @functools.lru_cache(maxsize=64)
 def peak_time_for(params: SirParams, init: InitialCondition,
-                  steps_per_day: int = DEFAULT_STEPS_PER_DAY,
-                  max_horizon: int = 16384) -> float:
+                  steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> float:
     """Peak time located by integrating with a doubling horizon.
 
     Memoized: the arguments are frozen and hashable and the result depends
@@ -357,7 +358,7 @@ def peak_time_for(params: SirParams, init: InitialCondition,
             return peak_time(traj)
         except HorizonTooShortError:
             horizon *= 2
-            if horizon > max_horizon:
+            if horizon > _MAX_PEAK_HORIZON:
                 raise
 
 

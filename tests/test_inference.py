@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 from sirlimits import inference
+from sirlimits.errors import InsufficientDataError
 from sirlimits.inference import (
     LikelihoodSpec,
     fit_mle,
@@ -147,6 +148,14 @@ class TestGradient:
         grad = log_likelihood_gradient(params, sigma, spec)
         fd = fd_gradient(params, sigma, spec, rel_step=1e-4)
         np.testing.assert_allclose(grad, fd, rtol=1e-4)
+
+
+class TestLikelihoodSpec:
+    def test_known_sequence_shorter_than_observations_rejected(self):
+        noise = NoiseModel.known(np.full(40, 3e4))
+        obs = make_obs(BASE, INIT7, noise, 1.0, 40, seed=4)
+        with pytest.raises(InsufficientDataError, match="provides 30 days, need 40"):
+            LikelihoodSpec(obs=obs, init=INIT7, noise=NoiseModel.known(np.full(30, 3e4)))
 
 
 class TestFit:

@@ -347,6 +347,28 @@ def test_power_grid_equals_power_summary_per_point(noises, replicates):
     assert all((row[3].type2_empirical is None) == (replicates is None) for row in rows)
 
 
+def test_power_grid_integrates_each_distinct_hypothesis_once(monkeypatch):
+    # the grid of the ``power`` benchmark workload: 8 sigmas x 3 omegas x 7
+    # epsilons, 21 distinct alternatives
+    sigmas = (0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0)
+    epsilons = (0.004, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
+    exact_calls = count_calls(monkeypatch, lrt)
+    lane_calls = []
+    rk4 = sir._rk4
+
+    def counted_rk4(beta, *args):
+        if np.ndim(beta):
+            lane_calls.append(len(beta))
+        return rk4(beta, *args)
+
+    monkeypatch.setattr(sir, "_rk4", counted_rk4)
+    rows = power_grid(BASE, INIT7, [NoiseModel.case2(s) for s in sigmas], GRID_OMEGAS, epsilons,
+                      alpha=0.05, T=60, p=1.0)
+    assert len(rows) == 168
+    assert len(exact_calls) == 1 + 21
+    assert lane_calls == []  # no batched integration
+
+
 def reference_rate(spec, replicates, seed, under_alternative):
     """The Monte Carlo estimate one replicate at a time: a Philox generator
     per replicate, seeded by replicate_seed(seed, r), and one np.dot per row."""

@@ -153,6 +153,17 @@ class TestApproximationError:
         series = approximation_error(BASE, INIT7, pert, horizon=int(0.8 * t_star))
         assert np.all(series.rel_log_error[1:] < 0.0)
 
+    def test_exact_distance_is_the_sweep_distance(self):
+        pert = Perturbation(BASE, 0.03, 1.1)
+        series = approximation_error(BASE, INIT7, pert, horizon=50)
+        [curve] = separation_sweep(BASE, INIT7, 0.03, [1.1], 50)
+        assert series.exact_distance.tobytes() == curve.distance.tobytes()
+
+    def test_rejects_perturbation_of_another_base(self):
+        pert = Perturbation(SirParams(0.42, 0.07), 0.03, 0.3)
+        with pytest.raises(ValueError, match="anchored"):
+            approximation_error(BASE, INIT7, pert, horizon=40)
+
     def test_linearized_difference_rejects_flipped_delta(self):
         tight = SirParams(0.21, 0.18)  # delta = 0.03
         with pytest.raises(PerturbationTooLargeError):
@@ -172,6 +183,23 @@ class TestErrorFit:
         with pytest.raises(HorizonTooShortError):
             error_fit(BASE, INIT7, 0.03, horizon=60)
 
+    def test_angle_lines_come_from_the_sweep_distances(self):
+        # the per-angle lines, refitted from separation_sweep's distances, are
+        # bit-equal to error_fit's own
+        horizon = 130
+        fit = error_fit(BASE, INIT7, 0.03, horizon)
+        days = np.arange(horizon + 1, dtype=float)
+        window = (days >= 1.0) & (days <= 0.95 * fit.t_star)
+        curves = separation_sweep(BASE, INIT7, 0.03, fit_angles(), horizon)
+        for k, curve in enumerate(curves):
+            ds, di = linearized_difference(BASE, INIT7, 0.03, curve.omega, days)
+            err = curve.distance - np.hypot(ds, di)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = np.log(np.abs(err)) - np.log(curve.distance)
+            mask = window & np.isfinite(rel)
+            slope, intercept = np.polyfit(days[mask], rel[mask], 1)
+            assert (fit.angle_slopes[k], fit.angle_intercepts[k]) == (slope, intercept)
+
     def test_degenerate_when_peak_too_early(self):
         fast = SirParams(1.68, 0.14)
         init = InitialCondition.from_population(100)
@@ -189,6 +217,11 @@ class TestTheoreticalBound:
         small = theoretical_error_bound(BASE, InitialCondition.from_population(10**4), pert, 30)
         large = theoretical_error_bound(BASE, InitialCondition.from_population(10**8), pert, 30)
         assert large / small == pytest.approx(1e-4, rel=1e-9)
+
+    def test_rejects_perturbation_of_another_base(self):
+        pert = Perturbation(SirParams(0.42, 0.07), 0.03, 0.3)
+        with pytest.raises(ValueError, match="anchored"):
+            theoretical_error_bound(BASE, INIT7, pert, 30)
 
     def test_bounds_measured_error_on_two_configurations(self):
         for params, init, eps in [reference_grid()[5], reference_grid()[10]]:
