@@ -14,10 +14,15 @@ taken from the candidate model's own trajectory (fully coupled).
 Gradients come from forward sensitivities: the SIR system is augmented with
 d(s, i)/d(beta) and d(s, i)/d(gamma) and integrated together, then chained
 through delta_k and, where the variance is parameter-coupled, through i_k.
-Optimization is quasi-Newton (L-BFGS-B) over (log beta, log gamma[, log
-sigma]) so positivity needs no constraints, multi-started from a moment-based
-initializer: the growth rate delta is read off a regression of log y_t on t
-and beta starts at twice that.
+Fits run in log coordinates, so positivity needs no constraints. The noise
+model picks the optimizer. When v_k does not depend on the rates
+(``known_sequence`` and ``case1`` noise, sigma not inferred) the fit is
+weighted least squares, the sensitivities are its Jacobian, and
+Levenberg-Marquardt over (log beta, log gamma) solves it. When it does
+(``case2``, sigma fixed or inferred) the fit is quasi-Newton (L-BFGS-B) over
+(log beta, log gamma[, log sigma]). Both are multi-started from a
+moment-based initializer: the growth rate delta is read off a regression of
+log y_t on t and beta starts at twice that.
 """
 
 from __future__ import annotations
@@ -40,8 +45,12 @@ from .simulate import NoiseModel, ObservationSeries, observe_batch, sigma_sequen
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _rk4, integrate_exact
 
 _PENALTY = 1e12
-_GRADIENT_TOL = 1e-8  # L-BFGS-B projected-gradient tolerance of every fit
-_MAX_ITERATIONS = 500  # L-BFGS-B iteration cap of every fit
+_GRADIENT_TOL = 1e-8  # L-BFGS-B projected-gradient tolerance
+_MAX_ITERATIONS = 500  # cap on L-BFGS-B iterations and on Levenberg-Marquardt trials
+_FIRST_ORDER_TOL = 1e-6  # converged: |projected gradient| <= this * max(1, |ll|)
+_DECREMENT_TOL = 1e-14  # least-squares fits stop at a Gauss-Newton decrement below this * max(1, |ll|)
+_LM_DAMPING = 1e-3  # initial Marquardt damping of a least-squares fit
+_MAX_LOG_STEP = 0.5  # longest least-squares step in either log rate
 _MOMENT_FLOOR = 0.02  # least growth rate the moment initializer starts from
 
 
@@ -90,13 +99,21 @@ class LikelihoodSpec:
     def p(self) -> float:
         return self.obs.reporting_rate
 
+    @property
+    def fixed_variance(self) -> bool:
+        """True when v_k does not depend on the rates: the fit is weighted least squares."""
+        return not self.sigma_inferred and self.noise.kind in ("known_sequence", "case1")
+
 
 def _variance_terms(spec: LikelihoodSpec, sigma, i_days, ib, ig):
-    """Per-day variance v_k and its parameter derivatives (dv/db, dv/dg, dv/dsigma)."""
+    """Per-day variance v_k and its parameter derivatives (dv/db, dv/dg, dv/dsigma).
+
+    Fixed-variance specs need no trajectory: ``i_days`` may then be None.
+    """
     T = spec.T
     n = spec.init.population
-    ik = i_days[1 : T + 1]
     if spec.sigma_inferred:
+        ik = i_days[1 : T + 1]
         if sigma is None:
             raise ValueError("sigma is required when sigma_inferred is set")
         v = n * ik * sigma**2
@@ -111,11 +128,22 @@ def _variance_terms(spec: LikelihoodSpec, sigma, i_days, ib, ig):
     if noise.kind == "case1":
         return np.full(T, (n * noise.sigma) ** 2), None, None, None
     # case2 with fixed sigma: sigma_t = N * sigma * i_k of the candidate model
+    ik = i_days[1 : T + 1]
     sig = n * noise.sigma * ik
     v = sig**2
     dv_b = 2.0 * (n * noise.sigma) ** 2 * ik * ib[1 : T + 1]
     dv_g = 2.0 * (n * noise.sigma) ** 2 * ik * ig[1 : T + 1]
     return v, dv_b, dv_g, None
+
+
+def _check_variance(v) -> None:
+    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~(v > 0.0) | ~np.isfinite(v))[0]) + 1
+        raise DegenerateVarianceError(f"variance must be positive; day {bad} has v = {v[bad - 1]}")
+
+
+def _gaussian_ll(r, v) -> float:
+    return float(np.sum(-0.5 * r * r / v - 0.5 * np.log(2.0 * math.pi * v)))
 
 
 def _loglik_core(params: SirParams, sigma, spec: LikelihoodSpec, want_grad: bool):
@@ -128,11 +156,9 @@ def _loglik_core(params: SirParams, sigma, spec: LikelihoodSpec, want_grad: bool
     T = spec.T
     delta = n * (s[:T] - s[1 : T + 1])
     v, dv_b, dv_g, dv_s = _variance_terms(spec, sigma, i, ib, ig)
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~(v > 0.0) | ~np.isfinite(v))[0]) + 1
-        raise DegenerateVarianceError(f"variance must be positive; day {bad} has v = {v[bad - 1]}")
+    _check_variance(v)
     r = y - p * delta
-    ll = float(np.sum(-0.5 * r * r / v - 0.5 * np.log(2.0 * math.pi * v)))
+    ll = _gaussian_ll(r, v)
     if not want_grad:
         return ll, None
     ddelta_b = n * (sb[:T] - sb[1 : T + 1])
@@ -234,7 +260,135 @@ def default_starts(spec: LikelihoodSpec, n_starts: int = 8) -> list[SirParams]:
 _LOG_BOUNDS = (math.log(1e-6), math.log(500.0))
 
 
-def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | None):
+@dataclass(frozen=True)
+class _LsqPoint:
+    """One evaluation of a fixed-variance fit: log rates, ll, r'Wr, and the
+    gradient J'Wr and Gauss-Newton matrix J'WJ in (beta, gamma)."""
+
+    x: np.ndarray
+    ll: float
+    wrss: float
+    grad: np.ndarray
+    gn: np.ndarray
+
+
+def _least_squares_point(x, spec: LikelihoodSpec, v) -> _LsqPoint:
+    theta = np.exp(x)
+    params = SirParams(float(theta[0]), float(theta[1]))
+    s, _, sb, _, sg, _ = integrate_with_sensitivities(params, spec.init, spec.T,
+                                                      spec.steps_per_day)
+    n = spec.init.population
+    p = spec.p
+    T = spec.T
+    r = spec.obs.values - p * (n * (s[:T] - s[1 : T + 1]))
+    jac = (p * n) * np.stack((sb[:T] - sb[1 : T + 1], sg[:T] - sg[1 : T + 1]))
+    wjac = jac / v
+    return _LsqPoint(x, _gaussian_ll(r, v), float(np.dot(r, r / v)), wjac @ r, wjac @ jac.T)
+
+
+def _free_coordinates(point: _LsqPoint) -> np.ndarray:
+    """Coordinates not held at a bound by a gradient pointing out of the box."""
+    lo, hi = _LOG_BOUNDS
+    x, grad = point.x, point.grad
+    return ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
+
+
+def _projected_grad_norm(point: _LsqPoint) -> float:
+    return float(np.linalg.norm(point.grad[_free_coordinates(point)]))
+
+
+def _first_order_ok(point: _LsqPoint) -> bool:
+    return _projected_grad_norm(point) <= _FIRST_ORDER_TOL * max(1.0, abs(point.ll))
+
+
+def _model_rise(step, grad, gn) -> float:
+    """Rise of ll that the Gauss-Newton model predicts for a step."""
+    return float(step @ grad - 0.5 * step @ gn @ step)
+
+
+_TRIAL_ERRORS = (DegenerateParameterError, IntegrationError, DegenerateVarianceError)
+
+
+def _fit_least_squares(spec: LikelihoodSpec, start: SirParams) -> MleResult:
+    """Levenberg-Marquardt in (log beta, log gamma) for a fixed-variance spec.
+
+    With v fixed, ll = -r'Wr / 2 + const for r = y - p*delta and W = 1/v, and
+    the sensitivities give the Jacobian J of p*delta, so each evaluation
+    yields the gradient g = J'Wr and the Gauss-Newton matrix H = J'WJ. A step
+    solves (H + lambda * d * I) step = g over the free coordinates, d being
+    the largest diagonal entry of H seen so far (a scalar form of More's 1978
+    scaling), and each log rate moves at most _MAX_LOG_STEP; lambda follows
+    Nielsen's update, and a coordinate at a bound whose gradient points out
+    of the box is held there. A step is accepted when r'Wr falls: ll adds a
+    large constant whose rounding would mask the last gains. A trial that
+    cannot be evaluated is a rejected step.
+
+    The fit stops once the projected gradient passes the first-order test and
+    the Gauss-Newton decrement g'H^-1 g / 2 is below
+    tol = _DECREMENT_TOL * max(1, |ll|). Once a step promises less than tol,
+    r'Wr can no longer rank it against rounding, and it is accepted when it
+    shrinks the projected gradient; when it does not, the fit stops there.
+    """
+    lo, hi = _LOG_BOUNDS
+    x = np.clip([math.log(start.beta), math.log(start.gamma)], lo, hi)
+    try:
+        v = _variance_terms(spec, None, None, None, None)[0]
+        _check_variance(v)
+        point = _least_squares_point(x, spec, v)
+    except _TRIAL_ERRORS as exc:
+        raise OptimizationFailureError(f"start {start} cannot be evaluated: {exc}") from exc
+    damping, growth, scale = _LM_DAMPING, 2.0, 0.0
+    accepted = 0
+    for _ in range(_MAX_ITERATIONS):
+        theta = np.exp(point.x)
+        grad = point.grad * theta  # log coordinates
+        gn = point.gn * np.outer(theta, theta)
+        free = _free_coordinates(point)
+        tol = _DECREMENT_TOL * max(1.0, abs(point.ll))
+        g_free, gn_free = grad[free], gn[np.ix_(free, free)]
+        try:
+            if (_first_order_ok(point)
+                    and 0.5 * g_free @ np.linalg.solve(gn_free, g_free) <= tol):
+                break
+            scale = max(scale, float(np.max(np.diag(gn))))
+            step = np.zeros(2)
+            step[free] = np.linalg.solve(gn_free + damping * scale * np.eye(len(g_free)), g_free)
+        except np.linalg.LinAlgError:
+            break
+        promised = _model_rise(step, grad, gn)
+        trial_x = np.clip(point.x + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP), lo, hi)
+        predicted = _model_rise(trial_x - point.x, grad, gn)
+        try:
+            trial = _least_squares_point(trial_x, spec, v)
+        except _TRIAL_ERRORS:
+            trial = None
+        if trial is not None and (
+                trial.wrss < point.wrss
+                or (promised <= tol and _projected_grad_norm(trial) < _projected_grad_norm(point))):
+            gain = 0.5 * (point.wrss - trial.wrss) / predicted if predicted > 0.0 else 0.0
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
+            point = trial
+            accepted += 1
+        elif promised <= tol:
+            break
+        else:
+            damping *= growth
+            growth *= 2.0
+    beta, gamma = np.exp(point.x)
+    return MleResult(
+        beta_hat=float(beta),
+        gamma_hat=float(gamma),
+        sigma_hat=None,
+        loglik=point.ll,
+        converged=_first_order_ok(point),
+        iterations=accepted,
+        grad_norm=float(np.linalg.norm(point.grad)),
+    )
+
+
+def _fit_quasi_newton(spec: LikelihoodSpec, start: SirParams, sigma_start: float | None):
+    """L-BFGS-B in (log beta, log gamma[, log sigma]) for rate-dependent variance."""
     x0 = [math.log(start.beta), math.log(start.gamma)]
     if spec.sigma_inferred:
         x0.append(math.log(sigma_start))
@@ -247,7 +401,7 @@ def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | Non
             params = SirParams(theta[0], theta[1])
             sigma = theta[2] if spec.sigma_inferred else None
             ll, grad = _loglik_core(params, sigma, spec, want_grad=True)
-        except (DegenerateParameterError, IntegrationError, DegenerateVarianceError):
+        except _TRIAL_ERRORS:
             return _PENALTY * (1.0 + float(np.dot(x, x))), 2.0 * _PENALTY * x
         if not math.isfinite(ll):
             return _PENALTY * (1.0 + float(np.dot(x, x))), 2.0 * _PENALTY * x
@@ -270,7 +424,7 @@ def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | Non
     # On ridge-conditioned problems the requested gradient tolerance can sit
     # below the double-precision floor and L-BFGS-B ends "abnormally" at the
     # optimum; the first-order condition is the meaningful convergence test.
-    converged = bool(res.success) or grad_norm <= 1e-6 * max(1.0, abs(float(res.fun)))
+    converged = bool(res.success) or grad_norm <= _FIRST_ORDER_TOL * max(1.0, abs(float(res.fun)))
     return MleResult(
         beta_hat=float(theta[0]),
         gamma_hat=float(theta[1]),
@@ -284,7 +438,7 @@ def _fit_single(spec: LikelihoodSpec, start: SirParams, sigma_start: float | Non
 
 def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
             n_starts: int = 8) -> MleResult:
-    """Best local maximum across multi-started quasi-Newton ascents.
+    """Best local maximum across multi-started ascents.
 
     Starts rank by (converged, loglik): a start that passed the first-order
     test beats one that did not, whatever their log-likelihoods, so a start
@@ -297,7 +451,10 @@ def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
     for idx, start in enumerate(starts):
         sig0 = _profile_sigma_start(start, spec) if spec.sigma_inferred else None
         try:
-            result = _fit_single(spec, start, sig0)
+            if spec.fixed_variance:
+                result = _fit_least_squares(spec, start)
+            else:
+                result = _fit_quasi_newton(spec, start, sig0)
         except (OptimizationFailureError, IntegrationError, DegenerateVarianceError) as exc:
             diagnostics.append(f"start {idx} ({start.beta:.4g}, {start.gamma:.4g}): {exc}")
             continue
@@ -398,7 +555,8 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:
-            outcomes = pool.map(_ensemble_fit_one, jobs, chunksize=8)
+            outcomes = pool.map(_ensemble_fit_one, jobs,
+                                chunksize=max(1, len(jobs) // (4 * workers)))
     else:
         outcomes = [_ensemble_fit_one(job) for job in jobs]
     outcomes.sort(key=lambda item: item[0])

@@ -5,7 +5,12 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 from sirlimits import inference
-from sirlimits.errors import InsufficientDataError
+from sirlimits.errors import (
+    DegenerateParameterError,
+    InsufficientDataError,
+    IntegrationError,
+    OptimizationFailureError,
+)
 from sirlimits.inference import (
     LikelihoodSpec,
     fit_mle,
@@ -15,7 +20,7 @@ from sirlimits.inference import (
     mle_ensemble,
     moment_start,
 )
-from sirlimits.simulate import NoiseModel, ObservationSeries, observe
+from sirlimits.simulate import NoiseModel, ObservationSeries, observe, observe_batch
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
 
 BASE = SirParams(0.21, 0.07)
@@ -28,6 +33,18 @@ from conftest import fd_gradient
 def make_obs(params, init, noise, p, T, seed, horizon=None):
     traj = integrate_exact(params, init, horizon or T)
     return observe(traj, noise, p, T, seed)
+
+
+def ensemble_design_spec(seed, replicate):
+    """Replicate ``replicate`` of data seed ``seed`` on the acceptance
+    ensemble's design: N = 1e7, T = 120, sd sqrt(1e9), fit at 5 substeps per day."""
+    T = 120
+    noise = NoiseModel.known(np.full(T, math.sqrt(100 * 1e7)))
+    truth = integrate_exact(BASE, INIT7, T)
+    y = observe_batch(truth, noise, 1.0, T, seed, replicate + 1)[replicate]
+    obs = ObservationSeries(values=y, reporting_rate=1.0, noise=noise, seed=seed,
+                            sigma_t=noise.sigma_t, population=10**7)
+    return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=5)
 
 
 class TestSensitivities:
@@ -182,9 +199,28 @@ class TestFit:
         assert np.linalg.norm(grad) < 1e-6 * abs(fit.loglik)
 
     def test_monotone_accepted_steps(self, monkeypatch):
+        # A fixed-variance fit runs Levenberg-Marquardt; capping its passes
+        # and reading the result gives the iterate after each accepted step.
         noise = NoiseModel.known(np.full(40, 2e4))
         obs = make_obs(BASE, INIT7, noise, p=1.0, T=40, seed=8)
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
+        iterates = {}
+        for cap in range(1, 60):
+            monkeypatch.setattr(inference, "_MAX_ITERATIONS", cap)
+            fit = fit_mle(spec, starts=[moment_start(obs)])
+            iterates.setdefault(fit.iterations, fit.loglik)
+        trace = np.array([iterates[k] for k in sorted(iterates)])
+        assert len(trace) > 2
+        diffs = np.diff(trace)
+        assert np.all(diffs >= -1e-7 * np.abs(trace[:-1]))
+
+    def test_monotone_accepted_steps_sigma_inferred(self, monkeypatch):
+        # Variance that depends on the rates keeps the quasi-Newton path.
+        raw = make_obs(BASE, INIT7, NoiseModel.case2(0.3), p=1.0, T=40, seed=8)
+        obs = ObservationSeries(values=raw.values, reporting_rate=1.0,
+                                noise=NoiseModel(kind="case2", sigma=None), seed=8,
+                                sigma_t=raw.sigma_t, population=10**7)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, sigma_inferred=True, steps_per_day=10)
         trace = []
 
         def record(intermediate_result):
@@ -198,6 +234,78 @@ class TestFit:
         assert len(trace) > 2
         diffs = np.diff(np.array(trace))
         assert np.all(diffs >= -1e-7 * np.abs(np.array(trace)[:-1]))
+
+    def test_replicate_that_stopped_on_the_ridge_reaches_the_optimum(self):
+        # With one start, a relative-reduction stop once left this replicate
+        # at ll -1436.11, 12.2 below the truth, with gradient norm 508, yet
+        # flagged converged.
+        spec = ensemble_design_spec(seed=31, replicate=22)
+        fit = fit_mle(spec, n_starts=1)
+        assert fit.loglik > log_likelihood(BASE, None, spec)
+        assert fit.loglik == pytest.approx(-1423.665, abs=1e-3)
+        assert fit.grad_norm <= 1e-6 * abs(fit.loglik)
+        assert fit.converged
+
+    @pytest.mark.parametrize("replicate", [0, 1, 2])
+    def test_no_ascent_left_at_the_fixed_variance_optimum(self, replicate):
+        # L-BFGS-B on the plain likelihood, started at the fit, finds no gain.
+        spec = ensemble_design_spec(seed=2020, replicate=replicate)
+        fit = fit_mle(spec, n_starts=1)
+
+        def negative(theta):
+            try:
+                params = SirParams(*theta)
+            except DegenerateParameterError:
+                return 1e12, np.zeros(2)
+            return (-log_likelihood(params, None, spec),
+                    -log_likelihood_gradient(params, None, spec))
+
+        res = scipy_minimize(negative, [fit.beta_hat, fit.gamma_hat], jac=True,
+                             method="L-BFGS-B", bounds=[(1e-6, 500.0)] * 2)
+        assert -res.fun - fit.loglik <= 1e-8
+
+    def test_bound_active_fit_converges_on_the_projected_gradient(self):
+        # The data of the CLI fit runner: the optimum sits at gamma = 1e-6,
+        # the lower bound, with the gradient pointing out of the box.
+        obs = make_obs(BASE, INIT7, NoiseModel.case1(1e-5), p=1.0, T=60, seed=7)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
+        fit = fit_mle(spec, n_starts=2)
+        grad = log_likelihood_gradient(fit.params(), None, spec)
+        assert fit.gamma_hat == pytest.approx(1e-6, rel=1e-12)
+        assert grad[1] < 0.0
+        assert fit.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-6)
+        assert fit.grad_norm > 1e-6 * abs(fit.loglik)
+        assert abs(grad[0]) <= 1e-6 * abs(fit.loglik)
+        assert fit.converged
+
+    def test_failed_trial_is_a_rejected_step(self, monkeypatch):
+        noise = NoiseModel.known(np.full(40, 2e4))
+        obs = make_obs(BASE, INIT7, noise, p=1.0, T=40, seed=8)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
+        clean = fit_mle(spec, starts=[moment_start(obs)])
+        evaluate = inference._least_squares_point
+        calls = []
+
+        def fail_second_evaluation(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise IntegrationError("forced failure")
+            return evaluate(*args)
+
+        monkeypatch.setattr(inference, "_least_squares_point", fail_second_evaluation)
+        fit = fit_mle(spec, starts=[moment_start(obs)])
+        assert fit.converged
+        assert fit.loglik == pytest.approx(clean.loglik, abs=1e-8)
+
+    def test_start_that_cannot_be_evaluated_fails(self):
+        sig = np.full(40, 2e4)
+        obs = make_obs(BASE, INIT7, NoiseModel.known(sig), p=1.0, T=40, seed=8)
+        sig[5] = 0.0
+        spec = LikelihoodSpec(obs=obs, init=INIT7, noise=NoiseModel.known(sig),
+                              steps_per_day=10)
+        with pytest.raises(OptimizationFailureError) as info:
+            fit_mle(spec, starts=[moment_start(obs)])
+        assert "cannot be evaluated" in info.value.diagnostics[0]
 
     def test_moment_start_close_on_clean_data(self):
         noise = NoiseModel.known(np.full(60, 1.0))
