@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data import CaseData, load_cases, load_nyc_fixture, nyc_fixture_path
 from .errors import SirLimitsError
-from .gaussian import norm_cdf, norm_pdf, norm_ppf
 from .inference import (
     LikelihoodSpec,
     MleEnsemble,
@@ -55,7 +54,6 @@ from .perturb import (
 from .simulate import NoiseModel, ObservationSeries, observe, sigma_sequence
 from .sir import (
     EpidemicSummary,
-    Incidence,
     InitialCondition,
     SirParams,
     Trajectory,

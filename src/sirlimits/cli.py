@@ -37,7 +37,7 @@ from .inference import LikelihoodSpec, fit_mle, mle_ensemble, write_ensemble_csv
 from .lrt import epsilon_for_power, power_grid, write_power_csv
 from .nyc import reporting_rate_sweep, write_nyc_table_csv
 from .perturb import error_fit, separation_sweep, write_error_fit_csv, write_sweep_csv
-from .simulate import NoiseModel, ObservationSeries, observe
+from .simulate import NoiseModel, ObservationSeries, observe, write_observations_csv
 from .sir import DEFAULT_STEPS_PER_DAY, integrate_exact, write_trajectory_csv
 
 _JSON_KW = dict(indent=2, sort_keys=True)
@@ -90,7 +90,7 @@ def _run_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
     obs = observe(traj, noise, float(config.get("p")), int(config.get("T")), config.seed)
     paths = [out / "trajectory.csv", out / "observations.csv", out / "observations.json"]
     write_trajectory_csv(traj, paths[0])
-    obs.to_csv(paths[1], sidecar_path=paths[2])
+    write_observations_csv(obs, paths[1], sidecar_path=paths[2])
     return paths
 
 

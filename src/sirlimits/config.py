@@ -17,47 +17,28 @@ from .errors import ConfigError
 from .simulate import NoiseModel
 from .sir import InitialCondition, SirParams
 
-EXPERIMENTS = (
-    "simulate",
-    "sweep-directions",
-    "error-fit",
-    "fit",
-    "ensemble",
-    "power",
-    "power-empirical",
-    "epsilon-invert",
-    "nyc-table",
-)
+# experiment name -> (required keys, optional keys)
+_SCHEMA = {
+    "simulate": ({"params", "population", "horizon", "noise", "p", "T"}, {"steps_per_day"}),
+    "sweep-directions": ({"params", "population", "epsilon", "horizon"}, {"n_angles", "steps_per_day"}),
+    "error-fit": ({"params", "population", "epsilon", "horizon"}, {"steps_per_day"}),
+    "fit": ({"observations", "population", "p"}, {"noise", "sigma_inferred", "steps_per_day", "n_starts"}),
+    "ensemble": ({"params", "population", "noise", "p", "T", "replicates"},
+                 {"fit_steps_per_day", "n_starts"}),
+    "power": ({"params", "population", "noise", "alpha", "T", "p", "omegas", "epsilons"},
+              {"sigmas", "steps_per_day"}),
+    "power-empirical": ({"params", "population", "noise", "alpha", "T", "p", "omegas", "epsilons",
+                         "replicates"}, {"sigmas", "steps_per_day"}),
+    "epsilon-invert": ({"targets"}, set()),
+    "nyc-table": ({"p_values"}, {"data", "population", "n_starts", "steps_per_day"}),
+}
+
+EXPERIMENTS = tuple(_SCHEMA)
 
 _COMMON_KEYS = {"experiment", "seed", "threads"}
 
-_EXPERIMENT_KEYS = {
-    "simulate": {"params", "population", "horizon", "steps_per_day", "noise", "p", "T"},
-    "sweep-directions": {"params", "population", "epsilon", "n_angles", "horizon", "steps_per_day"},
-    "error-fit": {"params", "population", "epsilon", "horizon", "steps_per_day"},
-    "fit": {"observations", "population", "p", "noise", "sigma_inferred", "steps_per_day", "n_starts"},
-    "ensemble": {"params", "population", "noise", "p", "T", "replicates",
-                 "fit_steps_per_day", "n_starts"},
-    "power": {"params", "population", "noise", "alpha", "T", "p", "omegas",
-              "epsilons", "sigmas", "steps_per_day"},
-    "power-empirical": {"params", "population", "noise", "alpha", "T", "p", "omegas",
-                        "epsilons", "sigmas", "steps_per_day", "replicates"},
-    "epsilon-invert": {"targets"},
-    "nyc-table": {"data", "population", "p_values", "n_starts", "steps_per_day"},
-}
-
-_REQUIRED_KEYS = {
-    "simulate": {"params", "population", "horizon", "noise", "p", "T"},
-    "sweep-directions": {"params", "population", "epsilon", "horizon"},
-    "error-fit": {"params", "population", "epsilon", "horizon"},
-    "fit": {"observations", "population", "p"},
-    "ensemble": {"params", "population", "noise", "p", "T", "replicates"},
-    "power": {"params", "population", "noise", "alpha", "T", "p", "omegas", "epsilons"},
-    "power-empirical": {"params", "population", "noise", "alpha", "T", "p", "omegas",
-                        "epsilons", "replicates"},
-    "epsilon-invert": {"targets"},
-    "nyc-table": {"p_values"},
-}
+# keys that count days, substeps, starts, angles or workers
+_COUNT_KEYS = ("threads", "horizon", "T", "steps_per_day", "fit_steps_per_day", "n_starts", "n_angles")
 
 
 @dataclass(frozen=True)
@@ -123,17 +104,19 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
         )
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
-    _check_keys(raw, _EXPERIMENT_KEYS[name] | _COMMON_KEYS, "configuration")
-    missing = _REQUIRED_KEYS[name] - set(raw)
+    required, optional = _SCHEMA[name]
+    _check_keys(raw, required | optional | _COMMON_KEYS, "configuration")
+    missing = required - set(raw)
     if missing:
         raise ConfigError(f"{name} config is missing: {', '.join(sorted(missing))}")
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0 or seed > 2**64 - 1:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    for key in _COUNT_KEYS:
+        value = raw.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
 
     if name == "ensemble" and int(raw.get("replicates", 0)) < 1:
         raise ConfigError("ensemble needs replicates >= 1")
@@ -151,7 +134,7 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
             _check_keys(target, {"target_type2", "alpha", "sigma", "p", "T", "delta"},
                         f"targets[{idx}]")
 
-    return ExperimentConfig(experiment=name, raw=raw, seed=seed, threads=threads)
+    return ExperimentConfig(experiment=name, raw=raw, seed=seed, threads=raw.get("threads", 1))
 
 
 def load_config(path, experiment: str | None = None) -> ExperimentConfig:

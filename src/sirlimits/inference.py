@@ -52,6 +52,7 @@ _DECREMENT_TOL = 1e-14  # least-squares fits stop at a Gauss-Newton decrement be
 _LM_DAMPING = 1e-3  # initial Marquardt damping of a least-squares fit
 _MAX_LOG_STEP = 0.5  # longest least-squares step in either log rate
 _MOMENT_FLOOR = 0.02  # least growth rate the moment initializer starts from
+_MAX_FAILURE_FRACTION = 0.05  # mle_ensemble raises when more replicate fits than this fail
 
 
 def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
@@ -142,7 +143,7 @@ def _check_variance(v) -> None:
         raise DegenerateVarianceError(f"variance must be positive; day {bad} has v = {v[bad - 1]}")
 
 
-def _gaussian_ll(r, v) -> float:
+def _normal_ll(r, v) -> float:
     return float(np.sum(-0.5 * r * r / v - 0.5 * np.log(2.0 * math.pi * v)))
 
 
@@ -158,7 +159,7 @@ def _loglik_core(params: SirParams, sigma, spec: LikelihoodSpec, want_grad: bool
     v, dv_b, dv_g, dv_s = _variance_terms(spec, sigma, i, ib, ig)
     _check_variance(v)
     r = y - p * delta
-    ll = _gaussian_ll(r, v)
+    ll = _normal_ll(r, v)
     if not want_grad:
         return ll, None
     ddelta_b = n * (sb[:T] - sb[1 : T + 1])
@@ -283,7 +284,7 @@ def _least_squares_point(x, spec: LikelihoodSpec, v) -> _LsqPoint:
     r = spec.obs.values - p * (n * (s[:T] - s[1 : T + 1]))
     jac = (p * n) * np.stack((sb[:T] - sb[1 : T + 1], sg[:T] - sg[1 : T + 1]))
     wjac = jac / v
-    return _LsqPoint(x, _gaussian_ll(r, v), float(np.dot(r, r / v)), wjac @ r, wjac @ jac.T)
+    return _LsqPoint(x, _normal_ll(r, v), float(np.dot(r, r / v)), wjac @ r, wjac @ jac.T)
 
 
 def _free_coordinates(point: _LsqPoint) -> np.ndarray:
@@ -502,9 +503,6 @@ class MleEnsemble:
         r = self.r0s()
         return float(r.min()), float(r.max())
 
-    def to_csv(self, path) -> None:
-        write_ensemble_csv(self, path)
-
 
 def _ensemble_fit_one(args):
     y, sigma_t, p, noise, init, population, seed_base, index, fit_spd, n_starts = args
@@ -527,28 +525,21 @@ def _ensemble_fit_one(args):
 def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseModel,
                  p: float, T: int, replicates: int, seed: int,
                  workers: int = 1, fit_steps_per_day: int = 10,
-                 data_steps_per_day: int = DEFAULT_STEPS_PER_DAY, n_starts: int = 2,
-                 max_failure_fraction: float = 0.05,
-                 fit_noise: NoiseModel | None = None) -> MleEnsemble:
+                 n_starts: int = 2) -> MleEnsemble:
     """Replicate study of the MLE sampling distribution.
 
     Data for replicate r are drawn with a seed derived deterministically from
     (seed, r), so results do not depend on worker count or execution order.
     Fits default to 10 substeps per day: integration error there is orders of
     magnitude below the observation noise, and the ensemble is fit-bound.
-    ``fit_noise`` lets the likelihood assume a different noise scale than the
-    generator, e.g. a nominal positive scale when the data are exactly
-    noiseless (a zero variance has no Gaussian density).
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    truth = integrate_exact(true_params, init, T, data_steps_per_day)
+    truth = integrate_exact(true_params, init, T)
     ys = observe_batch(truth, noise, p, T, seed, replicates)
-    if fit_noise is None:
-        fit_noise = noise
-    sigma_t = sigma_sequence(fit_noise, truth, T)
+    sigma_t = sigma_sequence(noise, truth, T)
     jobs = [
-        (ys[r], sigma_t, p, fit_noise, init, init.population, seed, r, fit_steps_per_day, n_starts)
+        (ys[r], sigma_t, p, noise, init, init.population, seed, r, fit_steps_per_day, n_starts)
         for r in range(replicates)
     ]
     if workers > 1:
@@ -569,7 +560,7 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
         else:
             results.append(result)
             indices.append(index)
-    if len(failures) > max_failure_fraction * replicates:
+    if len(failures) > _MAX_FAILURE_FRACTION * replicates:
         raise OptimizationFailureError(
             f"{len(failures)} of {replicates} replicate fits failed",
             diagnostics=[f"replicate {i}: {m}" for i, m in failures],

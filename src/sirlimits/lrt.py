@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from ._csv import fmt, write_csv
 from .errors import (
@@ -37,7 +38,6 @@ from .errors import (
     NoDetectablePerturbationError,
     PerturbationTooLargeError,
 )
-from .gaussian import norm_cdf, norm_ppf
 from .perturb import Perturbation
 from .simulate import NoiseModel, ObservationSeries, replicate_normals, sigma_sequence
 from .sir import (
@@ -48,6 +48,13 @@ from .sir import (
     integrate_exact,
     peak_time_for,
 )
+
+_WORST_CASE_ANGLES = 150  # equally spaced directions on worst_case_direction's grid
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +73,7 @@ class TestSpec:
     steps_per_day: int = DEFAULT_STEPS_PER_DAY
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if not 0.0 < self.p <= 1.0:
@@ -94,7 +100,7 @@ def _materialize(spec: TestSpec):
     null_traj = integrate_exact(spec.null_params, spec.init, spec.T, spec.steps_per_day)
     alt_traj = integrate_exact(spec.alternative_params(), spec.init, spec.T, spec.steps_per_day)
     sigma = sigma_sequence(spec.noise, null_traj, spec.T)
-    return incidence(null_traj).values, incidence(alt_traj).values, sigma
+    return incidence(null_traj), incidence(alt_traj), sigma
 
 
 def _v(spec: TestSpec, d0, de, sigma) -> float:
@@ -122,7 +128,7 @@ def _check_v(v: float) -> float:
 
 
 def _threshold(spec: TestSpec, v: float) -> float:
-    return -norm_ppf(spec.alpha) * math.sqrt(_check_v(v)) - 0.5 * v
+    return -float(ndtri(spec.alpha)) * math.sqrt(_check_v(v)) - 0.5 * v
 
 
 def lrt_threshold(spec: TestSpec) -> float:
@@ -152,7 +158,7 @@ def type2_exact(spec: TestSpec) -> float:
 
 
 def _type2_from_v(spec: TestSpec, v: float) -> float:
-    return 1.0 - norm_cdf(norm_ppf(spec.alpha) + math.sqrt(_check_v(v)))
+    return float(1.0 - ndtr(ndtri(spec.alpha) + math.sqrt(_check_v(v))))
 
 
 def _approx_weights(spec: TestSpec, days: np.ndarray) -> tuple[np.ndarray, float]:
@@ -201,19 +207,20 @@ def type2_approx(spec: TestSpec, variant: str = "first") -> float:
     days = np.arange(1.0, spec.T + 1.0)
     weights, prefactor = _approx_weights(spec, days)
     bracket = _approx_bracket(spec, days, variant)
-    arg = norm_ppf(spec.alpha) + prefactor * math.sqrt(float(np.sum(weights * bracket**2)))
-    return 1.0 - norm_cdf(arg)
+    arg = ndtri(spec.alpha) + prefactor * math.sqrt(float(np.sum(weights * bracket**2)))
+    return float(1.0 - ndtr(arg))
 
 
 def case2_pi4_type2(alpha: float, epsilon: float, sigma: float, p: float, T: int) -> float:
     """Fully explicit slope-one-direction type II error under
     infection-proportional noise: free of N, beta, and gamma."""
-    return 1.0 - norm_cdf(norm_ppf(alpha) + p * epsilon * math.sqrt(T) / (sigma * math.sqrt(2.0)))
+    _check_alpha(alpha)
+    return float(1.0 - ndtr(ndtri(alpha) + p * epsilon * math.sqrt(T) / (sigma * math.sqrt(2.0))))
 
 
 def worst_case_direction(null_params: SirParams, init: InitialCondition,
                          epsilon: float, alpha: float, T: int, p: float,
-                         noise: NoiseModel, n_angles: int = 150) -> tuple[float, float]:
+                         noise: NoiseModel) -> tuple[float, float]:
     """Direction maximizing the closed-form type II error over an angle grid.
 
     Angles whose perturbed delta would be non-positive are skipped; they are
@@ -221,7 +228,7 @@ def worst_case_direction(null_params: SirParams, init: InitialCondition,
     """
     best_omega = None
     best_value = -math.inf
-    for omega in np.linspace(0.0, 2.0 * math.pi, int(n_angles), endpoint=False):
+    for omega in np.linspace(0.0, 2.0 * math.pi, _WORST_CASE_ANGLES, endpoint=False):
         try:
             spec = TestSpec(
                 null_params=null_params,
@@ -255,7 +262,7 @@ def epsilon_for_power(target_type2: float, alpha: float, sigma: float,
         raise NoDetectablePerturbationError(
             f"target type II {target_type2} >= 1 - alpha = {1.0 - alpha}: implied epsilon <= 0"
         )
-    numer = (norm_ppf(1.0 - target_type2) - norm_ppf(alpha)) * sigma * delta * math.exp(delta) * math.sqrt(2.0)
+    numer = float(ndtri(1.0 - target_type2) - ndtri(alpha)) * sigma * delta * math.exp(delta) * math.sqrt(2.0)
     denom = (math.exp(delta) - 1.0) * p * math.sqrt(T)
     return numer / denom
 
@@ -278,7 +285,8 @@ def gamma_test_power(epsilon_hat: float, alpha: float, sigma: float,
                      p: float, T: int) -> GammaTestResult:
     if epsilon_hat == 0.0:
         raise IndistinguishableHypothesesError("epsilon_hat = 0 leaves nothing to test")
-    type2 = 1.0 - norm_cdf(norm_ppf(alpha) + p * abs(epsilon_hat) * math.sqrt(T) / sigma)
+    _check_alpha(alpha)
+    type2 = float(1.0 - ndtr(ndtri(alpha) + p * abs(epsilon_hat) * math.sqrt(T) / sigma))
     omega = math.pi / 4.0 if epsilon_hat > 0.0 else 5.0 * math.pi / 4.0
     return GammaTestResult(type2=type2, epsilon=abs(epsilon_hat) * math.sqrt(2.0), omega=omega)
 
@@ -394,12 +402,12 @@ def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, e
         return []
     z = None if replicates is None else _standard_normals(replicates, seed, T)
     null_traj = integrate_exact(null_params, init, T, steps_per_day)
-    d0 = incidence(null_traj).values
+    d0 = incidence(null_traj)
     alt = {}
     for spec in specs:
         key = spec.alternative_params()
         if key not in alt:
-            alt[key] = incidence(integrate_exact(key, init, T, steps_per_day)).values
+            alt[key] = incidence(integrate_exact(key, init, T, steps_per_day))
     rows = []
     for noise in noises:
         sigma = sigma_sequence(noise, null_traj, T)

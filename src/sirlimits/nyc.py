@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from ._csv import fmt, write_csv
 from .data import CaseData
 from .errors import OptimizationFailureError
-from .gaussian import norm_ppf
 from .inference import LikelihoodSpec, MleResult, default_starts, fit_mle
 from .simulate import NoiseModel, ObservationSeries
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, incidence, integrate_exact
@@ -121,8 +121,8 @@ def fitted_band(data: CaseData, fit: MleResult, p: float, level: float = 0.95,
     T = len(data) - 1
     n = data.population
     traj = integrate_exact(fit.params(), InitialCondition.from_population(n), T, steps_per_day)
-    mean = p * incidence(traj).values
-    z = norm_ppf(0.5 * (1.0 + level))
+    mean = p * incidence(traj)
+    z = ndtri(0.5 * (1.0 + level))
     half = z * fit.sigma_hat * np.sqrt(n * traj.i[1:])
     return FittedBand(
         days=np.arange(1.0, T + 1.0),

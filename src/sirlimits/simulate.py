@@ -124,9 +124,6 @@ class ObservationSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_csv(self, path, sidecar_path=None) -> None:
-        write_observations_csv(self, path, sidecar_path)
-
 
 def observe(traj: Trajectory, noise: NoiseModel, p: float, T: int, seed: int) -> ObservationSeries:
     """Draw one noisy series of daily observations from a trajectory."""
@@ -137,7 +134,7 @@ def observe(traj: Trajectory, noise: NoiseModel, p: float, T: int, seed: int) ->
             f"T = {T} exceeds the trajectory horizon of {traj.horizon} days"
         )
     sig = sigma_sequence(noise, traj, T)
-    mean = p * incidence(traj).values[:T]
+    mean = p * incidence(traj)[:T]
     z = _generator(int(seed)).standard_normal(T)
     return ObservationSeries(
         values=mean + sig * z,
@@ -162,7 +159,7 @@ def observe_batch(traj: Trajectory, noise: NoiseModel, p: float, T: int,
             f"T = {T} exceeds the trajectory horizon of {traj.horizon} days"
         )
     sig = sigma_sequence(noise, traj, T)
-    mean = p * incidence(traj).values[:T]
+    mean = p * incidence(traj)[:T]
     return mean + sig * replicate_normals(seed, replicates, T)
 
 

@@ -124,9 +124,6 @@ class Trajectory:
     def horizon(self) -> int:
         return int(self.times[-1])
 
-    def to_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
-
 
 def _rk4(beta, gamma, y0, n_steps, h, stride):
     """Classical RK4 of the SIR system, with forward sensitivities on request.
@@ -300,21 +297,12 @@ def integrate_linearized(params: SirParams, init: InitialCondition, horizon: int
     )
 
 
-@dataclass(frozen=True)
-class Incidence:
+def incidence(traj: Trajectory) -> np.ndarray:
     """Expected new-infection counts per day: delta_t = N * (s_{t-1} - s_t)."""
-
-    values: np.ndarray
-
-    def to_csv(self, path) -> None:
-        write_incidence_csv(self, path)
-
-
-def incidence(traj: Trajectory) -> Incidence:
     if len(traj.times) < 2:
         raise InsufficientDataError("incidence needs at least two day samples")
     n = traj.init.population
-    return Incidence(values=n * (traj.s[:-1] - traj.s[1:]))
+    return n * (traj.s[:-1] - traj.s[1:])
 
 
 def peak_time(traj: Trajectory) -> float:
@@ -404,7 +392,3 @@ def epidemic_summary(traj: Trajectory) -> EpidemicSummary:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     write_csv(path, "t,s,i,r", (f"{fmt(t)},{fmt(s)},{fmt(i)},{fmt(r)}"
                                 for t, s, i, r in zip(traj.times, traj.s, traj.i, traj.r)))
-
-
-def write_incidence_csv(inc: Incidence, path) -> None:
-    write_csv(path, "t,delta", (f"{t},{fmt(d)}" for t, d in enumerate(inc.values, start=1)))

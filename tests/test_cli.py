@@ -16,6 +16,16 @@ def write_config(tmp_path, payload, name="config.json"):
 
 PARAMS = {"beta": 0.21, "gamma": 0.07}
 
+# the smallest valid configuration of each experiment, without its experiment name
+SMALL_CONFIGS = {
+    "simulate": {"params": PARAMS, "population": 10**6, "horizon": 20,
+                 "noise": {"kind": "case1", "sigma": 0.01}, "p": 1.0, "T": 10},
+    "ensemble": {"params": PARAMS, "population": 10**6, "noise": {"kind": "case1", "sigma": 0.1},
+                 "p": 1.0, "T": 10, "replicates": 1, "n_starts": 1},
+    "nyc-table": {"p_values": [0.05]},
+    "sweep-directions": {"params": PARAMS, "population": 10**5, "epsilon": 0.03, "horizon": 10},
+}
+
 
 class TestConfigValidation:
     def test_unknown_keys_rejected(self):
@@ -256,6 +266,25 @@ class TestMain:
         assert code == 1
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("simulate", "horizon", 0),
+        ("simulate", "T", 0),
+        ("simulate", "steps_per_day", 0),
+        ("simulate", "steps_per_day", 2.5),
+        ("ensemble", "fit_steps_per_day", 0),
+        ("nyc-table", "n_starts", -1),
+        ("sweep-directions", "n_angles", -2),
+        ("sweep-directions", "n_angles", 0),
+    ])
+    def test_cli_error_json_for_non_positive_counts(self, tmp_path, capsys, experiment, key, value):
+        raw = {"experiment": experiment, **SMALL_CONFIGS[experiment], key: value}
+        config = write_config(tmp_path, raw)
+        code = main([experiment, "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"]
 
     def test_cli_seed_override(self, tmp_path):
         raw = {

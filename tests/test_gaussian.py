@@ -1,11 +1,11 @@
+"""Precision of scipy.special's Phi (ndtr) and Phi^{-1} (ndtri), which the
+power formulas in sirlimits.lrt treat as exact special functions."""
+
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.stats import norm as scipy_norm
-
-from sirlimits.gaussian import norm_cdf, norm_pdf, norm_ppf
+from scipy.special import ndtr, ndtri
 
 # Reference quantiles computed with Mathematica (independent of scipy).
 EXACT_QUANTILES = [
@@ -31,42 +31,28 @@ EXACT_QUANTILES = [
 @pytest.mark.parametrize("p,expected", EXACT_QUANTILES)
 def test_ppf_against_reference_values(p, expected):
     # decimal tail probabilities are not exactly float-representable, so the
-    # quoted reference values drift by ~1e-9 there; scipy comparison below is
-    # the strict check
+    # quoted reference values drift by ~1e-9 there
     tol = 1e-13 if 1e-4 < p < 1.0 - 1e-4 else 2e-9
-    assert norm_ppf(p) == pytest.approx(expected, abs=tol)
-
-
-def test_ppf_and_cdf_against_scipy():
-    xs = np.linspace(-8.0, 8.0, 1601)
-    for x in xs:
-        assert abs(norm_cdf(x) - scipy_norm.cdf(x)) < 1e-12
-    for p in np.linspace(1e-9, 1 - 1e-9, 999):
-        assert abs(norm_ppf(p) - scipy_norm.ppf(p)) < 1e-10
-
-
-def test_pdf_matches_scipy():
-    for x in (-3.7, -1.0, 0.0, 0.5, 4.2):
-        assert norm_pdf(x) == pytest.approx(scipy_norm.pdf(x), rel=1e-14)
+    assert ndtri(p) == pytest.approx(expected, abs=tol)
 
 
 @given(st.floats(min_value=1e-12, max_value=1 - 1e-12))
 def test_cdf_ppf_roundtrip(p):
-    assert norm_cdf(norm_ppf(p)) == pytest.approx(p, rel=1e-11, abs=1e-14)
+    assert ndtr(ndtri(p)) == pytest.approx(p, rel=1e-11, abs=1e-14)
 
 
 @given(st.floats(min_value=1e-4, max_value=1 - 1e-4))
 def test_ppf_antisymmetry(p):
     # restricted to the region where 1 - p is exactly representable at the
     # precision the assertion demands
-    assert norm_ppf(p) == pytest.approx(-norm_ppf(1.0 - p), abs=1e-12)
+    assert ndtri(p) == pytest.approx(-ndtri(1.0 - p), abs=1e-12)
 
 
 def test_edge_cases():
-    assert norm_ppf(0.0) == -math.inf
-    assert norm_ppf(1.0) == math.inf
-    assert norm_ppf(0.5) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        norm_ppf(-0.1)
-    with pytest.raises(ValueError):
-        norm_ppf(1.1)
+    # ndtri neither raises nor warns outside (0, 1), so the lrt functions
+    # check alpha themselves (tests/test_lrt.py)
+    assert ndtri(0.0) == -math.inf
+    assert ndtri(1.0) == math.inf
+    assert ndtri(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert math.isnan(ndtri(-0.1))
+    assert math.isnan(ndtri(1.1))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from sirlimits.errors import (
     IndistinguishableHypothesesError,
@@ -9,7 +10,6 @@ from sirlimits.errors import (
     NoDetectablePerturbationError,
 )
 from sirlimits import lrt, sir
-from sirlimits.gaussian import norm_ppf
 from sirlimits.lrt import (
     EmpiricalRate,
     TestSpec,
@@ -52,7 +52,7 @@ def make_spec(epsilon=0.03, omega=PI4, alpha=0.05, T=60, p=1.0, noise=None):
 def noiseless_obs(params, spec):
     traj = integrate_exact(params, spec.init, spec.T, spec.steps_per_day)
     return ObservationSeries(
-        values=spec.p * incidence(traj).values,
+        values=spec.p * incidence(traj),
         reporting_rate=spec.p,
         noise=spec.noise,
         seed=0,
@@ -101,7 +101,7 @@ class TestDecide:
         assert decision.log_lr == pytest.approx(0.5 * v, rel=1e-6)
         # +V/2 clears the threshold only once sqrt(V) >= -ppf(alpha); with a
         # quieter noise level the same data are decisively rejected
-        assert decision.reject == (math.sqrt(v) >= -norm_ppf(spec.alpha))
+        assert decision.reject == (math.sqrt(v) >= -ndtri(spec.alpha))
         loud = make_spec(noise=NoiseModel.case2(0.05))
         decisive = lrt_decide(noiseless_obs(loud.alternative_params(), loud), loud)
         assert decisive.reject
@@ -148,10 +148,8 @@ class TestType2:
         spec = make_spec()
         delta = BASE.delta()
         factor = (1.0 - math.exp(-delta)) / delta
-        arg = norm_ppf(0.05) + (1.0 / 0.3) * (0.03 / math.sqrt(2.0)) * factor * math.sqrt(60)
-        from sirlimits.gaussian import norm_cdf
-
-        assert type2_approx(spec, "first") == pytest.approx(1.0 - norm_cdf(arg), rel=1e-12)
+        arg = ndtri(0.05) + (1.0 / 0.3) * (0.03 / math.sqrt(2.0)) * factor * math.sqrt(60)
+        assert type2_approx(spec, "first") == pytest.approx(1.0 - ndtr(arg), rel=1e-12)
 
     def test_population_invariance_of_case2_closed_form(self):
         reference = None
@@ -195,7 +193,7 @@ class TestWorstCase:
         # few degrees), so the maximizer is near, not at, the slope-one angle
         omega_star, value = worst_case_direction(
             BASE, INIT7, epsilon=0.03, alpha=0.05, T=60, p=1.0,
-            noise=NoiseModel.case2(0.3), n_angles=150,
+            noise=NoiseModel.case2(0.3),
         )
         gap = min(abs(omega_star - PI4), abs(omega_star - 5 * PI4))
         assert gap <= 0.08
@@ -246,6 +244,24 @@ class TestGammaTest:
     def test_zero_shift_rejected(self):
         with pytest.raises(IndistinguishableHypothesesError):
             gamma_test_power(0.0, 0.05, 0.3, 1.0, 60)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.1, math.nan])
+def test_closed_forms_reject_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        gamma_test_power(0.02, alpha, 0.3, 1.0, 60)
+    with pytest.raises(ValueError, match="alpha"):
+        case2_pi4_type2(alpha, 0.03, 0.3, 1.0, 60)
+
+
+def test_closed_forms_return_python_floats():
+    # scipy.special returns numpy scalars; the public values stay plain floats
+    spec = make_spec()
+    values = [type2_exact(spec), type2_approx(spec, "first"), type2_approx(spec, "second"),
+              lrt_threshold(spec), case2_pi4_type2(0.05, 0.03, 0.3, 1.0, 60),
+              epsilon_for_power(0.5, 0.05, 0.2, 1.0, 60, 0.14),
+              gamma_test_power(0.02, 0.05, 0.3, 1.0, 60).type2]
+    assert [type(v) for v in values] == [float] * len(values)
 
 
 class TestEmpirical:
@@ -317,8 +333,7 @@ def test_worst_case_search_runs_one_peak_search(monkeypatch):
     null = SirParams(0.317, 0.113)
     sir_calls = count_calls(monkeypatch, sir)
     lrt_calls = count_calls(monkeypatch, lrt)
-    omega, _ = worst_case_direction(null, INIT7, 0.02, 0.05, 40, 1.0, NoiseModel.case2(0.3),
-                                    n_angles=150)
+    omega, _ = worst_case_direction(null, INIT7, 0.02, 0.05, 40, 1.0, NoiseModel.case2(0.3))
     assert len(sir_calls) + len(lrt_calls) <= 2
     assert min(abs(omega - PI4), abs(omega - 5 * PI4)) < 0.3
 
@@ -374,14 +389,14 @@ def reference_rate(spec, replicates, seed, under_alternative):
     per replicate, seeded by replicate_seed(seed, r), and one np.dot per row."""
     null = integrate_exact(spec.null_params, spec.init, spec.T, spec.steps_per_day)
     alt = integrate_exact(spec.alternative_params(), spec.init, spec.T, spec.steps_per_day)
-    d0, de = incidence(null).values, incidence(alt).values
+    d0, de = incidence(null), incidence(alt)
     sigma = sigma_sequence(spec.noise, null, spec.T)
     p = spec.p
     mean = p * (de if under_alternative else d0)
     w = p * (de - d0) / sigma**2
     const = float(np.sum(((mean - p * d0) ** 2 - (mean - p * de) ** 2) / (2.0 * sigma**2)))
     v = float(np.sum((p * (de - d0)) ** 2 / sigma**2))
-    threshold = -norm_ppf(spec.alpha) * math.sqrt(v) - 0.5 * v
+    threshold = -ndtri(spec.alpha) * math.sqrt(v) - 0.5 * v
     wrong = 0
     for r in range(replicates):
         gen = np.random.Generator(np.random.Philox(replicate_seed(seed, r)))

@@ -88,7 +88,7 @@ class TestExactIntegration:
         traj = integrate_exact(BASE, init, 50)
         assert np.all(traj.s == traj.s[0])
         assert np.all(traj.i == 0.0)
-        assert np.all(incidence(traj).values == 0.0)
+        assert np.all(incidence(traj) == 0.0)
 
     def test_step_refinement_agreement(self):
         coarse = integrate_exact(BASE, INIT7, 130, steps_per_day=10)
@@ -207,7 +207,7 @@ class TestLinearized:
 class TestIncidence:
     def test_linearized_closed_form_identity(self):
         lin = integrate_linearized(BASE, INIT7, 50)
-        inc = incidence(lin).values
+        inc = incidence(lin)
         delta = BASE.delta()
         t = np.arange(1, 51)
         expected = BASE.beta * ((math.exp(-delta) - 1.0) / (-delta)) * 1e7 * INIT7.i0 * np.exp(delta * t)
@@ -216,12 +216,12 @@ class TestIncidence:
 
     def test_telescoping_total(self):
         traj = integrate_exact(BASE, INIT7, 400)
-        total = incidence(traj).values.sum()
+        total = incidence(traj).sum()
         assert total == pytest.approx(1e7 * (traj.s[0] - traj.s[-1]), rel=1e-12)
 
     def test_nonnegative_for_exact(self):
         traj = integrate_exact(BASE, INIT7, 300)
-        assert np.all(incidence(traj).values >= 0.0)
+        assert np.all(incidence(traj) >= 0.0)
 
     def test_requires_two_samples(self):
         traj = integrate_exact(BASE, INIT7, 5)
