@@ -15,6 +15,7 @@ from .inference import (
     LikelihoodSpec,
     MleEnsemble,
     MleResult,
+    fisher_information,
     fit_mle,
     log_likelihood,
     log_likelihood_gradient,

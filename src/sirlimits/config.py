@@ -40,6 +40,8 @@ _COMMON_KEYS = {"experiment", "seed", "threads"}
 # keys that count days, substeps, starts, angles or workers
 _COUNT_KEYS = ("threads", "horizon", "T", "steps_per_day", "fit_steps_per_day", "n_starts", "n_angles")
 
+_TARGET_KEYS = {"target_type2", "alpha", "sigma", "p", "T", "delta"}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,6 +94,16 @@ def parse_init(config: ExperimentConfig) -> InitialCondition:
     return InitialCondition.from_population(int(population))
 
 
+def _check_count(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+
+
+def _check_alpha(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
+        raise ConfigError(f"{where} must lie in (0, 1), got {value!r}")
+
+
 def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
@@ -114,14 +126,14 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
     if not isinstance(seed, int) or seed < 0 or seed > 2**64 - 1:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     for key in _COUNT_KEYS:
-        value = raw.get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+        _check_count(raw.get(key, 1), key)
 
     if name == "ensemble" and int(raw.get("replicates", 0)) < 1:
         raise ConfigError("ensemble needs replicates >= 1")
     if name == "power-empirical" and int(raw.get("replicates", 0)) < 100:
         raise ConfigError("power-empirical needs replicates >= 100")
+    if name in ("power", "power-empirical"):
+        _check_alpha(raw["alpha"], "alpha")
     if name in ("power", "power-empirical") and raw.get("sigmas") is not None:
         noise_block = raw.get("noise") or {}
         if noise_block.get("kind") == "known_sequence":
@@ -131,8 +143,15 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
         if not isinstance(targets, list) or not targets:
             raise ConfigError("epsilon-invert needs a non-empty list of targets")
         for idx, target in enumerate(targets):
-            _check_keys(target, {"target_type2", "alpha", "sigma", "p", "T", "delta"},
-                        f"targets[{idx}]")
+            where = f"targets[{idx}]"
+            if not isinstance(target, dict):
+                raise ConfigError(f"{where} must be an object")
+            _check_keys(target, _TARGET_KEYS, where)
+            missing = _TARGET_KEYS - set(target)
+            if missing:
+                raise ConfigError(f"{where} is missing: {', '.join(sorted(missing))}")
+            _check_alpha(target["alpha"], f"{where}.alpha")
+            _check_count(target["T"], f"{where}.T")
 
     return ExperimentConfig(experiment=name, raw=raw, seed=seed, threads=raw.get("threads", 1))
 

@@ -14,15 +14,16 @@ taken from the candidate model's own trajectory (fully coupled).
 Gradients come from forward sensitivities: the SIR system is augmented with
 d(s, i)/d(beta) and d(s, i)/d(gamma) and integrated together, then chained
 through delta_k and, where the variance is parameter-coupled, through i_k.
-Fits run in log coordinates, so positivity needs no constraints. The noise
-model picks the optimizer. When v_k does not depend on the rates
-(``known_sequence`` and ``case1`` noise, sigma not inferred) the fit is
-weighted least squares, the sensitivities are its Jacobian, and
-Levenberg-Marquardt over (log beta, log gamma) solves it. When it does
-(``case2``, sigma fixed or inferred) the fit is quasi-Newton (L-BFGS-B) over
-(log beta, log gamma[, log sigma]). Both are multi-started from a
-moment-based initializer: the growth rate delta is read off a regression of
-log y_t on t and beta starts at twice that.
+The same pass gives the expected (Fisher) information
+J_mu'V^-1 J_mu + J_v'V^-2 J_v / 2 over (beta, gamma[, sigma]), J_mu and J_v
+being the Jacobians of the mean p*delta_k and of v_k; ``fisher_information``
+returns it. Every noise model is fit by Levenberg-Marquardt Fisher scoring
+in log coordinates (log beta, log gamma[, log sigma]), so positivity needs no
+constraints. When v_k does not depend on the parameters (``known_sequence``
+and ``case1`` noise) the information is the Gauss-Newton matrix of a weighted
+least-squares fit. Fits are multi-started from a moment-based initializer:
+the growth rate delta is read off a regression of log y_t on t and beta
+starts at twice that.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
 from ._csv import fmt, write_csv
 from .errors import (
@@ -44,13 +45,11 @@ from .errors import (
 from .simulate import NoiseModel, ObservationSeries, observe_batch, sigma_sequence
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _rk4, integrate_exact
 
-_PENALTY = 1e12
-_GRADIENT_TOL = 1e-8  # L-BFGS-B projected-gradient tolerance
-_MAX_ITERATIONS = 500  # cap on L-BFGS-B iterations and on Levenberg-Marquardt trials
+_MAX_ITERATIONS = 500  # cap on Levenberg-Marquardt trials
 _FIRST_ORDER_TOL = 1e-6  # converged: |projected gradient| <= this * max(1, |ll|)
-_DECREMENT_TOL = 1e-14  # least-squares fits stop at a Gauss-Newton decrement below this * max(1, |ll|)
-_LM_DAMPING = 1e-3  # initial Marquardt damping of a least-squares fit
-_MAX_LOG_STEP = 0.5  # longest least-squares step in either log rate
+_DECREMENT_TOL = 1e-14  # fits stop at a scoring decrement below this * max(1, |ll|)
+_LM_DAMPING = 1e-3  # initial Marquardt damping of a fit
+_MAX_LOG_STEP = 0.5  # longest step in any log coordinate
 _MOMENT_FLOOR = 0.02  # least growth rate the moment initializer starts from
 _MAX_FAILURE_FRACTION = 0.05  # mle_ensemble raises when more replicate fits than this fail
 
@@ -100,17 +99,9 @@ class LikelihoodSpec:
     def p(self) -> float:
         return self.obs.reporting_rate
 
-    @property
-    def fixed_variance(self) -> bool:
-        """True when v_k does not depend on the rates: the fit is weighted least squares."""
-        return not self.sigma_inferred and self.noise.kind in ("known_sequence", "case1")
-
 
 def _variance_terms(spec: LikelihoodSpec, sigma, i_days, ib, ig):
-    """Per-day variance v_k and its parameter derivatives (dv/db, dv/dg, dv/dsigma).
-
-    Fixed-variance specs need no trajectory: ``i_days`` may then be None.
-    """
+    """Per-day variance v_k and its parameter derivatives (dv/db, dv/dg, dv/dsigma)."""
     T = spec.T
     n = spec.init.population
     if spec.sigma_inferred:
@@ -147,49 +138,66 @@ def _normal_ll(r, v) -> float:
     return float(np.sum(-0.5 * r * r / v - 0.5 * np.log(2.0 * math.pi * v)))
 
 
-def _loglik_core(params: SirParams, sigma, spec: LikelihoodSpec, want_grad: bool):
-    s, i, sb, ib, sg, ig = integrate_with_sensitivities(
-        params, spec.init, spec.T, spec.steps_per_day
-    )
+@dataclass(frozen=True)
+class _Point:
+    """One evaluation: ll, its parts r'Wr and sum(log v), and the gradient and
+    expected information over (beta, gamma[, sigma])."""
+
+    ll: float
+    wrss: float
+    logdet: float
+    grad: np.ndarray
+    info: np.ndarray
+
+
+def _evaluate(params: SirParams, sigma: float | None, spec: LikelihoodSpec) -> _Point:
+    """ll, its exact gradient and the Fisher information from one sensitivity pass.
+
+    With mu = p*delta, r = y - mu, W = 1/v, J_mu the Jacobian of mu (zero in
+    sigma) and J_v that of v, the gradient is J_mu'Wr + J_v'(r^2 W^2 - W) / 2
+    and the information is J_mu'W J_mu + J_v'W^2 J_v / 2. Fixed variance has
+    no J_v.
+    """
+    s, i, sb, ib, sg, ig = integrate_with_sensitivities(params, spec.init, spec.T,
+                                                        spec.steps_per_day)
     n = spec.init.population
     p = spec.p
-    y = spec.obs.values
     T = spec.T
-    delta = n * (s[:T] - s[1 : T + 1])
     v, dv_b, dv_g, dv_s = _variance_terms(spec, sigma, i, ib, ig)
     _check_variance(v)
-    r = y - p * delta
-    ll = _normal_ll(r, v)
-    if not want_grad:
-        return ll, None
-    ddelta_b = n * (sb[:T] - sb[1 : T + 1])
-    ddelta_g = n * (sg[:T] - sg[1 : T + 1])
-    g_b = float(np.sum(r * p * ddelta_b / v))
-    g_g = float(np.sum(r * p * ddelta_g / v))
+    r = spec.obs.values - p * (n * (s[:T] - s[1 : T + 1]))
+    jac = (p * n) * np.stack((sb[:T] - sb[1 : T + 1], sg[:T] - sg[1 : T + 1]))
+    wjac = jac / v
+    grad, info = wjac @ r, wjac @ jac.T
     if dv_b is not None:
-        quad_b = np.sum(0.5 * r * r / v**2 * dv_b)
-        quad_g = np.sum(0.5 * r * r / v**2 * dv_g)
-        norm_b = np.sum(-0.5 * dv_b / v)
-        norm_g = np.sum(-0.5 * dv_g / v)
-        g_b += float(quad_b + norm_b)
-        g_g += float(quad_g + norm_g)
-    grad = [g_b, g_g]
-    if spec.sigma_inferred:
-        grad.append(float(np.sum(0.5 * r * r / v**2 * dv_s - 0.5 * dv_s / v)))
-    return ll, np.array(grad)
+        jv = np.stack((dv_b, dv_g) if dv_s is None else (dv_b, dv_g, dv_s))
+        pad = len(jv) - 2  # J_mu has a zero sigma column
+        grad = np.pad(grad, (0, pad)) + 0.5 * (jv @ ((r * r / v - 1.0) / v))
+        info = np.pad(info, (0, pad)) + 0.5 * ((jv / v**2) @ jv.T)
+    return _Point(_normal_ll(r, v), float(np.dot(r, r / v)), float(np.sum(np.log(v))),
+                  grad, info)
 
 
 def log_likelihood(params: SirParams, sigma: float | None, spec: LikelihoodSpec) -> float:
     """Full Gaussian log-likelihood of the candidate parameters."""
-    ll, _ = _loglik_core(params, sigma, spec, want_grad=False)
-    return ll
+    return _evaluate(params, sigma, spec).ll
 
 
 def log_likelihood_gradient(params: SirParams, sigma: float | None,
                             spec: LikelihoodSpec) -> np.ndarray:
     """Gradient with respect to (beta, gamma[, sigma])."""
-    _, grad = _loglik_core(params, sigma, spec, want_grad=True)
-    return grad
+    return _evaluate(params, sigma, spec).grad
+
+
+def fisher_information(params: SirParams, sigma: float | None,
+                       spec: LikelihoodSpec) -> np.ndarray:
+    """Expected information over (beta, gamma[, sigma]): the matrix fits step with.
+
+    J = sum_k grad(mu_k) grad(mu_k)' / v_k + sum_k grad(v_k) grad(v_k)' / (2 v_k^2),
+    the second sum present only when v_k depends on the parameters. It does
+    not depend on the observed values.
+    """
+    return _evaluate(params, sigma, spec).info
 
 
 @dataclass(frozen=True)
@@ -261,179 +269,116 @@ def default_starts(spec: LikelihoodSpec, n_starts: int = 8) -> list[SirParams]:
 _LOG_BOUNDS = (math.log(1e-6), math.log(500.0))
 
 
-@dataclass(frozen=True)
-class _LsqPoint:
-    """One evaluation of a fixed-variance fit: log rates, ll, r'Wr, and the
-    gradient J'Wr and Gauss-Newton matrix J'WJ in (beta, gamma)."""
-
-    x: np.ndarray
-    ll: float
-    wrss: float
-    grad: np.ndarray
-    gn: np.ndarray
-
-
-def _least_squares_point(x, spec: LikelihoodSpec, v) -> _LsqPoint:
-    theta = np.exp(x)
-    params = SirParams(float(theta[0]), float(theta[1]))
-    s, _, sb, _, sg, _ = integrate_with_sensitivities(params, spec.init, spec.T,
-                                                      spec.steps_per_day)
-    n = spec.init.population
-    p = spec.p
-    T = spec.T
-    r = spec.obs.values - p * (n * (s[:T] - s[1 : T + 1]))
-    jac = (p * n) * np.stack((sb[:T] - sb[1 : T + 1], sg[:T] - sg[1 : T + 1]))
-    wjac = jac / v
-    return _LsqPoint(x, _normal_ll(r, v), float(np.dot(r, r / v)), wjac @ r, wjac @ jac.T)
-
-
-def _free_coordinates(point: _LsqPoint) -> np.ndarray:
+def _free_coordinates(x, grad) -> np.ndarray:
     """Coordinates not held at a bound by a gradient pointing out of the box."""
     lo, hi = _LOG_BOUNDS
-    x, grad = point.x, point.grad
     return ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
 
 
-def _projected_grad_norm(point: _LsqPoint) -> float:
-    return float(np.linalg.norm(point.grad[_free_coordinates(point)]))
+def _projected_grad_norm(x, grad) -> float:
+    return float(np.linalg.norm(grad[_free_coordinates(x, grad)]))
 
 
-def _first_order_ok(point: _LsqPoint) -> bool:
-    return _projected_grad_norm(point) <= _FIRST_ORDER_TOL * max(1.0, abs(point.ll))
+def _first_order_ok(x, point: _Point) -> bool:
+    return _projected_grad_norm(x, point.grad) <= _FIRST_ORDER_TOL * max(1.0, abs(point.ll))
 
 
-def _model_rise(step, grad, gn) -> float:
-    """Rise of ll that the Gauss-Newton model predicts for a step."""
-    return float(step @ grad - 0.5 * step @ gn @ step)
+def _model_rise(step, grad, info) -> float:
+    """Rise of ll that the scoring model predicts for a step."""
+    return float(step @ grad - 0.5 * step @ info @ step)
 
 
 _TRIAL_ERRORS = (DegenerateParameterError, IntegrationError, DegenerateVarianceError)
 
 
-def _fit_least_squares(spec: LikelihoodSpec, start: SirParams) -> MleResult:
-    """Levenberg-Marquardt in (log beta, log gamma) for a fixed-variance spec.
+def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
+    """Levenberg-Marquardt Fisher scoring in (log beta, log gamma[, log sigma]).
 
-    With v fixed, ll = -r'Wr / 2 + const for r = y - p*delta and W = 1/v, and
-    the sensitivities give the Jacobian J of p*delta, so each evaluation
-    yields the gradient g = J'Wr and the Gauss-Newton matrix H = J'WJ. A step
-    solves (H + lambda * d * I) step = g over the free coordinates, d being
-    the largest diagonal entry of H seen so far (a scalar form of More's 1978
-    scaling), and each log rate moves at most _MAX_LOG_STEP; lambda follows
-    Nielsen's update, and a coordinate at a bound whose gradient points out
-    of the box is held there. A step is accepted when r'Wr falls: ll adds a
-    large constant whose rounding would mask the last gains. A trial that
-    cannot be evaluated is a rejected step.
+    Each evaluation yields ll, its gradient g and the expected information
+    F, which for fixed variance is the Gauss-Newton matrix J'WJ of the
+    weighted least squares in r = y - p*delta. A step solves
+    (F + lambda * d * I) step = g over the free coordinates, d being the
+    largest diagonal entry of F seen so far (a scalar form of More's 1978
+    scaling), and each log coordinate moves at most _MAX_LOG_STEP; lambda
+    follows Nielsen's update, and a coordinate at a bound whose gradient
+    points out of the box is held there. Steps are accepted and rated on the
+    fall of r'Wr + sum(log v), summed as the two differences: ll adds a large
+    constant whose rounding would mask the last gains, and with fixed
+    variance the second difference is exactly zero. A trial that cannot be
+    evaluated is a rejected step. An inferred sigma starts at its profile
+    maximizer.
 
     The fit stops once the projected gradient passes the first-order test and
-    the Gauss-Newton decrement g'H^-1 g / 2 is below
+    the scoring decrement g'F^-1 g / 2 is below
     tol = _DECREMENT_TOL * max(1, |ll|). Once a step promises less than tol,
-    r'Wr can no longer rank it against rounding, and it is accepted when it
-    shrinks the projected gradient; when it does not, the fit stops there.
+    the objective can no longer rank it against rounding, and it is accepted
+    when it shrinks the projected gradient; when it does not, the fit stops
+    there.
     """
     lo, hi = _LOG_BOUNDS
-    x = np.clip([math.log(start.beta), math.log(start.gamma)], lo, hi)
+
+    def evaluate(x):
+        theta = np.exp(x)
+        return _evaluate(SirParams(float(theta[0]), float(theta[1])),
+                         float(theta[2]) if spec.sigma_inferred else None, spec)
+
+    x = [math.log(start.beta), math.log(start.gamma)]
+    if spec.sigma_inferred:
+        x.append(math.log(_profile_sigma_start(start, spec)))
+    x = np.clip(x, lo, hi)
     try:
-        v = _variance_terms(spec, None, None, None, None)[0]
-        _check_variance(v)
-        point = _least_squares_point(x, spec, v)
+        point = evaluate(x)
     except _TRIAL_ERRORS as exc:
         raise OptimizationFailureError(f"start {start} cannot be evaluated: {exc}") from exc
     damping, growth, scale = _LM_DAMPING, 2.0, 0.0
     accepted = 0
     for _ in range(_MAX_ITERATIONS):
-        theta = np.exp(point.x)
+        theta = np.exp(x)
         grad = point.grad * theta  # log coordinates
-        gn = point.gn * np.outer(theta, theta)
-        free = _free_coordinates(point)
+        info = point.info * np.outer(theta, theta)
+        free = _free_coordinates(x, point.grad)
         tol = _DECREMENT_TOL * max(1.0, abs(point.ll))
-        g_free, gn_free = grad[free], gn[np.ix_(free, free)]
+        g_free, info_free = grad[free], info[np.ix_(free, free)]
         try:
-            if (_first_order_ok(point)
-                    and 0.5 * g_free @ np.linalg.solve(gn_free, g_free) <= tol):
+            if (_first_order_ok(x, point)
+                    and 0.5 * g_free @ np.linalg.solve(info_free, g_free) <= tol):
                 break
-            scale = max(scale, float(np.max(np.diag(gn))))
-            step = np.zeros(2)
-            step[free] = np.linalg.solve(gn_free + damping * scale * np.eye(len(g_free)), g_free)
+            scale = max(scale, float(np.max(np.diag(info))))
+            step = np.zeros(len(x))
+            step[free] = np.linalg.solve(info_free + damping * scale * np.eye(len(g_free)), g_free)
         except np.linalg.LinAlgError:
             break
-        promised = _model_rise(step, grad, gn)
-        trial_x = np.clip(point.x + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP), lo, hi)
-        predicted = _model_rise(trial_x - point.x, grad, gn)
+        promised = _model_rise(step, grad, info)
+        trial_x = np.clip(x + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP), lo, hi)
+        predicted = _model_rise(trial_x - x, grad, info)
         try:
-            trial = _least_squares_point(trial_x, spec, v)
+            trial = evaluate(trial_x)
         except _TRIAL_ERRORS:
             trial = None
+        fall = None if trial is None else (point.wrss - trial.wrss) + (point.logdet - trial.logdet)
         if trial is not None and (
-                trial.wrss < point.wrss
-                or (promised <= tol and _projected_grad_norm(trial) < _projected_grad_norm(point))):
-            gain = 0.5 * (point.wrss - trial.wrss) / predicted if predicted > 0.0 else 0.0
+                fall > 0.0
+                or (promised <= tol and _projected_grad_norm(trial_x, trial.grad)
+                    < _projected_grad_norm(x, point.grad))):
+            gain = 0.5 * fall / predicted if predicted > 0.0 else 0.0
             damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             growth = 2.0
-            point = trial
+            x, point = trial_x, trial
             accepted += 1
         elif promised <= tol:
             break
         else:
             damping *= growth
             growth *= 2.0
-    beta, gamma = np.exp(point.x)
-    return MleResult(
-        beta_hat=float(beta),
-        gamma_hat=float(gamma),
-        sigma_hat=None,
-        loglik=point.ll,
-        converged=_first_order_ok(point),
-        iterations=accepted,
-        grad_norm=float(np.linalg.norm(point.grad)),
-    )
-
-
-def _fit_quasi_newton(spec: LikelihoodSpec, start: SirParams, sigma_start: float | None):
-    """L-BFGS-B in (log beta, log gamma[, log sigma]) for rate-dependent variance."""
-    x0 = [math.log(start.beta), math.log(start.gamma)]
-    if spec.sigma_inferred:
-        x0.append(math.log(sigma_start))
-    x0 = np.asarray(x0)
-    ndim = len(x0)
-
-    def objective(x):
-        theta = np.exp(x)
-        try:
-            params = SirParams(theta[0], theta[1])
-            sigma = theta[2] if spec.sigma_inferred else None
-            ll, grad = _loglik_core(params, sigma, spec, want_grad=True)
-        except _TRIAL_ERRORS:
-            return _PENALTY * (1.0 + float(np.dot(x, x))), 2.0 * _PENALTY * x
-        if not math.isfinite(ll):
-            return _PENALTY * (1.0 + float(np.dot(x, x))), 2.0 * _PENALTY * x
-        return -ll, -grad * theta  # chain rule for log coordinates
-
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[_LOG_BOUNDS] * ndim,
-        options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-14, "gtol": _GRADIENT_TOL,
-                 "maxcor": 20},
-    )
-    theta = np.exp(res.x)
-    if theta[0] - theta[1] <= 0.0 or not math.isfinite(res.fun) or res.fun >= _PENALTY:
-        raise OptimizationFailureError(f"start {start} converged to an invalid point")
-    # res.jac is in log coordinates; undo the chain rule for the true gradient.
-    grad_norm = float(np.linalg.norm(np.asarray(res.jac) / theta))
-    # On ridge-conditioned problems the requested gradient tolerance can sit
-    # below the double-precision floor and L-BFGS-B ends "abnormally" at the
-    # optimum; the first-order condition is the meaningful convergence test.
-    converged = bool(res.success) or grad_norm <= _FIRST_ORDER_TOL * max(1.0, abs(float(res.fun)))
+    theta = np.exp(x)
     return MleResult(
         beta_hat=float(theta[0]),
         gamma_hat=float(theta[1]),
         sigma_hat=float(theta[2]) if spec.sigma_inferred else None,
-        loglik=-float(res.fun),
-        converged=converged,
-        iterations=int(res.nit),
-        grad_norm=grad_norm,
+        loglik=point.ll,
+        converged=_first_order_ok(x, point),
+        iterations=accepted,
+        grad_norm=float(np.linalg.norm(point.grad)),
     )
 
 
@@ -450,12 +395,8 @@ def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
     best = None
     diagnostics = []
     for idx, start in enumerate(starts):
-        sig0 = _profile_sigma_start(start, spec) if spec.sigma_inferred else None
         try:
-            if spec.fixed_variance:
-                result = _fit_least_squares(spec, start)
-            else:
-                result = _fit_quasi_newton(spec, start, sig0)
+            result = _fit_scoring(spec, start)
         except (OptimizationFailureError, IntegrationError, DegenerateVarianceError) as exc:
             diagnostics.append(f"start {idx} ({start.beta:.4g}, {start.gamma:.4g}): {exc}")
             continue

@@ -28,8 +28,8 @@ import pytest
 from sirlimits.data import NYC_POPULATION, load_cases
 from sirlimits.inference import (
     LikelihoodSpec,
+    fisher_information,
     fit_mle,
-    integrate_with_sensitivities,
     log_likelihood_gradient,
     mle_ensemble,
 )
@@ -132,13 +132,14 @@ def test_acceptance_02_mle_ridge_slope(ensemble_1000):
 def _cramer_rao_covariance(params, init, sigma_t, p, T, steps_per_day):
     """Inverse Fisher information of (beta, gamma) under Gaussian daily counts.
 
-    J = sum_t grad(mu_t) grad(mu_t)^T / sigma_t^2 with mu_t = p * N * (s_{t-1} - s_t)
-    and the gradients from one forward-sensitivity integration.
+    J = sum_t grad(mu_t) grad(mu_t)^T / sigma_t^2 with mu_t = p * N * (s_{t-1} - s_t),
+    from ``fisher_information``; it does not depend on the observed values.
     """
-    _, _, sb, _, sg, _ = integrate_with_sensitivities(params, init, T, steps_per_day)
-    grad = p * init.population * np.stack([sb[:T] - sb[1:], sg[:T] - sg[1:]], axis=1)
-    info = grad.T @ (grad / sigma_t[:, None] ** 2)
-    return np.linalg.inv(info)
+    noise = NoiseModel.known(sigma_t)
+    obs = ObservationSeries(values=np.zeros(T), reporting_rate=p, noise=noise, seed=0,
+                            sigma_t=sigma_t, population=init.population)
+    spec = LikelihoodSpec(obs=obs, init=init, steps_per_day=steps_per_day)
+    return np.linalg.inv(fisher_information(params, None, spec))
 
 
 def test_acceptance_02_mle_ridge_r0_spread(ensemble_1000):

@@ -24,7 +24,14 @@ SMALL_CONFIGS = {
                  "p": 1.0, "T": 10, "replicates": 1, "n_starts": 1},
     "nyc-table": {"p_values": [0.05]},
     "sweep-directions": {"params": PARAMS, "population": 10**5, "epsilon": 0.03, "horizon": 10},
+    "power": {"params": PARAMS, "population": 10**7, "noise": {"kind": "case2", "sigma": 0.3},
+              "alpha": 0.05, "T": 40, "p": 1.0, "omegas": [0.0], "epsilons": [0.03]},
+    "power-empirical": {"params": PARAMS, "population": 10**7, "noise": {"kind": "case2", "sigma": 0.3},
+                        "alpha": 0.05, "T": 40, "p": 1.0, "omegas": [0.0], "epsilons": [0.03],
+                        "replicates": 100},
 }
+
+TARGET = {"target_type2": 0.5, "alpha": 0.05, "sigma": 0.2, "p": 1.0, "T": 60, "delta": 0.14}
 
 
 class TestConfigValidation:
@@ -279,6 +286,22 @@ class TestMain:
     ])
     def test_cli_error_json_for_non_positive_counts(self, tmp_path, capsys, experiment, key, value):
         raw = {"experiment": experiment, **SMALL_CONFIGS[experiment], key: value}
+        config = write_config(tmp_path, raw)
+        code = main([experiment, "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"]
+
+    @pytest.mark.parametrize("experiment, change, key", [
+        ("power", {"alpha": 0.0}, "alpha"),
+        ("power", {"alpha": 1.0}, "alpha"),
+        ("power-empirical", {"alpha": -0.1}, "alpha"),
+        ("epsilon-invert", {"targets": [{**TARGET, "alpha": 0.0}]}, "targets[0].alpha"),
+        ("epsilon-invert", {"targets": [TARGET, {**TARGET, "T": 0}]}, "targets[1].T"),
+    ])
+    def test_cli_error_json_for_out_of_range_values(self, tmp_path, capsys, experiment, change, key):
+        raw = {"experiment": experiment, **SMALL_CONFIGS.get(experiment, {}), **change}
         config = write_config(tmp_path, raw)
         code = main([experiment, "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 1

@@ -13,6 +13,7 @@ from sirlimits.errors import (
 )
 from sirlimits.inference import (
     LikelihoodSpec,
+    fisher_information,
     fit_mle,
     integrate_with_sensitivities,
     log_likelihood,
@@ -21,7 +22,7 @@ from sirlimits.inference import (
     moment_start,
     write_ensemble_csv,
 )
-from sirlimits.simulate import NoiseModel, ObservationSeries, observe, observe_batch
+from sirlimits.simulate import NoiseModel, ObservationSeries, observe, observe_batch, sigma_sequence
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
 
 BASE = SirParams(0.21, 0.07)
@@ -46,6 +47,33 @@ def ensemble_design_spec(seed, replicate):
     obs = ObservationSeries(values=y, reporting_rate=1.0, noise=noise, seed=seed,
                             sigma_t=noise.sigma_t, population=10**7)
     return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=5)
+
+
+def sigma_inferred_spec(raw):
+    """The series of ``raw``, fit with sigma inferred at 10 substeps per day."""
+    obs = ObservationSeries(values=raw.values, reporting_rate=1.0,
+                            noise=NoiseModel(kind="case2", sigma=None), seed=raw.seed,
+                            sigma_t=raw.sigma_t, population=10**7)
+    return LikelihoodSpec(obs=obs, init=INIT7, sigma_inferred=True, steps_per_day=10)
+
+
+def no_ascent_from(fit, spec):
+    """Log-likelihood that scipy's L-BFGS-B gains, started at the fit."""
+    sigma_inferred = spec.sigma_inferred
+
+    def negative(theta):
+        try:
+            params = SirParams(*theta[:2])
+        except DegenerateParameterError:
+            return 1e12, np.zeros(len(theta))
+        sigma = theta[2] if sigma_inferred else None
+        return (-log_likelihood(params, sigma, spec),
+                -log_likelihood_gradient(params, sigma, spec))
+
+    x0 = [fit.beta_hat, fit.gamma_hat] + ([fit.sigma_hat] if sigma_inferred else [])
+    res = scipy_minimize(negative, x0, jac=True, method="L-BFGS-B",
+                         bounds=[(1e-6, 500.0)] * len(x0))
+    return -res.fun - fit.loglik
 
 
 class TestSensitivities:
@@ -168,6 +196,34 @@ class TestGradient:
         np.testing.assert_allclose(grad, fd, rtol=1e-4)
 
 
+class TestFisherInformation:
+    def test_matches_score_covariance_case2(self):
+        # sd N * 0.3 * i_k: the variance moves with the rates, and the
+        # information is the mean of g g' over series drawn from the model.
+        T, replicates, steps_per_day = 40, 1000, 10
+        noise = NoiseModel.case2(0.3)
+        truth = integrate_exact(BASE, INIT7, T, steps_per_day)
+        sigma_t = sigma_sequence(noise, truth, T)
+
+        def spec(y):
+            obs = ObservationSeries(values=y, reporting_rate=1.0, noise=noise, seed=17,
+                                    sigma_t=sigma_t, population=10**7)
+            return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
+
+        ys = observe_batch(truth, noise, 1.0, T, 17, replicates)
+        scores = np.array([log_likelihood_gradient(BASE, None, spec(y)) for y in ys])
+        products = scores[:, :, None] * scores[:, None, :]
+        mean = products.mean(axis=0)
+        stderr = products.std(axis=0, ddof=1) / math.sqrt(replicates)
+        info = fisher_information(BASE, None, spec(ys[0]))
+        assert np.all(np.abs(info - mean) <= 5.0 * stderr)
+        # without the J_v'V^-2 J_v / 2 term the match fails
+        _, _, sb, _, sg, _ = integrate_with_sensitivities(BASE, INIT7, T, steps_per_day)
+        jac = 10**7 * np.stack([sb[:T] - sb[1:], sg[:T] - sg[1:]])
+        mean_part = (jac / sigma_t**2) @ jac.T
+        assert np.any(np.abs(mean_part - mean) > 5.0 * stderr)
+
+
 class TestLikelihoodSpec:
     def test_known_sequence_shorter_than_observations_rejected(self):
         noise = NoiseModel.known(np.full(40, 3e4))
@@ -216,25 +272,18 @@ class TestFit:
         assert np.all(diffs >= -1e-7 * np.abs(trace[:-1]))
 
     def test_monotone_accepted_steps_sigma_inferred(self, monkeypatch):
-        # Variance that depends on the rates keeps the quasi-Newton path.
-        raw = make_obs(BASE, INIT7, NoiseModel.case2(0.3), p=1.0, T=40, seed=8)
-        obs = ObservationSeries(values=raw.values, reporting_rate=1.0,
-                                noise=NoiseModel(kind="case2", sigma=None), seed=8,
-                                sigma_t=raw.sigma_t, population=10**7)
-        spec = LikelihoodSpec(obs=obs, init=INIT7, sigma_inferred=True, steps_per_day=10)
-        trace = []
-
-        def record(intermediate_result):
-            trace.append(-intermediate_result.fun)
-
-        def minimize_recording(*args, **kwargs):
-            return scipy_minimize(*args, callback=record, **kwargs)
-
-        monkeypatch.setattr(inference, "minimize", minimize_recording)
-        fit_mle(spec, starts=[moment_start(obs)])
+        # Variance that depends on the rates: the same capped passes, over
+        # (log beta, log gamma, log sigma).
+        spec = sigma_inferred_spec(make_obs(BASE, INIT7, NoiseModel.case2(0.3), p=1.0, T=40, seed=8))
+        iterates = {}
+        for cap in range(1, 60):
+            monkeypatch.setattr(inference, "_MAX_ITERATIONS", cap)
+            fit = fit_mle(spec, starts=[moment_start(spec.obs)])
+            iterates.setdefault(fit.iterations, fit.loglik)
+        trace = np.array([iterates[k] for k in sorted(iterates)])
         assert len(trace) > 2
-        diffs = np.diff(np.array(trace))
-        assert np.all(diffs >= -1e-7 * np.abs(np.array(trace)[:-1]))
+        diffs = np.diff(trace)
+        assert np.all(diffs >= -1e-7 * np.abs(trace[:-1]))
 
     def test_replicate_that_stopped_on_the_ridge_reaches_the_optimum(self):
         # With one start, a relative-reduction stop once left this replicate
@@ -252,18 +301,30 @@ class TestFit:
         # L-BFGS-B on the plain likelihood, started at the fit, finds no gain.
         spec = ensemble_design_spec(seed=2020, replicate=replicate)
         fit = fit_mle(spec, n_starts=1)
+        assert no_ascent_from(fit, spec) <= 1e-8
 
-        def negative(theta):
-            try:
-                params = SirParams(*theta)
-            except DegenerateParameterError:
-                return 1e12, np.zeros(2)
-            return (-log_likelihood(params, None, spec),
-                    -log_likelihood_gradient(params, None, spec))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_ascent_left_at_the_case2_optimum(self, seed):
+        # sd N * 0.3 * i_k of the candidate trajectory: the variance moves
+        # with the rates and the information gains its J_v term.
+        obs = make_obs(BASE, INIT7, NoiseModel.case2(0.3), p=1.0, T=40, seed=seed)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
+        fit = fit_mle(spec, n_starts=2)
+        assert no_ascent_from(fit, spec) <= 1e-8
 
-        res = scipy_minimize(negative, [fit.beta_hat, fit.gamma_hat], jac=True,
-                             method="L-BFGS-B", bounds=[(1e-6, 500.0)] * 2)
-        assert -res.fun - fit.loglik <= 1e-8
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_ascent_left_at_the_sigma_inferred_optimum(self, seed):
+        # Data with sd 1.7 * sqrt(N i_k), the model a sigma-inferred fit assumes.
+        truth = integrate_exact(BASE, INIT7, 40)
+        sd = 1.7 * np.sqrt(10**7 * truth.i[1:41])
+        spec = sigma_inferred_spec(observe(truth, NoiseModel.known(sd), 1.0, 40, seed))
+        fit = fit_mle(spec, n_starts=2)
+        assert no_ascent_from(fit, spec) <= 1e-8
+        # at fixed rates sigma^2 = mean(r^2 / (N i_k)) maximizes ll exactly
+        traj = integrate_exact(fit.params(), INIT7, 40, spec.steps_per_day)
+        r = spec.obs.values - incidence(traj)
+        profile = np.mean(r * r / (10**7 * traj.i[1:41]))
+        assert fit.sigma_hat**2 == pytest.approx(profile, rel=1e-5)
 
     def test_bound_active_fit_converges_on_the_projected_gradient(self):
         # The data of the CLI fit runner: the optimum sits at gamma = 1e-6,
@@ -284,7 +345,7 @@ class TestFit:
         obs = make_obs(BASE, INIT7, noise, p=1.0, T=40, seed=8)
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
         clean = fit_mle(spec, starts=[moment_start(obs)])
-        evaluate = inference._least_squares_point
+        evaluate = inference._evaluate
         calls = []
 
         def fail_second_evaluation(*args):
@@ -293,7 +354,7 @@ class TestFit:
                 raise IntegrationError("forced failure")
             return evaluate(*args)
 
-        monkeypatch.setattr(inference, "_least_squares_point", fail_second_evaluation)
+        monkeypatch.setattr(inference, "_evaluate", fail_second_evaluation)
         fit = fit_mle(spec, starts=[moment_start(obs)])
         assert fit.converged
         assert fit.loglik == pytest.approx(clean.loglik, abs=1e-8)
