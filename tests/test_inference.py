@@ -392,6 +392,49 @@ class TestEnsemble:
             assert fit.gamma_hat == pytest.approx(0.07, rel=1e-4)
         assert ensemble.failures == []
 
+    @pytest.mark.parametrize("n_starts", [1, 2])
+    @pytest.mark.parametrize("noise, T", [
+        (NoiseModel.known(np.full(40, 10.0)), 40), (NoiseModel.case1(2e-6), 40),
+        (NoiseModel.case2(0.3), 40), (NoiseModel.known(np.full(30, 3e4)), 30),
+    ])
+    def test_each_replicate_reaches_its_own_optimum(self, noise, T, n_starts):
+        # warm-started at the pooled optimum, no replicate ends below a fit
+        # of its own row from its own default starts. sds of 10 and 20 against
+        # 53 cases on day 40 are informative; an sd of 3e4 against 13 cases on
+        # day 30 is not, and with one start the warm start of replicate 0
+        # stalls unconverged on the delta -> 0 edge, 8.2e-5 below its own fit
+        ensemble = mle_ensemble(BASE, INIT7, noise, p=1.0, T=T, replicates=4, seed=5,
+                                fit_steps_per_day=5, n_starts=n_starts)
+        assert ensemble.indices == [0, 1, 2, 3]
+        truth = integrate_exact(BASE, INIT7, T)
+        ys = observe_batch(truth, noise, 1.0, T, 5, 4)
+        for index, fit in zip(ensemble.indices, ensemble.replicates):
+            obs = ObservationSeries(values=ys[index], reporting_rate=1.0, noise=noise, seed=5,
+                                    sigma_t=sigma_sequence(noise, truth, T), population=10**7)
+            own = fit_mle(LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=5),
+                          n_starts=n_starts)
+            assert fit.loglik >= own.loglik - 1e-8 * max(1.0, abs(own.loglik))
+
+    def test_pooled_fit_failure_raises(self):
+        # a zero sd on day 3 makes every likelihood degenerate, the pooled
+        # series' first
+        sd = np.full(20, 3e4)
+        sd[2] = 0.0
+        with pytest.raises(OptimizationFailureError, match="pooled fit") as info:
+            mle_ensemble(BASE, INIT7, NoiseModel.known(sd), p=1.0, T=20, replicates=3,
+                         seed=2, fit_steps_per_day=5, n_starts=2)
+        assert len(info.value.diagnostics) == 2
+
+    @pytest.mark.parametrize("steps_per_day, bound", [(5, 3e-7), (10, 2e-8)])
+    def test_integration_error_far_below_the_noise(self, steps_per_day, bound):
+        # the acceptance ensemble's design: halving the step moves the daily
+        # incidence by 2.2e-7 sd at 5 substeps per day and 1.4e-8 sd at 10,
+        # both far below 1e-4 sd
+        T, sd = 120, math.sqrt(100 * 1e7)
+        coarse = incidence(integrate_exact(BASE, INIT7, T, steps_per_day))
+        fine = incidence(integrate_exact(BASE, INIT7, T, 2 * steps_per_day))
+        assert np.max(np.abs(coarse - fine)) / sd < bound
+
     def test_deterministic_across_worker_counts(self):
         noise = NoiseModel.known(np.full(30, 3e4))
         one = mle_ensemble(BASE, INIT7, noise, p=1.0, T=30, replicates=6,

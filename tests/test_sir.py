@@ -145,6 +145,35 @@ class TestExactIntegration:
         assert batch.value.step == exact.value.step
         assert 1 <= sens.value.step <= exact.value.step
 
+    @pytest.mark.parametrize("lanes", [2, 91])
+    def test_batch_matches_integrate_exact_lane_by_lane(self, lanes):
+        # the kernel's array path gives every lane the bits of its scalar path
+        omegas = np.linspace(0.0, 2.0 * math.pi, lanes, endpoint=False)
+        betas = BASE.beta + 0.03 * np.cos(omegas)
+        gammas = BASE.gamma + 0.03 * np.sin(omegas)
+        s, i = integrate_day_grid_batch(betas, gammas, INIT7, 96)
+        assert s.shape == i.shape == (97, lanes)
+        for k, (beta, gamma) in enumerate(zip(betas, gammas)):
+            traj = integrate_exact(SirParams(beta, gamma), INIT7, 96)
+            np.testing.assert_array_equal(s[:, k], traj.s)
+            np.testing.assert_array_equal(i[:, k], traj.i)
+
+    @pytest.mark.parametrize("lanes", [2, 91])
+    def test_batch_failure_names_the_earliest_substep_of_any_lane(self, lanes):
+        init = InitialCondition(s0=0.999, i0=1e-3, population=1000)
+        late, early = SirParams(6.0, 0.1), SirParams(12.0, 0.1)
+        steps = []
+        for params in (late, early):
+            with pytest.raises(IntegrationError) as exact:
+                integrate_exact(params, init, 50, steps_per_day=1)
+            steps.append(exact.value.step)
+        assert steps[1] < steps[0]
+        with pytest.raises(IntegrationError) as batch:
+            integrate_day_grid_batch([BASE.beta] * (lanes - 2) + [late.beta, early.beta],
+                                     [BASE.gamma] * (lanes - 2) + [late.gamma, early.gamma],
+                                     init, 50, steps_per_day=1)
+        assert batch.value.step == steps[1]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             integrate_exact(BASE, INIT7, 0)
