@@ -6,10 +6,14 @@ scale itself is inferred):
 
     ll = sum_k [ -(y_k - p*delta_k)^2 / (2 v_k) - log(2*pi*v_k) / 2 ]
 
-with delta_k = N*(s_{k-1} - s_k) from exact integration of the candidate
-parameters. The variance v_k follows the observation noise model; when
-``sigma_inferred`` is set the per-day variance is N * i_k * sigma^2 with i_k
-taken from the candidate model's own trajectory (fully coupled).
+with delta_k = N*(c_k - c_{k-1}) from exact integration of the candidate
+parameters, c being the outflow from s that the sensitivity pass
+accumulates. It equals N*(s_{k-1} - s_k) in exact arithmetic, but with s near
+1 that difference carries a rounding floor of N*eps per count, which the
+optimizer would otherwise wander on. The variance v_k follows the
+observation noise model; when ``sigma_inferred`` is set the per-day variance
+is N * i_k * sigma^2 with i_k taken from the candidate model's own
+trajectory (fully coupled).
 
 Gradients come from forward sensitivities: the SIR system is augmented with
 d(s, i)/d(beta) and d(s, i)/d(gamma) and integrated together, then chained
@@ -18,8 +22,10 @@ The same pass gives the expected (Fisher) information
 J_mu'V^-1 J_mu + J_v'V^-2 J_v / 2 over (beta, gamma[, sigma]), J_mu and J_v
 being the Jacobians of the mean p*delta_k and of v_k; ``fisher_information``
 returns it. Every noise model is fit by Levenberg-Marquardt Fisher scoring
-in log coordinates (log beta, log gamma[, log sigma]), so positivity needs no
-constraints. When v_k does not depend on the parameters (``known_sequence``
+in ridge coordinates (log delta, log gamma[, log sigma]) with
+beta = delta + gamma: the data pin down the growth rate delta and leave a
+flat slope-one ridge along gamma, and positivity, delta > 0 included, needs
+no constraints. When v_k does not depend on the parameters (``known_sequence``
 and ``case1`` noise) the information is the Gauss-Newton matrix of a weighted
 least-squares fit. Fits are multi-started from a moment-based initializer:
 the growth rate delta is read off a regression of log y_t on t and beta
@@ -58,10 +64,12 @@ _MAX_FAILURE_FRACTION = 0.05  # mle_ensemble raises when more replicate fits tha
 
 def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
                                  horizon: int, steps_per_day: int):
-    """Day-sampled state and parameter sensitivities.
+    """Day-sampled state, parameter sensitivities and cumulative outflow.
 
-    Returns six arrays of length horizon + 1: s, i, ds/dbeta, di/dbeta,
-    ds/dgamma, di/dgamma. Sensitivities start at zero.
+    Returns seven arrays of length horizon + 1: s, i, ds/dbeta, di/dbeta,
+    ds/dgamma, di/dgamma, and c, the outflow from s since t = 0. c equals
+    s0 - s in exact arithmetic but does not carry the rounding of s near 1
+    (``sir._rk4``). Sensitivities and c start at zero.
     """
     spd = int(steps_per_day)
     y0 = (float(init.s0), float(init.i0), 0.0, 0.0, 0.0, 0.0)
@@ -152,30 +160,42 @@ class _Point:
     info: np.ndarray
 
 
+def _residuals(c, spec: LikelihoodSpec) -> np.ndarray:
+    """r = y - p*delta, with delta_k = N*(c_k - c_{k-1}) from the cumulative outflow."""
+    T = spec.T
+    return spec.obs.values - spec.p * (spec.init.population * (c[1 : T + 1] - c[:T]))
+
+
 def _evaluate(params: SirParams, sigma: float | None, spec: LikelihoodSpec) -> _Point:
-    """ll, its exact gradient and the Fisher information from one sensitivity pass.
+    """ll, its exact gradient and the Fisher information from one sensitivity pass."""
+    return _evaluate_pass(integrate_with_sensitivities(params, spec.init, spec.T,
+                                                       spec.steps_per_day), sigma, spec)
+
+
+def _evaluate_pass(states, sigma: float | None, spec: LikelihoodSpec) -> _Point:
+    """The evaluation of ``_evaluate`` from the arrays of its sensitivity pass.
 
     With mu = p*delta, r = y - mu, W = 1/v, J_mu the Jacobian of mu (zero in
     sigma) and J_v that of v, the gradient is J_mu'Wr + J_v'(r^2 W^2 - W) / 2
     and the information is J_mu'W J_mu + J_v'W^2 J_v / 2. Fixed variance has
     no J_v.
     """
-    s, i, sb, ib, sg, ig = integrate_with_sensitivities(params, spec.init, spec.T,
-                                                        spec.steps_per_day)
-    n = spec.init.population
-    p = spec.p
+    _, i, sb, ib, sg, ig, c = states
     T = spec.T
     v, dv_b, dv_g, dv_s = _variance_terms(spec, sigma, i, ib, ig)
     _check_variance(v)
-    r = spec.obs.values - p * (n * (s[:T] - s[1 : T + 1]))
-    jac = (p * n) * np.stack((sb[:T] - sb[1 : T + 1], sg[:T] - sg[1 : T + 1]))
+    r = _residuals(c, spec)
+    jac = (spec.p * spec.init.population) * np.stack((sb[:T] - sb[1 : T + 1],
+                                                      sg[:T] - sg[1 : T + 1]))
     wjac = jac / v
-    grad, info = wjac @ r, wjac @ jac.T
-    if dv_b is not None:
+    if dv_b is None:
+        grad, info = wjac @ r, wjac @ jac.T
+    else:
         jv = np.stack((dv_b, dv_g) if dv_s is None else (dv_b, dv_g, dv_s))
-        pad = len(jv) - 2  # J_mu has a zero sigma column
-        grad = np.pad(grad, (0, pad)) + 0.5 * (jv @ ((r * r / v - 1.0) / v))
-        info = np.pad(info, (0, pad)) + 0.5 * ((jv / v**2) @ jv.T)
+        grad = 0.5 * (jv @ ((r * r / v - 1.0) / v))
+        info = 0.5 * ((jv / v**2) @ jv.T)
+        grad[:2] += wjac @ r  # J_mu has a zero sigma column
+        info[:2, :2] += wjac @ jac.T
     return _Point(_normal_ll(r, v), float(np.dot(r, r / v)), float(np.sum(np.log(v))),
                   grad, info)
 
@@ -239,16 +259,14 @@ def moment_start(obs: ObservationSeries) -> SirParams:
     return SirParams(2.0 * delta0, delta0)
 
 
-def _profile_sigma_start(params: SirParams, spec: LikelihoodSpec) -> float:
-    """Closed-form sigma maximizer at fixed (beta, gamma), used to seed starts."""
-    s, i, *_ = integrate_with_sensitivities(params, spec.init, spec.T, spec.steps_per_day)
+def _profile_sigma_start(states, spec: LikelihoodSpec) -> float:
+    """Closed-form sigma maximizer at the rates of the sensitivity pass
+    ``states``, used to seed starts."""
     n = spec.init.population
-    T = spec.T
-    delta = n * (s[:T] - s[1 : T + 1])
-    ik = i[1 : T + 1]
+    ik = states[1][1 : spec.T + 1]
     if np.any(ik <= 0.0):
         return 1.0
-    r = spec.obs.values - spec.p * delta
+    r = _residuals(states[6], spec)
     s2 = float(np.mean(r * r / (n * ik)))
     return max(math.sqrt(s2), 1e-6)
 
@@ -268,21 +286,50 @@ def default_starts(spec: LikelihoodSpec, n_starts: int = 8) -> list[SirParams]:
     return starts
 
 
-_LOG_BOUNDS = (math.log(1e-6), math.log(500.0))
+_LOG_BOUNDS = (math.log(1e-6), math.log(500.0))  # on delta, gamma and sigma
+
+
+def _rates(x) -> SirParams:
+    """(beta, gamma) at x = (log delta, log gamma[, log sigma]): beta = delta + gamma."""
+    delta, gamma = math.exp(x[0]), math.exp(x[1])
+    return SirParams(delta + gamma, gamma)
+
+
+def _tangent(x) -> np.ndarray:
+    """T = d(beta, gamma[, sigma]) / dx at x = (log delta, log gamma[, log sigma]).
+
+    T = [[delta, gamma, 0], [0, gamma, 0], [0, 0, sigma]].
+    """
+    tangent = np.diag(np.exp(x))
+    tangent[0, 1] = tangent[1, 1]
+    return tangent
 
 
 def _free_coordinates(x, grad) -> np.ndarray:
-    """Coordinates not held at a bound by a gradient pointing out of the box."""
+    """Coordinates of x not held at a bound by a gradient over x pointing out of the box."""
     lo, hi = _LOG_BOUNDS
     return ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
 
 
-def _projected_grad_norm(x, grad) -> float:
-    return float(np.linalg.norm(grad[_free_coordinates(x, grad)]))
+def _projected_grad_norm(x, point: _Point) -> float:
+    """Norm of the (beta, gamma[, sigma]) gradient along the moves left free at x.
+
+    Inside the box it is |grad|. A coordinate of x held at a bound leaves
+    (beta, gamma[, sigma]) free to move only in the span of the columns of T
+    that belong to the free coordinates, and the gradient is projected
+    orthogonally on that span: with gamma held it is the beta component; with
+    delta held, the component along the ridge direction (1, 1, 0) / sqrt(2).
+    """
+    tangent = _tangent(x)
+    free = _free_coordinates(x, point.grad @ tangent)
+    if free.all():
+        return float(np.linalg.norm(point.grad))
+    basis = np.linalg.qr(tangent[:, free])[0]
+    return float(np.linalg.norm(point.grad @ basis))
 
 
 def _first_order_ok(x, point: _Point) -> bool:
-    return _projected_grad_norm(x, point.grad) <= _FIRST_ORDER_TOL * max(1.0, abs(point.ll))
+    return _projected_grad_norm(x, point) <= _FIRST_ORDER_TOL * max(1.0, abs(point.ll))
 
 
 def _model_rise(step, grad, info) -> float:
@@ -294,51 +341,60 @@ _TRIAL_ERRORS = (DegenerateParameterError, IntegrationError, DegenerateVarianceE
 
 
 def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
-    """Levenberg-Marquardt Fisher scoring in (log beta, log gamma[, log sigma]).
+    """Levenberg-Marquardt Fisher scoring in x = (log delta, log gamma[, log sigma]).
 
-    Each evaluation yields ll, its gradient g and the expected information
-    F, which for fixed variance is the Gauss-Newton matrix J'WJ of the
-    weighted least squares in r = y - p*delta. A step solves
-    (F + lambda * d * I) step = g over the free coordinates, d being the
-    largest diagonal entry of F seen so far (a scalar form of More's 1978
-    scaling), and each log coordinate moves at most _MAX_LOG_STEP; lambda
-    follows Nielsen's update, and a coordinate at a bound whose gradient
-    points out of the box is held there. Steps are accepted and rated on the
-    fall of r'Wr + sum(log v), summed as the two differences: ll adds a large
-    constant whose rounding would mask the last gains, and with fixed
-    variance the second difference is exactly zero. A trial that cannot be
-    evaluated is a rejected step. An inferred sigma starts at its profile
-    maximizer.
+    The data pin down the growth rate delta = beta - gamma and leave gamma on
+    a flat slope-one ridge. In these coordinates the ridge runs along the
+    log gamma axis, and beta = delta + gamma keeps delta > 0, so no trial
+    step can cross the delta -> 0 edge. Each evaluation yields ll, its
+    gradient g and the expected information F over theta = (beta, gamma[,
+    sigma]); for fixed variance F is the Gauss-Newton matrix J'WJ of the
+    weighted least squares in r = y - p*delta_k. The chain rule takes them to
+    x as T'g and T'FT, T = d(theta)/dx (``_tangent``). A step solves
+    (T'FT + lambda * d * I) step = T'g over the free coordinates, d being the
+    largest diagonal entry of T'FT seen so far (a scalar form of More's 1978
+    scaling), and each coordinate of x moves at most _MAX_LOG_STEP; lambda
+    follows Nielsen's update. Every coordinate of x stays within _LOG_BOUNDS,
+    and one at a bound whose gradient T'g points out of the box is held there.
+    Steps are accepted and rated on the fall of r'Wr + sum(log v), summed as
+    the two differences: ll adds a large constant whose rounding would mask
+    the last gains, and with fixed variance the second difference is exactly
+    zero. The incidence delta_k comes from the kernel's cumulative outflow,
+    so ll carries no rounding floor of N*eps per count for steps to be
+    accepted on. A trial that cannot be evaluated is a rejected step. An
+    inferred sigma starts at its profile maximizer, read from the sensitivity
+    pass that also gives the first evaluation.
 
     The fit stops once the projected gradient passes the first-order test and
-    the scoring decrement g'F^-1 g / 2 is below
-    tol = _DECREMENT_TOL * max(1, |ll|). Once a step promises less than tol,
-    the objective can no longer rank it against rounding, and it is accepted
-    when it shrinks the projected gradient; when it does not, the fit stops
-    there.
+    the scoring decrement g'F^-1 g / 2, the same in any coordinates, is below
+    tol = _DECREMENT_TOL * max(1, |ll|). The first-order test is on the theta
+    gradient, projected at a bound as ``_projected_grad_norm`` describes. Once
+    a step promises less than tol, the objective can no longer rank it
+    against rounding, and it is accepted when it shrinks the projected
+    gradient; when it does not, the fit stops there.
     """
     lo, hi = _LOG_BOUNDS
-
-    def evaluate(x):
-        theta = np.exp(x)
-        return _evaluate(SirParams(float(theta[0]), float(theta[1])),
-                         float(theta[2]) if spec.sigma_inferred else None, spec)
-
-    x = [math.log(start.beta), math.log(start.gamma)]
-    if spec.sigma_inferred:
-        x.append(math.log(_profile_sigma_start(start, spec)))
-    x = np.clip(x, lo, hi)
+    x = np.clip([math.log(start.delta()), math.log(start.gamma)], lo, hi)
+    sigma = None
     try:
-        point = evaluate(x)
+        states = integrate_with_sensitivities(_rates(x), spec.init, spec.T, spec.steps_per_day)
+        if spec.sigma_inferred:
+            x = np.append(x, np.clip(math.log(_profile_sigma_start(states, spec)), lo, hi))
+            sigma = math.exp(x[2])
+        point = _evaluate_pass(states, sigma, spec)
     except _TRIAL_ERRORS as exc:
         raise OptimizationFailureError(f"start {start} cannot be evaluated: {exc}") from exc
+
+    def evaluate(x):
+        return _evaluate(_rates(x), math.exp(x[2]) if spec.sigma_inferred else None, spec)
+
     damping, growth, scale = _LM_DAMPING, 2.0, 0.0
     accepted = 0
     for _ in range(_MAX_ITERATIONS):
-        theta = np.exp(x)
-        grad = point.grad * theta  # log coordinates
-        info = point.info * np.outer(theta, theta)
-        free = _free_coordinates(x, point.grad)
+        tangent = _tangent(x)
+        grad = point.grad @ tangent
+        info = tangent.T @ point.info @ tangent
+        free = _free_coordinates(x, grad)
         tol = _DECREMENT_TOL * max(1.0, abs(point.ll))
         g_free, info_free = grad[free], info[np.ix_(free, free)]
         try:
@@ -360,8 +416,8 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
         fall = None if trial is None else (point.wrss - trial.wrss) + (point.logdet - trial.logdet)
         if trial is not None and (
                 fall > 0.0
-                or (promised <= tol and _projected_grad_norm(trial_x, trial.grad)
-                    < _projected_grad_norm(x, point.grad))):
+                or (promised <= tol and _projected_grad_norm(trial_x, trial)
+                    < _projected_grad_norm(x, point))):
             gain = 0.5 * fall / predicted if predicted > 0.0 else 0.0
             damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             growth = 2.0
@@ -372,11 +428,11 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
         else:
             damping *= growth
             growth *= 2.0
-    theta = np.exp(x)
+    rates = _rates(x)
     return MleResult(
-        beta_hat=float(theta[0]),
-        gamma_hat=float(theta[1]),
-        sigma_hat=float(theta[2]) if spec.sigma_inferred else None,
+        beta_hat=rates.beta,
+        gamma_hat=rates.gamma,
+        sigma_hat=math.exp(x[2]) if spec.sigma_inferred else None,
         loglik=point.ll,
         converged=_first_order_ok(x, point),
         iterations=accepted,
@@ -495,13 +551,14 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
 
     The pooled fit is paid once per study, so the saving grows with the
     replicate count. On the benchmark design (T = 120, sd sqrt(100 N), 5
-    substeps per day) the whole study needs 14 sensitivity integrations
-    against 13 for fitting every replicate from its own starts at 1
-    replicate and 1 start, 528 against 514 at 1 replicate and 2 starts, 26
-    against 26 and 555 against 1029 at 2 replicates, and 42 against 60 and
-    608 against 2065 at 4. Where fits stop unconverged even at the optimum,
-    as at very small or very large noise, every replicate pays for both
-    fits: 375 against 152 for 3 replicates at sd 1e-3.
+    substeps per day) the whole study needs 11 sensitivity integrations
+    against 10 for fitting every replicate from its own starts at 1
+    replicate and 1 start, 60 against 49 at 1 replicate and 2 starts, 22
+    against 20 and 76 against 93 at 2 replicates, and 35 against 41 and 126
+    against 189 at 4. A replicate whose warm-started fit stops unconverged,
+    as can happen at very small noise, pays for both fits: at sd 1e-3 (T =
+    40, 3 replicates, 2 starts) the study needs 170 against 127, one
+    replicate being fit twice.
 
     Fits default to 10 substeps per day, and the ensemble is fit-bound. At
     the acceptance design (N = 1e7, T = 120, sd sqrt(100 N)) halving the

@@ -139,6 +139,11 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
     may leave |x| < _STATE_GUARD (NaN fails too); the first recorded row that
     does raises IntegrationError.
 
+    With sensitivities, a seventh array follows: c, the outflow from s
+    accumulated from 0 with the same RK4 increments that s loses. s0 - s and
+    c agree in exact arithmetic, but c keeps its own precision while s sits
+    near 1, so N * (c_k - c_{k-1}) carries no rounding floor of N * eps.
+
     ds/dt = -x with x = beta*i*s, so s and its sensitivities subtract h*x
     where the textbook scheme adds h*(-x); negation is exact, so the values
     are those of the textbook scheme bit for bit.
@@ -147,7 +152,8 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
     s, i, sb, ib, sg, ig = y0 if sens else (*y0, None, None, None, None)
     h2 = 0.5 * h
     h6 = h / 6.0
-    rows = [[v] for v in y0]
+    c = 0.0 * s  # the lanes' shape, and a float for scalar callers
+    rows = [[v] for v in y0] + ([[c]] if sens else [])
     # True after the last substep of each recorded row: cheaper than testing
     # k % stride, and than a loop per row, which costs most at stride 1.
     row_ends = islice(cycle((False,) * (stride - 1) + (True,)), n_steps)
@@ -185,6 +191,8 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
                 ib = ib + h6 * (k1ib + 2.0 * (k2ib + k3ib) + k4ib)
                 sg = sg - h6 * (xg1 + 2.0 * (xg2 + xg3) + xg4)
                 ig = ig + h6 * (k1ig + 2.0 * (k2ig + k3ig) + k4ig)
+                outflow = h6 * (x1 + 2.0 * (x2 + x3) + x4)
+                c = c + outflow
             else:
                 x1 = beta * i * s
                 k1i = x1 - gamma * i
@@ -197,13 +205,14 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
                 s4, i4 = s - h * x3, i + h * k3i
                 x4 = beta * i4 * s4
                 k4i = x4 - gamma * i4
-            s = s - h6 * (x1 + 2.0 * (x2 + x3) + x4)
+                outflow = h6 * (x1 + 2.0 * (x2 + x3) + x4)
+            s = s - outflow
             i = i + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
             if row_end:
                 record[0](s)
                 record[1](i)
                 if sens:
-                    for rec, v in zip(record[2:], (sb, ib, sg, ig)):
+                    for rec, v in zip(record[2:], (sb, ib, sg, ig, c)):
                         rec(v)
     out = tuple(np.array(row) for row in rows)
     ok = np.abs(np.stack(out)) < _STATE_GUARD

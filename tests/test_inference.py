@@ -87,14 +87,14 @@ class TestSensitivities:
         h = 1e-6
         up = integrate_exact(SirParams(BASE.beta + h, BASE.gamma), INIT7, 60, 50)
         dn = integrate_exact(SirParams(BASE.beta - h, BASE.gamma), INIT7, 60, 50)
-        _, _, sb, ib, _, _ = integrate_with_sensitivities(BASE, INIT7, 60, 50)
+        _, _, sb, ib, _, _, _ = integrate_with_sensitivities(BASE, INIT7, 60, 50)
         # the difference quotient carries an eps/h rounding floor of ~1e-10
         np.testing.assert_allclose(sb, (up.s - dn.s) / (2 * h), rtol=1e-4, atol=1e-9)
         np.testing.assert_allclose(ib, (up.i - dn.i) / (2 * h), rtol=1e-4, atol=1e-9)
 
     def test_zero_seed_zero_sensitivities(self):
         init = InitialCondition(s0=1.0, i0=0.0, population=1000)
-        _, i, sb, ib, sg, ig = integrate_with_sensitivities(BASE, init, 30, 10)
+        _, i, sb, ib, sg, ig, _ = integrate_with_sensitivities(BASE, init, 30, 10)
         assert np.all(i == 0.0)
         assert np.all(sb == 0.0)
         assert np.all(ib == 0.0)
@@ -218,7 +218,7 @@ class TestFisherInformation:
         info = fisher_information(BASE, None, spec(ys[0]))
         assert np.all(np.abs(info - mean) <= 5.0 * stderr)
         # without the J_v'V^-2 J_v / 2 term the match fails
-        _, _, sb, _, sg, _ = integrate_with_sensitivities(BASE, INIT7, T, steps_per_day)
+        _, _, sb, _, sg, _, _ = integrate_with_sensitivities(BASE, INIT7, T, steps_per_day)
         jac = 10**7 * np.stack([sb[:T] - sb[1:], sg[:T] - sg[1:]])
         mean_part = (jac / sigma_t**2) @ jac.T
         assert np.any(np.abs(mean_part - mean) > 5.0 * stderr)
@@ -340,21 +340,55 @@ class TestFit:
         assert abs(grad[0]) <= 1e-6 * abs(fit.loglik)
         assert fit.converged
 
+    def test_far_start_reaches_the_near_optimum(self, monkeypatch):
+        # default_starts' far start sits 64 times the moment anchor up the
+        # ridge; stepping in (log beta, log gamma), it ran all 500 iterations
+        # and ended unconverged at ll -2028
+        spec = ensemble_design_spec(seed=2020, replicate=0)
+        near, far = inference.default_starts(spec, 2)
+        assert (far.beta, far.gamma) == pytest.approx((3.26, 3.23), abs=0.01)
+        near_fit = fit_mle(spec, starts=[near])
+        integrate = inference.integrate_with_sensitivities
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return integrate(*args)
+
+        monkeypatch.setattr(inference, "integrate_with_sensitivities", counted)
+        far_fit = fit_mle(spec, starts=[far])
+        assert len(calls) < 100
+        assert far_fit.converged
+        assert far_fit.beta_hat == pytest.approx(near_fit.beta_hat, rel=1e-6)
+        assert far_fit.gamma_hat == pytest.approx(near_fit.gamma_hat, rel=1e-6)
+        assert far_fit.loglik == pytest.approx(near_fit.loglik, abs=1e-9 * abs(near_fit.loglik))
+
+    def test_projected_gradient_at_the_delta_bound_follows_the_ridge(self):
+        # with log delta held at its lower bound, (beta, gamma) can move only
+        # along beta = delta + gamma, the direction (1, 1) / sqrt(2)
+        lo = inference._LOG_BOUNDS[0]
+        point = inference._Point(ll=-10.0, wrss=0.0, logdet=0.0,
+                                 grad=np.array([-3.0, 1.0]), info=np.eye(2))
+        held = np.array([lo, math.log(0.5)])
+        assert inference._projected_grad_norm(held, point) == pytest.approx(math.sqrt(2.0))
+        inside = np.array([math.log(0.1), math.log(0.5)])
+        assert inference._projected_grad_norm(inside, point) == math.hypot(3.0, 1.0)
+
     def test_failed_trial_is_a_rejected_step(self, monkeypatch):
         noise = NoiseModel.known(np.full(40, 2e4))
         obs = make_obs(BASE, INIT7, noise, p=1.0, T=40, seed=8)
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
         clean = fit_mle(spec, starts=[moment_start(obs)])
-        evaluate = inference._evaluate
+        integrate = inference.integrate_with_sensitivities
         calls = []
 
         def fail_second_evaluation(*args):
             calls.append(None)
             if len(calls) == 2:
                 raise IntegrationError("forced failure")
-            return evaluate(*args)
+            return integrate(*args)
 
-        monkeypatch.setattr(inference, "_evaluate", fail_second_evaluation)
+        monkeypatch.setattr(inference, "integrate_with_sensitivities", fail_second_evaluation)
         fit = fit_mle(spec, starts=[moment_start(obs)])
         assert fit.converged
         assert fit.loglik == pytest.approx(clean.loglik, abs=1e-8)
@@ -391,6 +425,17 @@ class TestEnsemble:
             assert fit.beta_hat == pytest.approx(0.21, rel=1e-4)
             assert fit.gamma_hat == pytest.approx(0.07, rel=1e-4)
         assert ensemble.failures == []
+
+    @pytest.mark.parametrize("sd", [1e-2, 1e-1])
+    def test_small_noise_replicates_converge(self, sd):
+        # sds of 1e-2 and 1e-1 against daily counts of 0.2 to 50: on a
+        # likelihood whose incidence carried a rounding floor of N*eps, no
+        # replicate passed the first-order test
+        noise = NoiseModel.known(np.full(40, sd))
+        ensemble = mle_ensemble(BASE, INIT7, noise, p=1.0, T=40, replicates=3,
+                                seed=9, fit_steps_per_day=20, n_starts=2)
+        assert ensemble.failures == []
+        assert all(fit.converged for fit in ensemble.replicates)
 
     @pytest.mark.parametrize("n_starts", [1, 2])
     @pytest.mark.parametrize("noise, T", [

@@ -4,7 +4,7 @@ from scipy.special import ndtri
 
 from sirlimits.data import load_nyc_fixture
 from sirlimits.errors import OptimizationFailureError
-from sirlimits.inference import MleResult, fit_mle, log_likelihood
+from sirlimits.inference import MleResult, default_starts, fit_mle, log_likelihood
 from sirlimits.nyc import fitted_band, nyc_likelihood_spec, reporting_rate_sweep, write_nyc_table_csv
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
 
@@ -46,6 +46,31 @@ class TestNycFit:
         # the fitted growth rate tracks the raw log-slope of the counts
         assert 0.4 < fit_p05.delta_hat < 0.8
 
+    @pytest.mark.parametrize("p", [0.1, 0.25])
+    def test_every_default_start_reaches_one_optimum(self, data, p):
+        # the benchmark's two fits: each of the 8 starts along the ridge, up
+        # to 64 times the moment anchor, passes the first-order test there
+        spec = nyc_likelihood_spec(data, p)
+        fits = [fit_mle(spec, starts=[start]) for start in default_starts(spec, 8)]
+        assert all(fit.converged for fit in fits)
+        lls = [fit.loglik for fit in fits]
+        assert max(lls) - min(lls) <= 1e-9
+
+    def test_loglik_smooth_at_the_optimum(self, data):
+        # ll at 41 points 1e-10 apart, relative in (beta, gamma), about the
+        # p = 0.25 optimum: a quadratic leaves only rounding. Incidence taken
+        # as N*(s_{k-1} - s_k), with s near 1, left a residual sd of 8.5e-11.
+        spec = nyc_likelihood_spec(data, 0.25)
+        fit = fit_mle(spec)
+        steps = np.arange(-20, 21)
+        ll = np.array([
+            log_likelihood(SirParams(fit.beta_hat * (1.0 + 1e-10 * k),
+                                     fit.gamma_hat * (1.0 + 1e-10 * k)), fit.sigma_hat, spec)
+            for k in steps
+        ]) - fit.loglik
+        residual = ll - np.polyval(np.polyfit(steps, ll, 2), steps)
+        assert np.std(residual) < 1e-12
+
 
 class TestSweep:
     def test_r0_monotone_in_p(self, data):
@@ -55,8 +80,8 @@ class TestSweep:
         assert all(a < b for a, b in zip(r0s, r0s[1:]))
 
     def test_sweep_rows_converged(self, data):
-        # at p = 0.25 the warm start from p = 0.1 stops a rounding error above
-        # a converged start without passing the first-order test itself
+        # every row passes the first-order test; at p = 0.25 that includes the
+        # warm start from the p = 0.1 optimum
         rows = reporting_rate_sweep(data, [0.1, 0.25])
         assert [row.converged for row in rows] == [True, True]
 
