@@ -147,14 +147,7 @@ def _load_observation_csv(path: Path) -> np.ndarray:
 def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
     values = _load_observation_csv(Path(config.get("observations")))
     init = parse_init(config)
-    sigma_inferred = bool(config.get("sigma_inferred", False))
-    noise_block = config.get("noise")
-    if noise_block is None:
-        if not sigma_inferred:
-            raise ConfigError("fit needs a noise block unless sigma_inferred is true")
-        noise = NoiseModel(kind="case2", sigma=None)
-    else:
-        noise = parse_noise(noise_block)
+    noise = parse_noise(config.get("noise"))
     obs = ObservationSeries(
         values=values,
         reporting_rate=float(config.get("p")),
@@ -163,8 +156,7 @@ def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
         sigma_t=np.zeros(len(values)),
         population=init.population,
     )
-    spec = LikelihoodSpec(obs=obs, init=init, noise=noise, sigma_inferred=sigma_inferred,
-                          steps_per_day=_steps_per_day(config))
+    spec = LikelihoodSpec(obs=obs, init=init, noise=noise, steps_per_day=_steps_per_day(config))
     result = fit_mle(spec, n_starts=int(config.get("n_starts", 8)))
     path = out / "fit.json"
     _write_json(
@@ -177,6 +169,7 @@ def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
             "loglik": result.loglik,
             "converged": result.converged,
             "iterations": result.iterations,
+            "grad_norm": result.grad_norm,
         },
         path,
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateParameterError
 from .simulate import NoiseModel
 from .sir import InitialCondition, SirParams
 
@@ -22,7 +22,7 @@ _SCHEMA = {
     "simulate": ({"params", "population", "horizon", "noise", "p", "T"}, {"steps_per_day"}),
     "sweep-directions": ({"params", "population", "epsilon", "horizon"}, {"n_angles", "steps_per_day"}),
     "error-fit": ({"params", "population", "epsilon", "horizon"}, {"steps_per_day"}),
-    "fit": ({"observations", "population", "p"}, {"noise", "sigma_inferred", "steps_per_day", "n_starts"}),
+    "fit": ({"observations", "population", "p", "noise"}, {"steps_per_day", "n_starts"}),
     "ensemble": ({"params", "population", "noise", "p", "T", "replicates"},
                  {"fit_steps_per_day", "n_starts"}),
     "power": ({"params", "population", "noise", "alpha", "T", "p", "omegas", "epsilons"},
@@ -70,6 +70,8 @@ def parse_params(block) -> SirParams:
         return SirParams(float(block["beta"]), float(block["gamma"]))
     except KeyError as exc:
         raise ConfigError(f"params is missing {exc}") from exc
+    except (TypeError, ValueError, DegenerateParameterError) as exc:
+        raise ConfigError(f"params: {exc}") from exc
 
 
 def parse_noise(block) -> NoiseModel:
@@ -77,14 +79,17 @@ def parse_noise(block) -> NoiseModel:
         raise ConfigError("noise must be an object with a kind")
     _check_keys(block, {"kind", "sigma", "sigma_t"}, "noise")
     kind = block.get("kind")
-    if kind == "known_sequence":
-        if "sigma_t" not in block:
-            raise ConfigError("known_sequence noise needs sigma_t")
-        return NoiseModel.known(np.asarray(block["sigma_t"], dtype=float))
-    if kind in ("case1", "case2"):
-        sigma = block.get("sigma")
-        return NoiseModel(kind=kind, sigma=None if sigma is None else float(sigma))
-    raise ConfigError(f"noise kind must be known_sequence, case1, or case2, got {kind!r}")
+    try:
+        if kind == "known_sequence":
+            if "sigma_t" not in block:
+                raise ConfigError("known_sequence noise needs sigma_t")
+            return NoiseModel.known(np.asarray(block["sigma_t"], dtype=float))
+        if kind in ("case1", "case2", "case3"):
+            sigma = block.get("sigma")
+            return NoiseModel(kind=kind, sigma=None if sigma is None else float(sigma))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"noise: {exc}") from exc
+    raise ConfigError(f"noise kind must be known_sequence, case1, case2 or case3, got {kind!r}")
 
 
 def parse_init(config: ExperimentConfig) -> InitialCondition:
@@ -97,6 +102,11 @@ def parse_init(config: ExperimentConfig) -> InitialCondition:
 def _check_count(value, where: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+
+
+def _check_rate(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
+        raise ConfigError(f"{where} must lie in (0, 1], got {value!r}")
 
 
 def _check_alpha(value, where: str) -> None:
@@ -127,6 +137,15 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     for key in _COUNT_KEYS:
         _check_count(raw.get(key, 1), key)
+    if "population" in raw:
+        _check_count(raw["population"], "population")
+    if "p" in raw:
+        _check_rate(raw["p"], "p")
+    if "p_values" in raw:
+        if not isinstance(raw["p_values"], list):
+            raise ConfigError("p_values must be a list of reporting rates")
+        for idx, value in enumerate(raw["p_values"]):
+            _check_rate(value, f"p_values[{idx}]")
 
     if name == "ensemble" and int(raw.get("replicates", 0)) < 1:
         raise ConfigError("ensemble needs replicates >= 1")
@@ -137,7 +156,7 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
     if name in ("power", "power-empirical") and raw.get("sigmas") is not None:
         noise_block = raw.get("noise") or {}
         if noise_block.get("kind") == "known_sequence":
-            raise ConfigError("a sigmas sweep needs case1 or case2 noise, not known_sequence")
+            raise ConfigError("a sigmas sweep needs case1, case2 or case3 noise")
     if name == "epsilon-invert":
         targets = raw.get("targets")
         if not isinstance(targets, list) or not targets:
@@ -151,6 +170,7 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
             if missing:
                 raise ConfigError(f"{where} is missing: {', '.join(sorted(missing))}")
             _check_alpha(target["alpha"], f"{where}.alpha")
+            _check_rate(target["p"], f"{where}.p")
             _check_count(target["T"], f"{where}.T")
 
     return ExperimentConfig(experiment=name, raw=raw, seed=seed, threads=raw.get("threads", 1))

@@ -46,12 +46,6 @@ class CaseData:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("date,count\n")
-            for date, count in zip(self.dates, self.counts):
-                fh.write(f"{date.isoformat()},{int(count)}\n")
-
 
 def _parse_date(raw: str, line: int) -> dt.date:
     try:

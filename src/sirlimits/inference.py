@@ -10,10 +10,9 @@ with delta_k = N*(c_k - c_{k-1}) from exact integration of the candidate
 parameters, c being the outflow from s that the sensitivity pass
 accumulates. It equals N*(s_{k-1} - s_k) in exact arithmetic, but with s near
 1 that difference carries a rounding floor of N*eps per count, which the
-optimizer would otherwise wander on. The variance v_k follows the
-observation noise model; when ``sigma_inferred`` is set the per-day variance
-is N * i_k * sigma^2 with i_k taken from the candidate model's own
-trajectory (fully coupled).
+optimizer would otherwise wander on. The variance v_k follows the noise
+model's law (``simulate.variance_law``) with i_k taken from the candidate
+model's own trajectory; a model without sigma makes sigma a free parameter.
 
 Gradients come from forward sensitivities: the SIR system is augmented with
 d(s, i)/d(beta) and d(s, i)/d(gamma) and integrated together, then chained
@@ -51,6 +50,7 @@ from .errors import (
     OptimizationFailureError,
 )
 from .simulate import NoiseModel, ObservationSeries, observe_batch, sigma_sequence
+from .simulate import check_variance, variance_law
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _rk4, integrate_exact
 
 _MAX_ITERATIONS = 500  # cap on Levenberg-Marquardt trials
@@ -80,22 +80,19 @@ def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
 class LikelihoodSpec:
     """Everything the likelihood needs besides the candidate parameters.
 
-    ``noise`` defaults to the observation series' own model. When
-    ``sigma_inferred`` is set the noise must be of the infection-proportional
-    kind and the scale sigma becomes a free parameter of the likelihood.
+    ``noise`` defaults to the observation series' own model. A case1, case2
+    or case3 model without sigma (``noise.sigma_free``) makes the scale sigma
+    a free parameter of the likelihood.
     """
 
     obs: ObservationSeries
     init: InitialCondition
     noise: NoiseModel | None = None
-    sigma_inferred: bool = False
     steps_per_day: int = DEFAULT_STEPS_PER_DAY
 
     def __post_init__(self):
         if self.noise is None:
             object.__setattr__(self, "noise", self.obs.noise)
-        if self.sigma_inferred and self.noise.kind != "case2":
-            raise ValueError("sigma_inferred requires infection-proportional (case2) noise")
         if self.noise.kind == "known_sequence" and len(self.noise.sigma_t) < self.T:
             raise InsufficientDataError(
                 f"known_sequence provides {len(self.noise.sigma_t)} days, need {self.T}"
@@ -111,37 +108,24 @@ class LikelihoodSpec:
 
 
 def _variance_terms(spec: LikelihoodSpec, sigma, i_days, ib, ig):
-    """Per-day variance v_k and its parameter derivatives (dv/db, dv/dg, dv/dsigma)."""
+    """Per-day variance v_k and its Jacobian J_v over (beta, gamma[, sigma]).
+
+    J_v is None for known_sequence noise; ``sigma`` is read only when the noise leaves it free.
+    """
     T = spec.T
-    n = spec.init.population
-    if spec.sigma_inferred:
-        ik = i_days[1 : T + 1]
-        if sigma is None:
-            raise ValueError("sigma is required when sigma_inferred is set")
-        v = n * ik * sigma**2
-        dv_b = n * sigma**2 * ib[1 : T + 1]
-        dv_g = n * sigma**2 * ig[1 : T + 1]
-        dv_s = 2.0 * n * ik * sigma
-        return v, dv_b, dv_g, dv_s
     noise = spec.noise
     if noise.kind == "known_sequence":
-        sig = np.asarray(noise.sigma_t[:T], dtype=float)
-        return sig**2, None, None, None
-    if noise.kind == "case1":
-        return np.full(T, (n * noise.sigma) ** 2), None, None, None
-    # case2 with fixed sigma: sigma_t = N * sigma * i_k of the candidate model
-    ik = i_days[1 : T + 1]
-    sig = n * noise.sigma * ik
-    v = sig**2
-    dv_b = 2.0 * (n * noise.sigma) ** 2 * ik * ib[1 : T + 1]
-    dv_g = 2.0 * (n * noise.sigma) ** 2 * ik * ig[1 : T + 1]
-    return v, dv_b, dv_g, None
-
-
-def _check_variance(v) -> None:
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~(v > 0.0) | ~np.isfinite(v))[0]) + 1
-        raise DegenerateVarianceError(f"variance must be positive; day {bad} has v = {v[bad - 1]}")
+        return np.asarray(noise.sigma_t[:T], dtype=float) ** 2, None
+    free = noise.sigma_free
+    if free and sigma is None:
+        raise ValueError(f"sigma is required: the {noise.kind} noise leaves it to inference")
+    n, ik = spec.init.population, i_days[1 : T + 1]
+    v, dv_di = variance_law(noise.kind, sigma if free else noise.sigma, n, ik)
+    rows = [dv_di * ib[1 : T + 1], dv_di * ig[1 : T + 1]]
+    if free:
+        # v = sigma^2 u, u being the law at sigma = 1: dv/dsigma = 2 v / sigma = 2 u sigma
+        rows.append(2.0 * variance_law(noise.kind, 1.0, n, ik)[0] * sigma)
+    return v, np.stack(rows)
 
 
 def _normal_ll(r, v) -> float:
@@ -182,16 +166,15 @@ def _evaluate_pass(states, sigma: float | None, spec: LikelihoodSpec) -> _Point:
     """
     _, i, sb, ib, sg, ig, c = states
     T = spec.T
-    v, dv_b, dv_g, dv_s = _variance_terms(spec, sigma, i, ib, ig)
-    _check_variance(v)
+    v, jv = _variance_terms(spec, sigma, i, ib, ig)
+    check_variance(v)
     r = _residuals(c, spec)
     jac = (spec.p * spec.init.population) * np.stack((sb[:T] - sb[1 : T + 1],
                                                       sg[:T] - sg[1 : T + 1]))
     wjac = jac / v
-    if dv_b is None:
+    if jv is None:
         grad, info = wjac @ r, wjac @ jac.T
     else:
-        jv = np.stack((dv_b, dv_g) if dv_s is None else (dv_b, dv_g, dv_s))
         grad = 0.5 * (jv @ ((r * r / v - 1.0) / v))
         info = 0.5 * ((jv / v**2) @ jv.T)
         grad[:2] += wjac @ r  # J_mu has a zero sigma column
@@ -261,13 +244,13 @@ def moment_start(obs: ObservationSeries) -> SirParams:
 
 def _profile_sigma_start(states, spec: LikelihoodSpec) -> float:
     """Closed-form sigma maximizer at the rates of the sensitivity pass
-    ``states``, used to seed starts."""
-    n = spec.init.population
-    ik = states[1][1 : spec.T + 1]
-    if np.any(ik <= 0.0):
+    ``states``, used to seed starts: sigma^2 = mean(r^2 / u), u being the
+    variance law at sigma = 1."""
+    u, _ = variance_law(spec.noise.kind, 1.0, spec.init.population, states[1][1 : spec.T + 1])
+    if np.any(u <= 0.0):
         return 1.0
     r = _residuals(states[6], spec)
-    s2 = float(np.mean(r * r / (n * ik)))
+    s2 = float(np.mean(r * r / u))
     return max(math.sqrt(s2), 1e-6)
 
 
@@ -375,10 +358,11 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
     """
     lo, hi = _LOG_BOUNDS
     x = np.clip([math.log(start.delta()), math.log(start.gamma)], lo, hi)
+    infer_sigma = spec.noise.sigma_free
     sigma = None
     try:
         states = integrate_with_sensitivities(_rates(x), spec.init, spec.T, spec.steps_per_day)
-        if spec.sigma_inferred:
+        if infer_sigma:
             x = np.append(x, np.clip(math.log(_profile_sigma_start(states, spec)), lo, hi))
             sigma = math.exp(x[2])
         point = _evaluate_pass(states, sigma, spec)
@@ -386,7 +370,7 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
         raise OptimizationFailureError(f"start {start} cannot be evaluated: {exc}") from exc
 
     def evaluate(x):
-        return _evaluate(_rates(x), math.exp(x[2]) if spec.sigma_inferred else None, spec)
+        return _evaluate(_rates(x), math.exp(x[2]) if infer_sigma else None, spec)
 
     damping, growth, scale = _LM_DAMPING, 2.0, 0.0
     accepted = 0
@@ -432,7 +416,7 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
     return MleResult(
         beta_hat=rates.beta,
         gamma_hat=rates.gamma,
-        sigma_hat=math.exp(x[2]) if spec.sigma_inferred else None,
+        sigma_hat=math.exp(x[2]) if infer_sigma else None,
         loglik=point.ll,
         converged=_first_order_ok(x, point),
         iterations=accepted,

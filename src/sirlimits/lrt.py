@@ -165,10 +165,11 @@ def _approx_weights(spec: TestSpec, days: np.ndarray) -> tuple[np.ndarray, float
     """Terms of the closed-form argument: per-day weights w_t and a prefactor c
     so that the Phi argument is Phi^{-1}(alpha) + c * sqrt(sum w_t * bracket_t^2).
 
-    For infection-proportional noise the substitute sigma_t = N*sigma*i0*e^{delta t}
-    cancels the growth and the population algebraically, leaving w_t = 1 and
-    c = p/sigma; doing the cancellation here keeps the value genuinely
-    independent of N and i0 instead of merely approximately so.
+    For case2 noise the substitute sigma_t = N*sigma*i0*e^{delta t} cancels the
+    growth and the population algebraically, leaving w_t = 1 and c = p/sigma;
+    doing the cancellation here keeps the value genuinely independent of N
+    and i0 instead of merely approximately so. For case3 the substitute
+    sigma_t^2 = sigma^2*N*i0*e^{delta t} gives w_t = e^{delta t}, c = p*sqrt(N*i0)/sigma.
     """
     n = spec.init.population
     noise = spec.noise
@@ -178,7 +179,11 @@ def _approx_weights(spec: TestSpec, days: np.ndarray) -> tuple[np.ndarray, float
         return np.exp(2.0 * delta * days) / sigma**2, spec.p * n * spec.init.i0
     if noise.kind == "case1":
         return np.exp(2.0 * delta * days), spec.p * spec.init.i0 / noise.sigma
-    return np.ones_like(days), spec.p / noise.sigma
+    if noise.kind == "case2":
+        return np.ones_like(days), spec.p / noise.sigma
+    if noise.kind == "case3":
+        return np.exp(delta * days), spec.p * math.sqrt(n * spec.init.i0) / noise.sigma
+    raise ValueError(f"no closed form for {noise.kind} noise")
 
 
 def _approx_bracket(spec: TestSpec, days: np.ndarray, variant: str) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 The first day of the series anchors the model clock (one observed case, one
 initial infection: s0 = 1 - 1/N, i0 = 1/N) and the remaining counts are the
-observations y_1..y_T. The noise scale sigma is inferred jointly with the
-rates, with per-day variance N * i_k * sigma^2 taken from the candidate
-model's own trajectory. Because beta and the reporting rate p are not jointly
-identifiable, p is fixed per fit and swept over a grid instead.
+observations y_1..y_T. The noise is the case3 law, per-day variance
+N * i_k * sigma^2 taken from the candidate model's own trajectory, with sigma
+inferred jointly with the rates. Because beta and the reporting rate p are
+not jointly identifiable, p is fixed per fit and swept over a grid instead.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from ._csv import fmt, write_csv
 from .data import CaseData
 from .errors import OptimizationFailureError
 from .inference import LikelihoodSpec, MleResult, default_starts, fit_mle
-from .simulate import NoiseModel, ObservationSeries
+from .simulate import NoiseModel, ObservationSeries, sigma_sequence
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, incidence, integrate_exact
 
 
@@ -29,7 +29,7 @@ def nyc_likelihood_spec(data: CaseData, p: float,
     counts = np.asarray(data.counts, dtype=float)
     if len(counts) < 2:
         raise ValueError("need at least two daily counts (day zero plus one observation)")
-    noise = NoiseModel(kind="case2", sigma=None)
+    noise = NoiseModel(kind="case3", sigma=None)
     obs = ObservationSeries(
         values=counts[1:],
         reporting_rate=p,
@@ -42,7 +42,6 @@ def nyc_likelihood_spec(data: CaseData, p: float,
         obs=obs,
         init=InitialCondition.from_population(data.population),
         noise=noise,
-        sigma_inferred=True,
         steps_per_day=steps_per_day,
     )
 
@@ -123,7 +122,7 @@ def fitted_band(data: CaseData, fit: MleResult, p: float, level: float = 0.95,
     traj = integrate_exact(fit.params(), InitialCondition.from_population(n), T, steps_per_day)
     mean = p * incidence(traj)
     z = ndtri(0.5 * (1.0 + level))
-    half = z * fit.sigma_hat * np.sqrt(n * traj.i[1:])
+    half = z * sigma_sequence(NoiseModel(kind="case3", sigma=fit.sigma_hat), traj)
     return FittedBand(
         days=np.arange(1.0, T + 1.0),
         mean=mean,

@@ -2,11 +2,12 @@
 
 Observations follow Y_t = p * delta_t + xi_t with xi_t ~ N(0, sigma_t^2),
 where delta_t is the expected new-infection count on day t and p the
-reporting rate. Three variance structures are supported:
+reporting rate. Four variance structures are supported:
 
 * known_sequence -- explicit per-day standard deviations;
 * case1          -- sigma_t = N * sigma, proportional to population;
-* case2          -- sigma_t = N * sigma * i_t, proportional to infections.
+* case2          -- sigma_t = N * sigma * i_t, proportional to infections;
+* case3          -- sigma_t = sigma * sqrt(N * i_t).
 
 Gaussian draws come from the counter-based Philox generator keyed by the
 series seed, so replicate r / day t is independent of iteration order and
@@ -26,7 +27,7 @@ from ._csv import fmt, write_csv
 from .errors import DegenerateVarianceError, InsufficientDataError
 from .sir import Trajectory, incidence
 
-_KINDS = ("known_sequence", "case1", "case2")
+_KINDS = ("known_sequence", "case1", "case2", "case3")
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,15 @@ class NoiseModel:
                 raise ValueError("known_sequence standard deviations must be >= 0")
             object.__setattr__(self, "sigma_t", arr)
         elif self.kind == "case1":
-            if self.sigma is None or not 0.0 < self.sigma < 1.0:
+            if self.sigma is not None and not 0.0 < self.sigma < 1.0:
                 raise ValueError(f"case1 needs sigma in (0, 1), got {self.sigma}")
-        else:
-            # sigma may stay None for case2 when the scale is left to inference
-            if self.sigma is not None and not self.sigma > 0.0:
-                raise ValueError(f"case2 needs sigma > 0, got {self.sigma}")
+        elif self.sigma is not None and not self.sigma > 0.0:
+            raise ValueError(f"{self.kind} needs sigma > 0, got {self.sigma}")
+
+    @property
+    def sigma_free(self) -> bool:
+        """Whether sigma is left to inference: a case1, case2 or case3 model without sigma."""
+        return self.kind != "known_sequence" and self.sigma is None
 
     @classmethod
     def known(cls, sigma_t) -> "NoiseModel":
@@ -66,6 +70,25 @@ class NoiseModel:
     @classmethod
     def case2(cls, sigma: float) -> "NoiseModel":
         return cls(kind="case2", sigma=float(sigma))
+
+
+def variance_law(kind: str, sigma: float, n: int, i):
+    """Per-day variance v of a case1, case2 or case3 law at scale sigma, and
+    dv/di, for population n and infected fractions i."""
+    if kind == "case1":
+        return np.full(len(i), (n * sigma) ** 2), 0.0
+    if kind == "case2":
+        return (n * sigma * i) ** 2, 2.0 * (n * sigma) ** 2 * i
+    if kind == "case3":
+        return n * i * sigma**2, n * sigma**2
+    raise ValueError(f"{kind} noise has no variance law")
+
+
+def check_variance(v) -> None:
+    """Raise DegenerateVarianceError unless every day's variance is positive and finite."""
+    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~(v > 0.0) | ~np.isfinite(v))[0]) + 1
+        raise DegenerateVarianceError(f"variance must be positive; day {bad} has v = {v[bad - 1]}")
 
 
 def sigma_sequence(noise: NoiseModel, traj: Trajectory, T: int | None = None) -> np.ndarray:
@@ -82,15 +105,11 @@ def sigma_sequence(noise: NoiseModel, traj: Trajectory, T: int | None = None) ->
                 f"known_sequence provides {len(noise.sigma_t)} days, need {T}"
             )
         return np.asarray(noise.sigma_t[:T], dtype=float)
-    if noise.kind == "case1":
-        return np.full(T, n * noise.sigma)
     if noise.sigma is None:
-        raise DegenerateVarianceError("case2 noise has no sigma; it was left to inference")
-    it = traj.i[1 : T + 1]
-    if np.any(it <= 0.0):
-        bad = int(np.flatnonzero(it <= 0.0)[0]) + 1
-        raise DegenerateVarianceError(f"case2 needs i_t > 0; i_{bad} = {it[bad - 1]}")
-    return n * noise.sigma * it
+        raise DegenerateVarianceError(f"{noise.kind} noise has no sigma; it was left to inference")
+    v, _ = variance_law(noise.kind, noise.sigma, n, traj.i[1 : T + 1])
+    check_variance(v)
+    return np.sqrt(v)
 
 
 def _generator(seed: int) -> np.random.Generator:

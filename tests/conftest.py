@@ -12,8 +12,10 @@ def fd_gradient(params, sigma, spec, rel_step=1e-6, richardson=False):
     enough that plain central differences sit on the rounding floor.
     """
 
+    free = spec.noise.sigma_free
+
     def central(rel):
-        theta = [params.beta, params.gamma] + ([sigma] if spec.sigma_inferred else [])
+        theta = [params.beta, params.gamma] + ([sigma] if free else [])
         out = []
         for j, value in enumerate(theta):
             h = rel * abs(value)
@@ -21,8 +23,8 @@ def fd_gradient(params, sigma, spec, rel_step=1e-6, richardson=False):
             dn = list(theta)
             up[j] += h
             dn[j] -= h
-            f_up = log_likelihood(SirParams(up[0], up[1]), up[2] if spec.sigma_inferred else sigma, spec)
-            f_dn = log_likelihood(SirParams(dn[0], dn[1]), dn[2] if spec.sigma_inferred else sigma, spec)
+            f_up = log_likelihood(SirParams(up[0], up[1]), up[2] if free else sigma, spec)
+            f_dn = log_likelihood(SirParams(dn[0], dn[1]), dn[2] if free else sigma, spec)
             out.append((f_up - f_dn) / (2.0 * h))
         return np.array(out)
 

@@ -432,10 +432,9 @@ class TestAcceptance10Properties:
         spec_known = LikelihoodSpec(obs=obs_known, init=INIT7, steps_per_day=20)
         spec_case2 = LikelihoodSpec(obs=obs_case2, init=INIT7, steps_per_day=20)
         obs_inf = ObservationSeries(values=obs_case2.values, reporting_rate=1.0,
-                                    noise=NoiseModel(kind="case2", sigma=None), seed=2,
+                                    noise=NoiseModel(kind="case3", sigma=None), seed=2,
                                     sigma_t=obs_case2.sigma_t, population=10**7)
-        spec_inf = LikelihoodSpec(obs=obs_inf, init=INIT7, sigma_inferred=True,
-                                  steps_per_day=20)
+        spec_inf = LikelihoodSpec(obs=obs_inf, init=INIT7, steps_per_day=20)
         from conftest import fd_gradient
 
         for k in range(20):

@@ -192,13 +192,19 @@ class TestRunners:
         lines = (out / "error_fit.csv").read_text().strip().splitlines()
         assert len(lines) == 51
 
-    def test_fit_runner(self, tmp_path):
+    @pytest.mark.parametrize("noise, fit_noise", [
+        ({"kind": "case1", "sigma": 1e-5}, {"kind": "case1", "sigma": 1e-5}),
+        ({"kind": "case1", "sigma": 1e-5}, {"kind": "case1"}),
+        ({"kind": "case2", "sigma": 0.3}, {"kind": "case2"}),
+        ({"kind": "case3", "sigma": 5.0}, {"kind": "case3"}),
+    ], ids=["case1-fixed", "case1", "case2", "case3"])
+    def test_fit_runner(self, tmp_path, noise, fit_noise):
         sim = validate_config({
             "experiment": "simulate",
             "params": PARAMS,
             "population": 10**7,
             "horizon": 60,
-            "noise": {"kind": "case1", "sigma": 1e-5},
+            "noise": noise,
             "p": 1.0,
             "T": 60,
             "seed": 7,
@@ -210,7 +216,7 @@ class TestRunners:
             "observations": str(sim_out / "observations.csv"),
             "population": 10**7,
             "p": 1.0,
-            "noise": {"kind": "case1", "sigma": 1e-5},
+            "noise": fit_noise,
             "steps_per_day": 10,
             "n_starts": 2,
         })
@@ -218,8 +224,19 @@ class TestRunners:
         run_experiment(config, out)
         payload = json.loads((out / "fit.json").read_text())
         assert payload["converged"]
+        assert math.isfinite(payload["grad_norm"])
         # the growth rate is the robustly identified combination
         assert payload["delta_hat"] == pytest.approx(0.14, rel=0.05)
+        # sigma is inferred exactly when the noise block leaves it out
+        assert (payload["sigma_hat"] is None) == ("sigma" in fit_noise)
+
+    def test_fit_without_noise_block_is_rejected(self):
+        with pytest.raises(ConfigError, match="noise"):
+            validate_config({"experiment": "fit", "observations": "obs.csv",
+                             "population": 10**7, "p": 1.0})
+        with pytest.raises(ConfigError, match="sigma_inferred"):
+            validate_config({"experiment": "fit", "observations": "obs.csv",
+                             "population": 10**7, "p": 1.0, "sigma_inferred": True})
 
     def test_nyc_table_runner(self, tmp_path):
         config = validate_config({
@@ -299,6 +316,17 @@ class TestMain:
         ("power-empirical", {"alpha": -0.1}, "alpha"),
         ("epsilon-invert", {"targets": [{**TARGET, "alpha": 0.0}]}, "targets[0].alpha"),
         ("epsilon-invert", {"targets": [TARGET, {**TARGET, "T": 0}]}, "targets[1].T"),
+        ("simulate", {"p": 1.5}, "p"),
+        ("power", {"p": 0}, "p"),
+        ("nyc-table", {"p_values": [0.1, 0]}, "p_values[1]"),
+        ("epsilon-invert", {"targets": [{**TARGET, "p": 0.0}]}, "targets[0].p"),
+        ("simulate", {"population": 0}, "population"),
+        ("simulate", {"population": 2.5}, "population"),
+        ("simulate", {"noise": {"kind": "case1", "sigma": 2.0}}, "noise"),
+        ("simulate", {"noise": {"kind": "known_sequence", "sigma_t": [1.0, -1.0]}}, "noise"),
+        ("simulate", {"noise": {"kind": "case3", "sigma": "x"}}, "noise"),
+        ("simulate", {"params": {"beta": "x", "gamma": 0.07}}, "params"),
+        ("simulate", {"params": {"beta": 0.07, "gamma": 0.21}}, "params"),
     ])
     def test_cli_error_json_for_out_of_range_values(self, tmp_path, capsys, experiment, change, key):
         raw = {"experiment": experiment, **SMALL_CONFIGS.get(experiment, {}), **change}

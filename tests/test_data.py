@@ -90,7 +90,8 @@ class TestLoadCases:
 def test_roundtrip_is_identity(tmp_path):
     original = load_nyc_fixture()
     path = tmp_path / "echo.csv"
-    original.to_csv(path)
+    lines = [f"{date.isoformat()},{count}" for date, count in zip(original.dates, original.counts)]
+    path.write_text("\n".join(["date,count", *lines]) + "\n")
     again = load_cases(path, NYC_POPULATION, label=original.label)
     assert again.dates == original.dates
     np.testing.assert_array_equal(again.counts, original.counts)

@@ -49,17 +49,18 @@ def ensemble_design_spec(seed, replicate):
     return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=5)
 
 
-def sigma_inferred_spec(raw):
-    """The series of ``raw``, fit with sigma inferred at 10 substeps per day."""
+def sigma_inferred_spec(raw, kind="case3"):
+    """The series of ``raw``, fit under the ``kind`` law with sigma inferred at
+    10 substeps per day."""
     obs = ObservationSeries(values=raw.values, reporting_rate=1.0,
-                            noise=NoiseModel(kind="case2", sigma=None), seed=raw.seed,
+                            noise=NoiseModel(kind=kind, sigma=None), seed=raw.seed,
                             sigma_t=raw.sigma_t, population=10**7)
-    return LikelihoodSpec(obs=obs, init=INIT7, sigma_inferred=True, steps_per_day=10)
+    return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
 
 
 def no_ascent_from(fit, spec):
     """Log-likelihood that scipy's L-BFGS-B gains, started at the fit."""
-    sigma_inferred = spec.sigma_inferred
+    sigma_inferred = spec.noise.sigma_free
 
     def negative(theta):
         try:
@@ -185,11 +186,11 @@ class TestGradient:
         rng = np.random.default_rng(200 + seed)
         beta = float(rng.uniform(0.2, 0.5))
         params = SirParams(beta, beta * 0.5)
-        noise = NoiseModel(kind="case2", sigma=None)
+        noise = NoiseModel(kind="case3", sigma=None)
         raw = make_obs(BASE, INIT7, NoiseModel.case2(0.3), p=1.0, T=25, seed=seed)
         obs = ObservationSeries(values=raw.values, reporting_rate=1.0, noise=noise,
                                 seed=seed, sigma_t=raw.sigma_t, population=10**7)
-        spec = LikelihoodSpec(obs=obs, init=INIT7, sigma_inferred=True, steps_per_day=20)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=20)
         sigma = float(rng.uniform(0.5, 2.0))
         grad = log_likelihood_gradient(params, sigma, spec)
         fd = fd_gradient(params, sigma, spec, rel_step=1e-4)
@@ -314,7 +315,7 @@ class TestFit:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_ascent_left_at_the_sigma_inferred_optimum(self, seed):
-        # Data with sd 1.7 * sqrt(N i_k), the model a sigma-inferred fit assumes.
+        # Data with sd 1.7 * sqrt(N i_k), the case3 law the fit assumes.
         truth = integrate_exact(BASE, INIT7, 40)
         sd = 1.7 * np.sqrt(10**7 * truth.i[1:41])
         spec = sigma_inferred_spec(observe(truth, NoiseModel.known(sd), 1.0, 40, seed))
@@ -325,6 +326,22 @@ class TestFit:
         r = spec.obs.values - incidence(traj)
         profile = np.mean(r * r / (10**7 * traj.i[1:41]))
         assert fit.sigma_hat**2 == pytest.approx(profile, rel=1e-5)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.case1(2e-6), NoiseModel.case2(0.3), NoiseModel(kind="case3", sigma=5.0),
+    ], ids=["case1", "case2", "case3"])
+    def test_recovers_growth_rate_and_sigma_under_each_law(self, noise, seed):
+        # Simulate under the kind's law, fit it with sigma left out. gamma is
+        # the ridge direction and may end on its bound, so it is not asserted.
+        T = 60
+        spec = sigma_inferred_spec(make_obs(BASE, INIT7, noise, p=1.0, T=T, seed=seed), noise.kind)
+        fit = fit_mle(spec, n_starts=4)
+        assert fit.converged
+        cov = np.linalg.inv(fisher_information(BASE, noise.sigma, spec))
+        along_delta = np.array([1.0, -1.0, 0.0])
+        assert abs(fit.delta_hat - BASE.delta()) <= 4.0 * math.sqrt(along_delta @ cov @ along_delta)
+        assert abs(fit.sigma_hat - noise.sigma) <= 4.0 * math.sqrt(cov[2, 2])
 
     def test_bound_active_fit_converges_on_the_projected_gradient(self):
         # The data of the CLI fit runner: the optimum sits at gamma = 1e-6,

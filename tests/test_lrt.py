@@ -132,12 +132,13 @@ class TestType2:
         assert all(a > b for a, b in zip(p_values, p_values[1:]))
 
     def test_approx_first_tighter_than_second_at_slope_one(self):
-        spec = make_spec()
-        exact = type2_exact(spec)
-        first = type2_approx(spec, "first")
-        second = type2_approx(spec, "second")
-        assert abs(first - exact) <= abs(second - exact)
-        assert abs(first - exact) < 0.01
+        for noise in (NoiseModel.case2(0.3), NoiseModel(kind="case3", sigma=3.0)):
+            spec = make_spec(noise=noise)
+            exact = type2_exact(spec)
+            first = type2_approx(spec, "first")
+            second = type2_approx(spec, "second")
+            assert abs(first - exact) <= abs(second - exact)
+            assert abs(first - exact) < 0.01
 
     def test_second_variant_reduces_to_explicit_formula_at_pi4(self):
         spec = make_spec()
@@ -346,8 +347,9 @@ GRID_EPSILONS = (0.01, 0.03)
 @pytest.mark.parametrize("noises", [
     [NoiseModel.case1(s) for s in (1e-4, 3e-4)],
     [NoiseModel.case2(s) for s in (0.1, 0.3)],
+    [NoiseModel(kind="case3", sigma=s) for s in (3.0, 10.0)],
     [NoiseModel.known(np.linspace(20.0, 400.0, 60))],
-], ids=["case1", "case2", "known_sequence"])
+], ids=["case1", "case2", "case3", "known_sequence"])
 def test_power_grid_equals_power_summary_per_point(noises, replicates):
     rows = power_grid(BASE, INIT7, noises, GRID_OMEGAS, GRID_EPSILONS, alpha=0.05, T=60,
                       p=0.8, replicates=replicates, seed=9)

@@ -34,6 +34,8 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel.case2(-0.1)
         with pytest.raises(ValueError):
+            NoiseModel(kind="case3", sigma=0.0)
+        with pytest.raises(ValueError):
             NoiseModel(kind="known_sequence")
         with pytest.raises(ValueError):
             NoiseModel.known([1.0, -2.0])
@@ -55,15 +57,24 @@ class TestNoiseModel:
         substitute = 1e7 * 0.2 * math.exp(0.14 * 60) / 1e7
         assert sig[59] == pytest.approx(substitute, rel=0.05)
 
-    def test_case2_rejects_zero_infections(self):
+    def test_case3_tracks_root_infections(self, traj):
+        sig = sigma_sequence(NoiseModel(kind="case3", sigma=5.0), traj, T=60)
+        assert sig[59] == pytest.approx(5.0 * math.sqrt(1e7 * traj.i[60]), rel=1e-12)
+        # its variance is the one the likelihood scores
+        np.testing.assert_allclose(sig**2, 1e7 * traj.i[1:61] * 5.0**2, rtol=1e-15)
+
+    @pytest.mark.parametrize("noise", [NoiseModel.case2(0.2), NoiseModel(kind="case3", sigma=5.0)],
+                             ids=["case2", "case3"])
+    def test_rejects_zero_infections(self, noise):
         init = InitialCondition(s0=1.0, i0=0.0, population=1000)
         flat = integrate_exact(BASE, init, 10)
         with pytest.raises(DegenerateVarianceError):
-            sigma_sequence(NoiseModel.case2(0.2), flat, T=5)
+            sigma_sequence(noise, flat, T=5)
 
-    def test_case2_without_sigma_is_inference_only(self, traj):
+    @pytest.mark.parametrize("kind", ["case1", "case2", "case3"])
+    def test_without_sigma_is_inference_only(self, traj, kind):
         with pytest.raises(DegenerateVarianceError):
-            sigma_sequence(NoiseModel(kind="case2", sigma=None), traj, T=5)
+            sigma_sequence(NoiseModel(kind=kind, sigma=None), traj, T=5)
 
 
 class TestObserve:
