@@ -109,6 +109,11 @@ def _check_rate(value, where: str) -> None:
         raise ConfigError(f"{where} must lie in (0, 1], got {value!r}")
 
 
+def _check_positive(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < np.inf:
+        raise ConfigError(f"{where} must be finite and > 0, got {value!r}")
+
+
 def _check_alpha(value, where: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
         raise ConfigError(f"{where} must lie in (0, 1), got {value!r}")
@@ -172,6 +177,8 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
             _check_alpha(target["alpha"], f"{where}.alpha")
             _check_rate(target["p"], f"{where}.p")
             _check_count(target["T"], f"{where}.T")
+            _check_positive(target["sigma"], f"{where}.sigma")
+            _check_positive(target["delta"], f"{where}.delta")
 
     return ExperimentConfig(experiment=name, raw=raw, seed=seed, threads=raw.get("threads", 1))
 

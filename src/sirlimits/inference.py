@@ -14,9 +14,10 @@ optimizer would otherwise wander on. The variance v_k follows the noise
 model's law (``simulate.variance_law``) with i_k taken from the candidate
 model's own trajectory; a model without sigma makes sigma a free parameter.
 
-Gradients come from forward sensitivities: the SIR system is augmented with
-d(s, i)/d(beta) and d(s, i)/d(gamma) and integrated together, then chained
-through delta_k and, where the variance is parameter-coupled, through i_k.
+Gradients come from forward sensitivities: d(s, i)/d(beta, gamma) is the
+exact tangent of the RK4 state path, formed for every substep at once and
+propagated by one banded solve (``integrate_with_sensitivities``), then
+chained through delta_k and, where the variance is parameter-coupled, through i_k.
 The same pass gives the expected (Fisher) information
 J_mu'V^-1 J_mu + J_v'V^-2 J_v / 2 over (beta, gamma[, sigma]), J_mu and J_v
 being the Jacobians of the mean p*delta_k and of v_k; ``fisher_information``
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize  # noqa: F401  (perfbench/tracing.py wraps it by name)
 
 from ._csv import fmt, write_csv
@@ -51,7 +53,8 @@ from .errors import (
 )
 from .simulate import NoiseModel, ObservationSeries, observe_batch, sigma_sequence
 from .simulate import check_variance, variance_law
-from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _rk4, integrate_exact
+from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _check_guard, _rk4
+from .sir import integrate_exact
 
 _MAX_ITERATIONS = 500  # cap on Levenberg-Marquardt trials
 _FIRST_ORDER_TOL = 1e-6  # converged: |projected gradient| <= this * max(1, |ll|)
@@ -68,12 +71,49 @@ def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
 
     Returns seven arrays of length horizon + 1: s, i, ds/dbeta, di/dbeta,
     ds/dgamma, di/dgamma, and c, the outflow from s since t = 0. c equals
-    s0 - s in exact arithmetic but does not carry the rounding of s near 1
-    (``sir._rk4``). Sensitivities and c start at zero.
+    s0 - s in exact arithmetic but does not carry the rounding of s near 1.
+    Sensitivities and c start at zero.
+
+    s and i come from one pass of the state kernel (``sir._rk4``) on the
+    substep grid. The four RK4 stages of every substep are then formed again
+    as whole arrays, with the kernel's elementwise operations, so c, their
+    accumulated increments, keeps the kernel's bits. RK4 commutes with
+    linearization, so the sensitivities are the exact tangent of that
+    discrete path: differentiating the stages gives each substep's
+    z_{n+1} = M_n z_n + F_n, z = d(s, i)/d(beta, gamma), with M_n and F_n the
+    step's derivatives in (s, i) and in (beta, gamma). With z_0 = 0 these
+    equations form one unit lower-triangular system of bandwidth 3 in the
+    interleaved unknowns, with a right-hand side per rate, which ``dtbtrs``
+    solves by plain substitution. All seven arrays pass the kernel's guard.
     """
     spd = int(steps_per_day)
-    y0 = (float(init.s0), float(init.i0), 0.0, 0.0, 0.0, 0.0)
-    return _rk4(float(params.beta), float(params.gamma), y0, int(horizon) * spd, 1.0 / spd, spd)
+    n, h = int(horizon) * spd, 1.0 / spd
+    beta, gamma = float(params.beta), float(params.gamma)
+    s, i = _rk4(beta, gamma, (float(init.s0), float(init.i0)), n, h, 1)
+    s0, i0 = s[:-1], i[:-1]
+    ds, di = np.eye(4)[:2, :, None]  # d(s, i) by the seeds (s, i, beta, gamma), one per row
+    stages, (ss, ii, dss, dii) = [], (s0, i0, ds, di)
+    for a in (0.5 * h, 0.5 * h, h, None):
+        x, dx = beta * ii * ss, (beta * ii) * dss + (beta * ss) * dii
+        dx[2] += ii * ss
+        dk = dx - gamma * dii
+        dk[3] -= ii
+        stages.append((x, dx, dk))
+        if a is not None:
+            ss, ii, dss, dii = s0 - a * x, i0 + a * (x - gamma * ii), ds - a * dx, di + a * dk
+    x, dx, dk = (h / 6.0 * (v1 + 2.0 * (v2 + v3) + v4) for v1, v2, v3, v4 in zip(*stages))
+    c = np.concatenate(([0.0], np.cumsum(x)))
+    step = np.stack((ds - dx, di + dk))  # [out, seed, n]: (M_n | F_n)
+    # A in lower band storage, ab[d, j] = A[j + d, j]: -M_{m+1}[o, u] sits at
+    # row 2(m + 1) + o, column j = 2m + u, so on band row d = 2 + o - u
+    ab = np.zeros((4, n, 2))
+    ab[0] = 1.0
+    ab[[2, 1, 3, 2], :-1, [0, 1, 0, 1]] = -step[:, :2, 1:].reshape(4, -1)
+    z, _ = dtbtrs(ab.reshape(4, 2 * n), step[:, 2:].transpose(2, 0, 1).reshape(2 * n, 2),
+                  uplo="L", diag="U")
+    z = np.concatenate((np.zeros((1, 2, 2)), z.reshape(n, 2, 2)[spd - 1 :: spd]))
+    (sb, sg), (ib, ig) = z.transpose(1, 2, 0)
+    return _check_guard((s[::spd], i[::spd], sb, ib, sg, ig, c[::spd]), spd, h)
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,8 @@ def epsilon_for_power(target_type2: float, alpha: float, sigma: float,
         raise ValueError("target_type2 and alpha must lie in (0, 1)")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if not (0.0 < sigma < math.inf and 0.0 < delta < math.inf):
+        raise ValueError(f"sigma and delta must be finite and > 0, got {sigma} and {delta}")
     if target_type2 >= 1.0 - alpha:
         raise NoDetectablePerturbationError(
             f"target type II {target_type2} >= 1 - alpha = {1.0 - alpha}: implied epsilon <= 0"

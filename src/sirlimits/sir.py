@@ -127,94 +127,57 @@ class Trajectory:
 
 
 def _rk4(beta, gamma, y0, n_steps, h, stride):
-    """Classical RK4 of the SIR system, with forward sensitivities on request.
+    """Classical RK4 of the SIR state (s, i).
 
     ``beta`` and ``gamma`` are floats, or equal-length 1-d arrays with one
-    lane per parameter set. ``y0`` holds (s, i), or (s, i, ds/dbeta,
-    di/dbeta, ds/dgamma, di/dgamma) to integrate the sensitivities too. The
-    state is recorded at t = 0 and after every ``stride`` substeps of size
-    ``h`` (callers pass n_steps = horizon * steps_per_day, with ``stride`` 1
-    or steps_per_day). A tuple of one array per state comes back, each of
-    shape (n_steps // stride + 1,) plus the lane axis for arrays. No state
-    may leave |x| < _STATE_GUARD (NaN fails too); the first recorded row that
-    does raises IntegrationError.
+    lane per parameter set, and ``y0`` holds (s, i). The state is recorded at
+    t = 0 and after every ``stride`` substeps of size ``h`` (callers pass
+    n_steps = horizon * steps_per_day, with ``stride`` 1 or steps_per_day).
+    The arrays (s, i) come back, each of shape (n_steps // stride + 1,) plus
+    the lane axis for arrays; the first recorded row with a value at or
+    beyond _STATE_GUARD raises (``_check_guard``). Parameter sensitivities
+    are the tangent of this path (``inference.integrate_with_sensitivities``).
 
-    With sensitivities, a seventh array follows: c, the outflow from s
-    accumulated from 0 with the same RK4 increments that s loses. s0 - s and
-    c agree in exact arithmetic, but c keeps its own precision while s sits
-    near 1, so N * (c_k - c_{k-1}) carries no rounding floor of N * eps.
-
-    ds/dt = -x with x = beta*i*s, so s and its sensitivities subtract h*x
-    where the textbook scheme adds h*(-x); negation is exact, so the values
-    are those of the textbook scheme bit for bit.
+    ds/dt = -x with x = beta*i*s, so s subtracts h*x where the textbook
+    scheme adds h*(-x); negation is exact, so the values are those of the
+    textbook scheme bit for bit.
     """
-    sens = len(y0) == 6
-    s, i, sb, ib, sg, ig = y0 if sens else (*y0, None, None, None, None)
+    s, i = y0
     h2 = 0.5 * h
     h6 = h / 6.0
-    c = 0.0 * s  # the lanes' shape, and a float for scalar callers
-    rows = [[v] for v in y0] + ([[c]] if sens else [])
+    rows = ([s], [i])
     # True after the last substep of each recorded row: cheaper than testing
     # k % stride, and than a loop per row, which costs most at stride 1.
     row_ends = islice(cycle((False,) * (stride - 1) + (True,)), n_steps)
-    record = [row.append for row in rows]
+    record_s, record_i = (row.append for row in rows)
     # A lane that blows up runs on as inf/NaN; the guard below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for row_end in row_ends:
-            if sens:
-                x1 = beta * i * s
-                xb1 = i * s + beta * (ib * s + i * sb)
-                xg1 = beta * (ig * s + i * sg)
-                k1i, k1ib, k1ig = x1 - gamma * i, xb1 - gamma * ib, xg1 - i - gamma * ig
-                s2, i2 = s - h2 * x1, i + h2 * k1i
-                sb2, ib2 = sb - h2 * xb1, ib + h2 * k1ib
-                sg2, ig2 = sg - h2 * xg1, ig + h2 * k1ig
-                x2 = beta * i2 * s2
-                xb2 = i2 * s2 + beta * (ib2 * s2 + i2 * sb2)
-                xg2 = beta * (ig2 * s2 + i2 * sg2)
-                k2i, k2ib, k2ig = x2 - gamma * i2, xb2 - gamma * ib2, xg2 - i2 - gamma * ig2
-                s3, i3 = s - h2 * x2, i + h2 * k2i
-                sb3, ib3 = sb - h2 * xb2, ib + h2 * k2ib
-                sg3, ig3 = sg - h2 * xg2, ig + h2 * k2ig
-                x3 = beta * i3 * s3
-                xb3 = i3 * s3 + beta * (ib3 * s3 + i3 * sb3)
-                xg3 = beta * (ig3 * s3 + i3 * sg3)
-                k3i, k3ib, k3ig = x3 - gamma * i3, xb3 - gamma * ib3, xg3 - i3 - gamma * ig3
-                s4, i4 = s - h * x3, i + h * k3i
-                sb4, ib4 = sb - h * xb3, ib + h * k3ib
-                sg4, ig4 = sg - h * xg3, ig + h * k3ig
-                x4 = beta * i4 * s4
-                xb4 = i4 * s4 + beta * (ib4 * s4 + i4 * sb4)
-                xg4 = beta * (ig4 * s4 + i4 * sg4)
-                k4i, k4ib, k4ig = x4 - gamma * i4, xb4 - gamma * ib4, xg4 - i4 - gamma * ig4
-                sb = sb - h6 * (xb1 + 2.0 * (xb2 + xb3) + xb4)
-                ib = ib + h6 * (k1ib + 2.0 * (k2ib + k3ib) + k4ib)
-                sg = sg - h6 * (xg1 + 2.0 * (xg2 + xg3) + xg4)
-                ig = ig + h6 * (k1ig + 2.0 * (k2ig + k3ig) + k4ig)
-                outflow = h6 * (x1 + 2.0 * (x2 + x3) + x4)
-                c = c + outflow
-            else:
-                x1 = beta * i * s
-                k1i = x1 - gamma * i
-                s2, i2 = s - h2 * x1, i + h2 * k1i
-                x2 = beta * i2 * s2
-                k2i = x2 - gamma * i2
-                s3, i3 = s - h2 * x2, i + h2 * k2i
-                x3 = beta * i3 * s3
-                k3i = x3 - gamma * i3
-                s4, i4 = s - h * x3, i + h * k3i
-                x4 = beta * i4 * s4
-                k4i = x4 - gamma * i4
-                outflow = h6 * (x1 + 2.0 * (x2 + x3) + x4)
-            s = s - outflow
+            x1 = beta * i * s
+            k1i = x1 - gamma * i
+            s2, i2 = s - h2 * x1, i + h2 * k1i
+            x2 = beta * i2 * s2
+            k2i = x2 - gamma * i2
+            s3, i3 = s - h2 * x2, i + h2 * k2i
+            x3 = beta * i3 * s3
+            k3i = x3 - gamma * i3
+            s4, i4 = s - h * x3, i + h * k3i
+            x4 = beta * i4 * s4
+            k4i = x4 - gamma * i4
+            s = s - h6 * (x1 + 2.0 * (x2 + x3) + x4)
             i = i + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
             if row_end:
-                record[0](s)
-                record[1](i)
-                if sens:
-                    for rec, v in zip(record[2:], (sb, ib, sg, ig, c)):
-                        rec(v)
-    out = tuple(np.array(row) for row in rows)
+                record_s(s)
+                record_i(i)
+    return _check_guard(tuple(np.array(row) for row in rows), stride, h)
+
+
+def _check_guard(out, stride, h):
+    """Return the recorded arrays ``out`` if every value keeps |x| < _STATE_GUARD.
+
+    Otherwise (NaN fails too) raise IntegrationError at the first recorded
+    row, ``stride`` substeps of size ``h`` apart, where one does not.
+    """
     ok = np.abs(np.stack(out)) < _STATE_GUARD
     if not ok.all():
         bad = int(np.flatnonzero(~ok.reshape(len(out), len(out[0]), -1).all(axis=(0, 2)))[0])

@@ -327,6 +327,8 @@ class TestMain:
         ("simulate", {"noise": {"kind": "case3", "sigma": "x"}}, "noise"),
         ("simulate", {"params": {"beta": "x", "gamma": 0.07}}, "params"),
         ("simulate", {"params": {"beta": 0.07, "gamma": 0.21}}, "params"),
+        ("epsilon-invert", {"targets": [{**TARGET, "delta": 0.0}]}, "targets[0].delta"),
+        ("epsilon-invert", {"targets": [TARGET, {**TARGET, "sigma": -0.2}]}, "targets[1].sigma"),
     ])
     def test_cli_error_json_for_out_of_range_values(self, tmp_path, capsys, experiment, change, key):
         raw = {"experiment": experiment, **SMALL_CONFIGS.get(experiment, {}), **change}

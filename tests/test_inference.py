@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 from sirlimits import inference
+from sirlimits.data import load_nyc_fixture
 from sirlimits.errors import (
     DegenerateParameterError,
     InsufficientDataError,
@@ -22,6 +23,7 @@ from sirlimits.inference import (
     moment_start,
     write_ensemble_csv,
 )
+from sirlimits.nyc import nyc_likelihood_spec
 from sirlimits.simulate import NoiseModel, ObservationSeries, observe, observe_batch, sigma_sequence
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
 
@@ -77,6 +79,65 @@ def no_ascent_from(fit, spec):
     return -res.fun - fit.loglik
 
 
+def reference_sensitivities(params, init, horizon, steps_per_day):
+    """(s, i, sb, ib, sg, ig, c) at whole days from the forward-sensitivity RK4
+    that steps the state, d(s, i)/d(beta, gamma) and the outflow c together,
+    one substep at a time."""
+    beta, gamma = params.beta, params.gamma
+    h = 1.0 / steps_per_day
+    h2, h6 = 0.5 * h, h / 6.0
+    s, i, sb, ib, sg, ig, c = init.s0, init.i0, 0.0, 0.0, 0.0, 0.0, 0.0
+    rows = [(s, i, sb, ib, sg, ig, c)]
+    for step in range(1, horizon * steps_per_day + 1):
+        x1 = beta * i * s
+        xb1 = i * s + beta * (ib * s + i * sb)
+        xg1 = beta * (ig * s + i * sg)
+        k1i, k1ib, k1ig = x1 - gamma * i, xb1 - gamma * ib, xg1 - i - gamma * ig
+        s2, i2 = s - h2 * x1, i + h2 * k1i
+        sb2, ib2 = sb - h2 * xb1, ib + h2 * k1ib
+        sg2, ig2 = sg - h2 * xg1, ig + h2 * k1ig
+        x2 = beta * i2 * s2
+        xb2 = i2 * s2 + beta * (ib2 * s2 + i2 * sb2)
+        xg2 = beta * (ig2 * s2 + i2 * sg2)
+        k2i, k2ib, k2ig = x2 - gamma * i2, xb2 - gamma * ib2, xg2 - i2 - gamma * ig2
+        s3, i3 = s - h2 * x2, i + h2 * k2i
+        sb3, ib3 = sb - h2 * xb2, ib + h2 * k2ib
+        sg3, ig3 = sg - h2 * xg2, ig + h2 * k2ig
+        x3 = beta * i3 * s3
+        xb3 = i3 * s3 + beta * (ib3 * s3 + i3 * sb3)
+        xg3 = beta * (ig3 * s3 + i3 * sg3)
+        k3i, k3ib, k3ig = x3 - gamma * i3, xb3 - gamma * ib3, xg3 - i3 - gamma * ig3
+        s4, i4 = s - h * x3, i + h * k3i
+        sb4, ib4 = sb - h * xb3, ib + h * k3ib
+        sg4, ig4 = sg - h * xg3, ig + h * k3ig
+        x4 = beta * i4 * s4
+        xb4 = i4 * s4 + beta * (ib4 * s4 + i4 * sb4)
+        xg4 = beta * (ig4 * s4 + i4 * sg4)
+        k4i, k4ib, k4ig = x4 - gamma * i4, xb4 - gamma * ib4, xg4 - i4 - gamma * ig4
+        sb = sb - h6 * (xb1 + 2.0 * (xb2 + xb3) + xb4)
+        ib = ib + h6 * (k1ib + 2.0 * (k2ib + k3ib) + k4ib)
+        sg = sg - h6 * (xg1 + 2.0 * (xg2 + xg3) + xg4)
+        ig = ig + h6 * (k1ig + 2.0 * (k2ig + k3ig) + k4ig)
+        outflow = h6 * (x1 + 2.0 * (x2 + x3) + x4)
+        c = c + outflow
+        s = s - outflow
+        i = i + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
+        if step % steps_per_day == 0:
+            rows.append((s, i, sb, ib, sg, ig, c))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def sensitivity_design(name):
+    """(params, init, horizon, steps_per_day): the NYC fixture at its p = 0.25
+    optimum, the acceptance ensemble design, and a small population at high r0."""
+    if name == "nyc_p025":
+        spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
+        return fit_mle(spec).params(), spec.init, spec.T, spec.steps_per_day
+    beta, gamma, n, horizon, spd = {"acceptance": (0.21, 0.07, 10**7, 120, 5),
+                                    "small_n": (1.68, 0.14, 10**4, 30, 10)}[name]
+    return SirParams(beta, gamma), InitialCondition.from_population(n), horizon, spd
+
+
 class TestSensitivities:
     def test_state_matches_plain_integrator(self):
         s, i, *_ = integrate_with_sensitivities(BASE, INIT7, 60, 50)
@@ -92,6 +153,28 @@ class TestSensitivities:
         # the difference quotient carries an eps/h rounding floor of ~1e-10
         np.testing.assert_allclose(sb, (up.s - dn.s) / (2 * h), rtol=1e-4, atol=1e-9)
         np.testing.assert_allclose(ib, (up.i - dn.i) / (2 * h), rtol=1e-4, atol=1e-9)
+
+    @pytest.mark.parametrize("design", ["nyc_p025", "acceptance", "small_n"])
+    def test_matches_the_per_substep_recurrence(self, design):
+        params, init, horizon, spd = sensitivity_design(design)
+        s, i, *sens, c = integrate_with_sensitivities(params, init, horizon, spd)
+        ref_s, ref_i, *ref_sens, ref_c = reference_sensitivities(params, init, horizon, spd)
+        traj = integrate_exact(params, init, horizon, spd)
+        for new, kernel, ref in ((s, traj.s, ref_s), (i, traj.i, ref_i), (c, ref_c, ref_c)):
+            np.testing.assert_array_equal(new, kernel)
+            np.testing.assert_array_equal(new, ref)
+        np.testing.assert_allclose(sens, ref_sens, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("steps_per_day", [1, 5])
+    def test_blowup_raises_no_later_than_the_plain_integrator(self, steps_per_day):
+        wild = SirParams(400.0, 0.1)
+        init = InitialCondition(s0=0.5, i0=0.5, population=100)
+        with pytest.raises(IntegrationError) as exact:
+            integrate_exact(wild, init, 50, steps_per_day)
+        with pytest.raises(IntegrationError) as sens:
+            integrate_with_sensitivities(wild, init, 50, steps_per_day)
+        assert 1 <= sens.value.step <= exact.value.step
 
     def test_zero_seed_zero_sensitivities(self):
         init = InitialCondition(s0=1.0, i0=0.0, population=1000)

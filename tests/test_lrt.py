@@ -224,6 +224,13 @@ class TestEpsilonInversion:
         with pytest.raises(NoDetectablePerturbationError):
             epsilon_for_power(0.96, 0.05, 0.2, 1.0, 60, 0.14)
 
+    @pytest.mark.parametrize("sigma, delta", [(0.2, 0.0), (-0.2, 0.14), (math.inf, 0.14),
+                                              (0.2, math.nan)])
+    def test_rejects_non_positive_scales(self, sigma, delta):
+        # delta = 0 divided by zero, and sigma < 0 gave a negative epsilon
+        with pytest.raises(ValueError, match="sigma and delta"):
+            epsilon_for_power(0.5, 0.05, sigma, 1.0, 60, delta)
+
 
 class TestGammaTest:
     def test_matches_explicit_case2_formula(self):
