@@ -29,15 +29,19 @@ no constraints. When v_k does not depend on the parameters (``known_sequence``
 and ``case1`` noise) the information is the Gauss-Newton matrix of a weighted
 least-squares fit. Fits are multi-started from a moment-based initializer:
 the growth rate delta is read off a regression of log y_t on t and beta
-starts at twice that. A replicate study (``mle_ensemble``) also starts every
-replicate at the optimum of its pooled series.
+starts at twice that. Above 10 substeps per day each start is fit in two
+levels (``fit_mle``): the walk along the ridge runs on a 10-substep grid and
+a few passes on the requested grid polish its optimum. A replicate study
+(``mle_ensemble``) also starts every replicate at the optimum of its pooled
+series.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -63,6 +67,7 @@ _LM_DAMPING = 1e-3  # initial Marquardt damping of a fit
 _MAX_LOG_STEP = 0.5  # longest step in any log coordinate
 _MOMENT_FLOOR = 0.02  # least growth rate the moment initializer starts from
 _MAX_FAILURE_FRACTION = 0.05  # mle_ensemble raises when more replicate fits than this fail
+_SEARCH_STEPS_PER_DAY = 10  # finer fits search on this grid, then polish on their own
 
 
 def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
@@ -334,25 +339,41 @@ def _free_coordinates(x, grad) -> np.ndarray:
     return ~(((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0)))
 
 
-def _projected_grad_norm(x, point: _Point) -> float:
-    """Norm of the (beta, gamma[, sigma]) gradient along the moves left free at x.
+class _Iterate(NamedTuple):
+    """An evaluated x with what a scoring step reads from it, each formed once.
 
-    Inside the box it is |grad|. A coordinate of x held at a bound leaves
-    (beta, gamma[, sigma]) free to move only in the span of the columns of T
-    that belong to the free coordinates, and the gradient is projected
-    orthogonally on that span: with gamma held it is the beta component; with
-    delta held, the component along the ridge direction (1, 1, 0) / sqrt(2).
+    ``grad`` and ``info`` are T'g and T'FT, the gradient and information over
+    x. ``free`` marks the coordinates of x not held at a bound by a gradient
+    over x pointing out of the box. ``projected_grad_norm`` is the norm of the
+    (beta, gamma[, sigma]) gradient along the moves left free at x. Inside the
+    box it is |g|. A coordinate of x held at a bound leaves (beta, gamma[,
+    sigma]) free to move only in the span of the columns of T that belong to
+    the free coordinates, and g is projected orthogonally on that span: with
+    gamma held it is the beta component; with delta held, the component along
+    the ridge direction (1, 1, 0) / sqrt(2).
     """
+
+    x: np.ndarray
+    point: _Point
+    grad: np.ndarray
+    info: np.ndarray
+    free: np.ndarray
+    projected_grad_norm: float
+
+    @property
+    def first_order_ok(self) -> bool:
+        return self.projected_grad_norm <= _FIRST_ORDER_TOL * max(1.0, abs(self.point.ll))
+
+
+def _iterate(x, point: _Point) -> _Iterate:
     tangent = _tangent(x)
-    free = _free_coordinates(x, point.grad @ tangent)
+    grad = point.grad @ tangent
+    free = _free_coordinates(x, grad)
     if free.all():
-        return float(np.linalg.norm(point.grad))
-    basis = np.linalg.qr(tangent[:, free])[0]
-    return float(np.linalg.norm(point.grad @ basis))
-
-
-def _first_order_ok(x, point: _Point) -> bool:
-    return _projected_grad_norm(x, point) <= _FIRST_ORDER_TOL * max(1.0, abs(point.ll))
+        norm = np.linalg.norm(point.grad)
+    else:
+        norm = np.linalg.norm(point.grad @ np.linalg.qr(tangent[:, free])[0])
+    return _Iterate(x, point, grad, tangent.T @ point.info @ tangent, free, float(norm))
 
 
 def _model_rise(step, grad, info) -> float:
@@ -366,14 +387,17 @@ _TRIAL_ERRORS = (DegenerateParameterError, IntegrationError, DegenerateVarianceE
 def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
     """Levenberg-Marquardt Fisher scoring in x = (log delta, log gamma[, log sigma]).
 
-    The data pin down the growth rate delta = beta - gamma and leave gamma on
-    a flat slope-one ridge. In these coordinates the ridge runs along the
-    log gamma axis, and beta = delta + gamma keeps delta > 0, so no trial
-    step can cross the delta -> 0 edge. Each evaluation yields ll, its
-    gradient g and the expected information F over theta = (beta, gamma[,
-    sigma]); for fixed variance F is the Gauss-Newton matrix J'WJ of the
-    weighted least squares in r = y - p*delta_k. The chain rule takes them to
-    x as T'g and T'FT, T = d(theta)/dx (``_tangent``). A step solves
+    It fits on spec's substep grid alone; ``_fit_start`` runs it once per
+    start, or twice above _SEARCH_STEPS_PER_DAY. The data pin down the growth
+    rate delta = beta - gamma and leave gamma on a flat slope-one ridge. In
+    these coordinates the ridge runs along the log gamma axis, and
+    beta = delta + gamma keeps delta > 0, so no trial step can cross the
+    delta -> 0 edge. Each evaluation yields ll, its gradient g and the
+    expected information F over theta = (beta, gamma[, sigma]); for fixed
+    variance F is the Gauss-Newton matrix J'WJ of the weighted least squares
+    in r = y - p*delta_k. The chain rule takes them to x as T'g and T'FT,
+    T = d(theta)/dx (``_tangent``), formed once per evaluation with the bound
+    bookkeeping (``_Iterate``). A step solves
     (T'FT + lambda * d * I) step = T'g over the free coordinates, d being the
     largest diagonal entry of T'FT seen so far (a scalar form of More's 1978
     scaling), and each coordinate of x moves at most _MAX_LOG_STEP; lambda
@@ -391,10 +415,10 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
     The fit stops once the projected gradient passes the first-order test and
     the scoring decrement g'F^-1 g / 2, the same in any coordinates, is below
     tol = _DECREMENT_TOL * max(1, |ll|). The first-order test is on the theta
-    gradient, projected at a bound as ``_projected_grad_norm`` describes. Once
-    a step promises less than tol, the objective can no longer rank it
-    against rounding, and it is accepted when it shrinks the projected
-    gradient; when it does not, the fit stops there.
+    gradient, projected at a bound as ``_Iterate`` describes. Once a step
+    promises less than tol, the objective can no longer rank it against
+    rounding, and it is accepted when it shrinks the projected gradient; when
+    it does not, the fit stops there.
     """
     lo, hi = _LOG_BOUNDS
     x = np.clip([math.log(start.delta()), math.log(start.gamma)], lo, hi)
@@ -405,24 +429,21 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
         if infer_sigma:
             x = np.append(x, np.clip(math.log(_profile_sigma_start(states, spec)), lo, hi))
             sigma = math.exp(x[2])
-        point = _evaluate_pass(states, sigma, spec)
+        current = _iterate(x, _evaluate_pass(states, sigma, spec))
     except _TRIAL_ERRORS as exc:
         raise OptimizationFailureError(f"start {start} cannot be evaluated: {exc}") from exc
 
     def evaluate(x):
-        return _evaluate(_rates(x), math.exp(x[2]) if infer_sigma else None, spec)
+        return _iterate(x, _evaluate(_rates(x), math.exp(x[2]) if infer_sigma else None, spec))
 
     damping, growth, scale = _LM_DAMPING, 2.0, 0.0
     accepted = 0
     for _ in range(_MAX_ITERATIONS):
-        tangent = _tangent(x)
-        grad = point.grad @ tangent
-        info = tangent.T @ point.info @ tangent
-        free = _free_coordinates(x, grad)
+        x, point, grad, info, free, _ = current
         tol = _DECREMENT_TOL * max(1.0, abs(point.ll))
         g_free, info_free = grad[free], info[np.ix_(free, free)]
         try:
-            if (_first_order_ok(x, point)
+            if (current.first_order_ok
                     and 0.5 * g_free @ np.linalg.solve(info_free, g_free) <= tol):
                 break
             scale = max(scale, float(np.max(np.diag(info))))
@@ -437,28 +458,30 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
             trial = evaluate(trial_x)
         except _TRIAL_ERRORS:
             trial = None
-        fall = None if trial is None else (point.wrss - trial.wrss) + (point.logdet - trial.logdet)
+        fall = None if trial is None else ((point.wrss - trial.point.wrss)
+                                           + (point.logdet - trial.point.logdet))
         if trial is not None and (
                 fall > 0.0
-                or (promised <= tol and _projected_grad_norm(trial_x, trial)
-                    < _projected_grad_norm(x, point))):
+                or (promised <= tol
+                    and trial.projected_grad_norm < current.projected_grad_norm)):
             gain = 0.5 * fall / predicted if predicted > 0.0 else 0.0
             damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             growth = 2.0
-            x, point = trial_x, trial
+            current = trial
             accepted += 1
         elif promised <= tol:
             break
         else:
             damping *= growth
             growth *= 2.0
+    x, point = current.x, current.point
     rates = _rates(x)
     return MleResult(
         beta_hat=rates.beta,
         gamma_hat=rates.gamma,
         sigma_hat=math.exp(x[2]) if infer_sigma else None,
         loglik=point.ll,
-        converged=_first_order_ok(x, point),
+        converged=current.first_order_ok,
         iterations=accepted,
         grad_norm=float(np.linalg.norm(point.grad)),
     )
@@ -468,13 +491,47 @@ def _rank(result: MleResult):
     return result.converged, result.loglik
 
 
+_FIT_ERRORS = (OptimizationFailureError, IntegrationError, DegenerateVarianceError)
+
+
+def _fit_start(spec: LikelihoodSpec, start: SirParams) -> MleResult:
+    """One start's fit on spec's grid, searched on the _SEARCH_STEPS_PER_DAY grid.
+
+    A fit at no more substeps than that is ``_fit_scoring``'s. A finer one
+    runs in two levels: the search fits on the coarse grid from ``start``,
+    and the polish fits on spec's grid from the search optimum, with the same
+    stopping rule, so the result is always an optimum of spec's grid. Its
+    ``iterations`` count the accepted steps of both. When the search fails or
+    the polish ends unconverged, the start is also fit on spec's grid alone,
+    and the better of the two by ``_rank`` is kept.
+    """
+    if spec.steps_per_day <= _SEARCH_STEPS_PER_DAY:
+        return _fit_scoring(spec, start)
+    try:
+        search = _fit_scoring(replace(spec, steps_per_day=_SEARCH_STEPS_PER_DAY), start)
+        polish = _fit_scoring(spec, search.params())
+    except _FIT_ERRORS:
+        return _fit_scoring(spec, start)
+    polish = replace(polish, iterations=search.iterations + polish.iterations)
+    if polish.converged:
+        return polish
+    try:
+        direct = _fit_scoring(spec, start)
+    except _FIT_ERRORS:
+        return polish
+    return max(polish, direct, key=_rank)
+
+
 def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
             n_starts: int = 8) -> MleResult:
     """Best local maximum across multi-started ascents.
 
-    Starts rank by (converged, loglik): a start that passed the first-order
-    test beats one that did not, whatever their log-likelihoods, so a start
-    stopped a rounding error above the optimum cannot displace a converged one.
+    Each start is fit by ``_fit_start``: above _SEARCH_STEPS_PER_DAY substeps
+    per day, most of the walk along the ridge runs on that coarser grid and a
+    few passes on spec's grid polish it. Starts rank by (converged, loglik):
+    a start that passed the first-order test beats one that did not, whatever
+    their log-likelihoods, so a start stopped a rounding error above the
+    optimum cannot displace a converged one.
     """
     if starts is None:
         starts = default_starts(spec, n_starts)
@@ -482,8 +539,8 @@ def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
     diagnostics = []
     for idx, start in enumerate(starts):
         try:
-            result = _fit_scoring(spec, start)
-        except (OptimizationFailureError, IntegrationError, DegenerateVarianceError) as exc:
+            result = _fit_start(spec, start)
+        except _FIT_ERRORS as exc:
             diagnostics.append(f"start {idx} ({start.beta:.4g}, {start.gamma:.4g}): {exc}")
             continue
         if best is None or _rank(result) > _rank(best):

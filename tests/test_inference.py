@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -470,9 +472,9 @@ class TestFit:
         point = inference._Point(ll=-10.0, wrss=0.0, logdet=0.0,
                                  grad=np.array([-3.0, 1.0]), info=np.eye(2))
         held = np.array([lo, math.log(0.5)])
-        assert inference._projected_grad_norm(held, point) == pytest.approx(math.sqrt(2.0))
+        assert inference._iterate(held, point).projected_grad_norm == pytest.approx(math.sqrt(2.0))
         inside = np.array([math.log(0.1), math.log(0.5)])
-        assert inference._projected_grad_norm(inside, point) == math.hypot(3.0, 1.0)
+        assert inference._iterate(inside, point).projected_grad_norm == math.hypot(3.0, 1.0)
 
     def test_failed_trial_is_a_rejected_step(self, monkeypatch):
         noise = NoiseModel.known(np.full(40, 2e4))
@@ -512,6 +514,93 @@ class TestFit:
         )
         start = moment_start(obs)
         assert start.delta() == pytest.approx(0.14, rel=0.05)
+
+
+def counting_passes(monkeypatch):
+    """Counter of sensitivity passes by substeps per day, counting from now on."""
+    integrate = inference.integrate_with_sensitivities
+    counts = Counter()
+
+    def counted(params, init, horizon, steps_per_day):
+        counts[steps_per_day] += 1
+        return integrate(params, init, horizon, steps_per_day)
+
+    monkeypatch.setattr(inference, "integrate_with_sensitivities", counted)
+    return counts
+
+
+class TestTwoLevelFit:
+    @pytest.mark.parametrize("steps_per_day", [5, 10])
+    @pytest.mark.parametrize("noise", [NoiseModel.known(np.full(40, 2e4)), NoiseModel.case2(0.3)],
+                             ids=["known", "case2"])
+    def test_coarse_fits_take_the_single_level_path(self, noise, steps_per_day, monkeypatch):
+        obs = make_obs(BASE, INIT7, noise, p=1.0, T=40, seed=8)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
+        start = moment_start(obs)
+        counts = counting_passes(monkeypatch)
+        single = inference._fit_scoring(spec, start)
+        passes = counts[steps_per_day]
+        assert fit_mle(spec, starts=[start]) == single
+        assert counts == {steps_per_day: 2 * passes}
+
+    @pytest.mark.parametrize("p", [0.1, 0.25])
+    def test_nyc_starts_polish_in_a_few_full_grid_passes(self, p, monkeypatch):
+        # 50 substeps per day: every default start searches at 10, then
+        # polishes at 50 to the optimum a 50-substep fit alone reaches
+        spec = nyc_likelihood_spec(load_nyc_fixture(), p)
+        assert spec.steps_per_day == 50
+        for start in inference.default_starts(spec):
+            single = inference._fit_scoring(spec, start)
+            counts = counting_passes(monkeypatch)
+            fit = fit_mle(spec, starts=[start])
+            monkeypatch.undo()
+            assert set(counts) == {10, 50}
+            assert counts[50] <= 6
+            assert single.converged and fit.converged
+            assert fit.loglik == pytest.approx(single.loglik, abs=1e-9)
+
+    def test_iterations_count_the_search_and_the_polish(self):
+        spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
+        start = inference.default_starts(spec)[-1]
+        search = inference._fit_scoring(replace(spec, steps_per_day=10), start)
+        polish = inference._fit_scoring(spec, search.params())
+        fit = fit_mle(spec, starts=[start])
+        assert (fit.beta_hat, fit.gamma_hat, fit.loglik) == (
+            polish.beta_hat, polish.gamma_hat, polish.loglik)
+        assert search.iterations > 10
+        assert fit.iterations == search.iterations + polish.iterations
+
+    def test_failed_search_falls_back_to_the_full_grid(self, monkeypatch):
+        spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
+        start = inference.default_starts(spec)[0]
+        single = inference._fit_scoring(spec, start)
+        integrate = inference.integrate_with_sensitivities
+
+        def fail_on_the_search_grid(params, init, horizon, steps_per_day):
+            if steps_per_day == 10:
+                raise IntegrationError("forced failure")
+            return integrate(params, init, horizon, steps_per_day)
+
+        monkeypatch.setattr(inference, "integrate_with_sensitivities", fail_on_the_search_grid)
+        assert fit_mle(spec, starts=[start]) == single
+
+    def test_unconverged_polish_falls_back_to_the_full_grid(self, monkeypatch):
+        spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
+        start = inference.default_starts(spec)[0]
+        single = inference._fit_scoring(spec, start)
+        fit_scoring = inference._fit_scoring
+        calls = []
+
+        def unconverged_polish(spec_, start_):
+            calls.append((spec_.steps_per_day, start_ == start))
+            result = fit_scoring(spec_, start_)
+            if spec_.steps_per_day == 50 and start_ != start:
+                return replace(result, converged=False)
+            return result
+
+        monkeypatch.setattr(inference, "_fit_scoring", unconverged_polish)
+        assert fit_mle(spec, starts=[start]) == single
+        assert calls == [(10, True), (50, False), (50, True)]
 
 
 class TestEnsemble:
