@@ -15,8 +15,11 @@ from .inference import (
     LikelihoodSpec,
     MleEnsemble,
     MleResult,
+    StartFit,
+    best_fit,
     fisher_information,
     fit_mle,
+    fit_starts,
     log_likelihood,
     log_likelihood_gradient,
     mle_ensemble,

@@ -33,7 +33,8 @@ from .config import (
 )
 from .data import NYC_POPULATION, load_cases, nyc_fixture_path
 from .errors import ConfigError, SirLimitsError
-from .inference import LikelihoodSpec, fit_mle, mle_ensemble, write_ensemble_csv
+from .inference import LikelihoodSpec, StartFit, best_fit, fit_starts, mle_ensemble
+from .inference import write_ensemble_csv
 from .lrt import epsilon_for_power, power_grid, write_power_csv
 from .nyc import reporting_rate_sweep, write_nyc_table_csv
 from .perturb import error_fit, separation_sweep, write_error_fit_csv, write_sweep_csv
@@ -144,6 +145,17 @@ def _load_observation_csv(path: Path) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _start_record(fit: StartFit) -> dict:
+    """One start of a fit in fit.json: where it began, then how it ended."""
+    record = {"beta": fit.start.beta, "gamma": fit.start.gamma}
+    if fit.result is None:
+        record["error"] = fit.error
+    else:
+        record.update(converged=fit.result.converged, loglik=fit.result.loglik,
+                      iterations=fit.result.iterations)
+    return record
+
+
 def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
     values = _load_observation_csv(Path(config.get("observations")))
     init = parse_init(config)
@@ -157,7 +169,8 @@ def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
         population=init.population,
     )
     spec = LikelihoodSpec(obs=obs, init=init, noise=noise, steps_per_day=_steps_per_day(config))
-    result = fit_mle(spec, n_starts=int(config.get("n_starts", 8)))
+    fits = fit_starts(spec, n_starts=int(config.get("n_starts", 8)))
+    result = best_fit(fits)
     path = out / "fit.json"
     _write_json(
         {
@@ -170,6 +183,7 @@ def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
             "converged": result.converged,
             "iterations": result.iterations,
             "grad_norm": result.grad_norm,
+            "starts": [_start_record(fit) for fit in fits],
         },
         path,
     )

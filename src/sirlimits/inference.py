@@ -16,8 +16,9 @@ model's own trajectory; a model without sigma makes sigma a free parameter.
 
 Gradients come from forward sensitivities: d(s, i)/d(beta, gamma) is the
 exact tangent of the RK4 state path, formed for every substep at once and
-propagated by one banded solve (``integrate_with_sensitivities``), then
-chained through delta_k and, where the variance is parameter-coupled, through i_k.
+propagated by one banded solve (``_sensitivity_passes``, one lane per rate
+pair), then chained through delta_k and, where the variance is
+parameter-coupled, through i_k.
 The same pass gives the expected (Fisher) information
 J_mu'V^-1 J_mu + J_v'V^-2 J_v / 2 over (beta, gamma[, sigma]), J_mu and J_v
 being the Jacobians of the mean p*delta_k and of v_k; ``fisher_information``
@@ -29,11 +30,15 @@ no constraints. When v_k does not depend on the parameters (``known_sequence``
 and ``case1`` noise) the information is the Gauss-Newton matrix of a weighted
 least-squares fit. Fits are multi-started from a moment-based initializer:
 the growth rate delta is read off a regression of log y_t on t and beta
-starts at twice that. Above 10 substeps per day each start is fit in two
-levels (``fit_mle``): the walk along the ridge runs on a 10-substep grid and
-a few passes on the requested grid polish its optimum. A replicate study
-(``mle_ensemble``) also starts every replicate at the optimum of its pooled
-series.
+starts at twice that. The starts of a fit step in lockstep, as the lanes of
+one batch (``_fit_scoring``): each iteration evaluates every active start
+in one batched sensitivity pass, and each start keeps its own damping,
+accept/reject, bounds, stopping rule and failure, so its result is the one
+it reaches fit alone. Above 10 substeps per day the starts are fit in two
+levels (``_fit_start``): the walk along the ridge runs on a 10-substep grid
+and a few passes on the requested grid polish its optimum. A replicate
+study (``mle_ensemble``) also starts every replicate at the optimum of its
+pooled series; replicates are fit one after another, not as lanes.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .errors import (
 from .simulate import NoiseModel, ObservationSeries, observe_batch, sigma_sequence
 from .simulate import check_variance, variance_law
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _check_guard, _rk4
-from .sir import integrate_exact
+from .sir import _STATE_GUARD, integrate_exact
 
 _MAX_ITERATIONS = 500  # cap on Levenberg-Marquardt trials
 _FIRST_ORDER_TOL = 1e-6  # converged: |projected gradient| <= this * max(1, |ll|)
@@ -77,26 +82,58 @@ def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
     Returns seven arrays of length horizon + 1: s, i, ds/dbeta, di/dbeta,
     ds/dgamma, di/dgamma, and c, the outflow from s since t = 0. c equals
     s0 - s in exact arithmetic but does not carry the rounding of s near 1.
-    Sensitivities and c start at zero.
+    Sensitivities and c start at zero. This is the one-lane case of
+    ``_sensitivity_passes``, which describes the pass.
+    """
+    return tuple(_one_lane(_sensitivity_passes([params], init, horizon, steps_per_day)))
 
-    s and i come from one pass of the state kernel (``sir._rk4``) on the
-    substep grid. The four RK4 stages of every substep are then formed again
-    as whole arrays, with the kernel's elementwise operations, so c, their
-    accumulated increments, keeps the kernel's bits. RK4 commutes with
-    linearization, so the sensitivities are the exact tangent of that
-    discrete path: differentiating the stages gives each substep's
-    z_{n+1} = M_n z_n + F_n, z = d(s, i)/d(beta, gamma), with M_n and F_n the
-    step's derivatives in (s, i) and in (beta, gamma). With z_0 = 0 these
+
+def _sensitivity_passes(rates: list[SirParams], init: InitialCondition, horizon: int,
+                        steps_per_day: int) -> list:
+    """The sensitivity passes of many rate pairs at once, one lane per entry of ``rates``.
+
+    Each lane's entry is the seven arrays of ``integrate_with_sensitivities``
+    as the rows of one array, or the IntegrationError that lane raised; an
+    error in ``rates`` is passed through as that lane's entry. Every lane's s
+    and i come from its own run of the scalar state kernel (``sir._rk4``) on
+    the substep grid. The four RK4 stages of every substep are then formed
+    again as (lane, substep) arrays, with the kernel's elementwise
+    operations, so c, their accumulated increments, keeps the kernel's bits.
+    RK4 commutes with linearization, so the sensitivities are the exact
+    tangent of that discrete path: differentiating the stages gives each
+    substep's z_{n+1} = M_n z_n + F_n, z = d(s, i)/d(beta, gamma), with M_n
+    and F_n the step's derivatives in (s, i) and in (beta, gamma). With z_0 = 0 these
     equations form one unit lower-triangular system of bandwidth 3 in the
-    interleaved unknowns, with a right-hand side per rate, which ``dtbtrs``
-    solves by plain substitution. All seven arrays pass the kernel's guard.
+    interleaved unknowns, with a right-hand side per rate. The lanes sit in
+    it as consecutive blocks with no coupling between blocks, and one
+    ``dtbtrs`` call solves them all by plain substitution. All seven arrays
+    of a lane pass the kernel's guard.
+
+    A lane's arrays are those of its one-lane pass bit for bit: every
+    operation is elementwise across lanes, and the zero coupling between
+    blocks adds nothing while the tangents stay finite.
     """
     spd = int(steps_per_day)
     n, h = int(horizon) * spd, 1.0 / spd
-    beta, gamma = float(params.beta), float(params.gamma)
-    s, i = _rk4(beta, gamma, (float(init.s0), float(init.i0)), n, h, 1)
-    s0, i0 = s[:-1], i[:-1]
-    ds, di = np.eye(4)[:2, :, None]  # d(s, i) by the seeds (s, i, beta, gamma), one per row
+    y0 = (float(init.s0), float(init.i0))
+    outcomes, paths = [], []
+    for params in rates:
+        if isinstance(params, Exception):
+            outcomes.append(params)
+            continue
+        try:
+            paths.append(_rk4(float(params.beta), float(params.gamma), y0, n, h, 1))
+            outcomes.append(None)
+        except IntegrationError as exc:
+            outcomes.append(exc)
+    lanes = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    if not lanes:
+        return outcomes
+    beta = np.array([[float(rates[k].beta)] for k in lanes])
+    gamma = np.array([[float(rates[k].gamma)] for k in lanes])
+    s, i = np.array(paths).swapaxes(0, 1)  # [lane, substep]
+    s0, i0 = s[:, :-1], i[:, :-1]
+    ds, di = np.eye(4)[:2, :, None, None]  # d(s, i) by the seeds (s, i, beta, gamma)
     stages, (ss, ii, dss, dii) = [], (s0, i0, ds, di)
     for a in (0.5 * h, 0.5 * h, h, None):
         x, dx = beta * ii * ss, (beta * ii) * dss + (beta * ss) * dii
@@ -107,18 +144,27 @@ def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
         if a is not None:
             ss, ii, dss, dii = s0 - a * x, i0 + a * (x - gamma * ii), ds - a * dx, di + a * dk
     x, dx, dk = (h / 6.0 * (v1 + 2.0 * (v2 + v3) + v4) for v1, v2, v3, v4 in zip(*stages))
-    c = np.concatenate(([0.0], np.cumsum(x)))
-    step = np.stack((ds - dx, di + dk))  # [out, seed, n]: (M_n | F_n)
-    # A in lower band storage, ab[d, j] = A[j + d, j]: -M_{m+1}[o, u] sits at
-    # row 2(m + 1) + o, column j = 2m + u, so on band row d = 2 + o - u
-    ab = np.zeros((4, n, 2))
+    c = np.concatenate((np.zeros((len(lanes), 1)), np.cumsum(x, axis=1)), axis=1)
+    step = np.stack((ds - dx, di + dk))  # [out, seed, lane, substep]: (M_n | F_n)
+    # A in lower band storage, ab[d, j] = A[j + d, j]: in lane l's block,
+    # -M_{m+1}[o, u] sits at row 2(m + 1) + o, column j = 2m + u, so on band
+    # row d = 2 + o - u; the last substep of a block couples to nothing
+    ab = np.zeros((4, len(lanes), n, 2))
     ab[0] = 1.0
-    ab[[2, 1, 3, 2], :-1, [0, 1, 0, 1]] = -step[:, :2, 1:].reshape(4, -1)
-    z, _ = dtbtrs(ab.reshape(4, 2 * n), step[:, 2:].transpose(2, 0, 1).reshape(2 * n, 2),
+    ab[[2, 1, 3, 2], :, :-1, [0, 1, 0, 1]] = -step[:, :2, :, 1:].reshape(4, len(lanes), -1)
+    z, _ = dtbtrs(ab.reshape(4, -1), step[:, 2:].transpose(2, 3, 0, 1).reshape(-1, 2),
                   uplo="L", diag="U")
-    z = np.concatenate((np.zeros((1, 2, 2)), z.reshape(n, 2, 2)[spd - 1 :: spd]))
-    (sb, sg), (ib, ig) = z.transpose(1, 2, 0)
-    return _check_guard((s[::spd], i[::spd], sb, ib, sg, ig, c[::spd]), spd, h)
+    z = z.reshape(len(lanes), n, 2, 2)[:, spd - 1 :: spd]  # [lane, day, out, rate]
+    z = np.concatenate((np.zeros((len(lanes), 1, 2, 2)), z), axis=1)
+    days = np.array((s[:, ::spd], i[:, ::spd], z[..., 0, 0], z[..., 1, 0], z[..., 0, 1],
+                     z[..., 1, 1], c[:, ::spd])).swapaxes(0, 1)  # [lane, array, day]
+    guarded = (np.abs(days) < _STATE_GUARD).all(axis=(1, 2))
+    for lane, k in enumerate(lanes):
+        try:
+            outcomes[k] = days[lane] if guarded[lane] else _check_guard(tuple(days[lane]), spd, h)
+        except IntegrationError as exc:
+            outcomes[k] = exc
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -152,29 +198,33 @@ class LikelihoodSpec:
         return self.obs.reporting_rate
 
 
-def _variance_terms(spec: LikelihoodSpec, sigma, i_days, ib, ig):
-    """Per-day variance v_k and its Jacobian J_v over (beta, gamma[, sigma]).
+def _variance_terms(spec: LikelihoodSpec, sigmas, i, ib, ig):
+    """Per-day variances v_k and their Jacobians J_v over (beta, gamma[, sigma]),
+    one row per lane of the day-sampled i, ib and ig.
 
-    J_v is None for known_sequence noise; ``sigma`` is read only when the noise leaves it free.
+    J_v is None for known_sequence noise; ``sigmas``, one per lane, are read
+    only when the noise leaves sigma free. The law is applied lane by lane,
+    so powers of sigma stay Python floats and each row keeps the bits of its
+    one-lane law; the products with the sensitivities are stacked.
     """
     T = spec.T
     noise = spec.noise
     if noise.kind == "known_sequence":
-        return np.asarray(noise.sigma_t[:T], dtype=float) ** 2, None
+        return np.tile(np.asarray(noise.sigma_t[:T], dtype=float) ** 2, (len(i), 1)), None
     free = noise.sigma_free
-    if free and sigma is None:
+    if free and None in sigmas:
         raise ValueError(f"sigma is required: the {noise.kind} noise leaves it to inference")
-    n, ik = spec.init.population, i_days[1 : T + 1]
-    v, dv_di = variance_law(noise.kind, sigma if free else noise.sigma, n, ik)
-    rows = [dv_di * ib[1 : T + 1], dv_di * ig[1 : T + 1]]
+    n, ik = spec.init.population, i[:, 1 : T + 1]
+    laws = [variance_law(noise.kind, sigma if free else noise.sigma, n, row)
+            for sigma, row in zip(sigmas, ik)]
+    v = np.array([law[0] for law in laws])
+    dv_di = np.array([law[1] for law in laws]).reshape(len(laws), -1)  # a float or a row
+    rows = [dv_di * ib[:, 1 : T + 1], dv_di * ig[:, 1 : T + 1]]
     if free:
         # v = sigma^2 u, u being the law at sigma = 1: dv/dsigma = 2 v / sigma = 2 u sigma
-        rows.append(2.0 * variance_law(noise.kind, 1.0, n, ik)[0] * sigma)
-    return v, np.stack(rows)
-
-
-def _normal_ll(r, v) -> float:
-    return float(np.sum(-0.5 * r * r / v - 0.5 * np.log(2.0 * math.pi * v)))
+        u = np.array([variance_law(noise.kind, 1.0, n, row)[0] for row in ik])
+        rows.append(2.0 * u * np.array(sigmas)[:, None])
+    return v, np.stack(rows, axis=1)
 
 
 @dataclass(frozen=True)
@@ -190,42 +240,74 @@ class _Point:
 
 
 def _residuals(c, spec: LikelihoodSpec) -> np.ndarray:
-    """r = y - p*delta, with delta_k = N*(c_k - c_{k-1}) from the cumulative outflow."""
+    """r = y - p*delta, with delta_k = N*(c_k - c_{k-1}) from the cumulative
+    outflow c along the last axis."""
     T = spec.T
-    return spec.obs.values - spec.p * (spec.init.population * (c[1 : T + 1] - c[:T]))
+    return spec.obs.values - spec.p * (spec.init.population * (c[..., 1 : T + 1] - c[..., :T]))
+
+
+def _one_lane(outcomes):
+    """The value of a one-lane batch, raising the error it holds instead."""
+    [outcome] = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _evaluate(params: SirParams, sigma: float | None, spec: LikelihoodSpec) -> _Point:
     """ll, its exact gradient and the Fisher information from one sensitivity pass."""
-    return _evaluate_pass(integrate_with_sensitivities(params, spec.init, spec.T,
-                                                       spec.steps_per_day), sigma, spec)
+    passes = _sensitivity_passes([params], spec.init, spec.T, spec.steps_per_day)
+    return _one_lane(_evaluate_passes(passes, [sigma], spec))
 
 
-def _evaluate_pass(states, sigma: float | None, spec: LikelihoodSpec) -> _Point:
-    """The evaluation of ``_evaluate`` from the arrays of its sensitivity pass.
+def _evaluate_passes(passes, sigmas, spec: LikelihoodSpec) -> list:
+    """The evaluation of ``_evaluate`` for every lane from the arrays of its
+    sensitivity pass, or the DegenerateVarianceError its variance raised; an
+    error in ``passes`` is passed through.
 
     With mu = p*delta, r = y - mu, W = 1/v, J_mu the Jacobian of mu (zero in
     sigma) and J_v that of v, the gradient is J_mu'Wr + J_v'(r^2 W^2 - W) / 2
     and the information is J_mu'W J_mu + J_v'W^2 J_v / 2. Fixed variance has
-    no J_v.
+    no J_v. The lanes are stacked on a leading axis; stacked products and
+    sums over the last axis give each lane the bits of its one-lane
+    evaluation.
     """
-    _, i, sb, ib, sg, ig, c = states
     T = spec.T
-    v, jv = _variance_terms(spec, sigma, i, ib, ig)
-    check_variance(v)
+    lanes = [k for k, states in enumerate(passes) if not isinstance(states, Exception)]
+    outcomes = list(passes)
+    if not lanes:
+        return outcomes
+    _, i, sb, ib, sg, ig, c = np.array([passes[k] for k in lanes]).swapaxes(0, 1)
+    v, jv = _variance_terms(spec, [sigmas[k] for k in lanes], i, ib, ig)
+    positive = ((v > 0.0) & np.isfinite(v)).all(axis=1)
+    if not positive.all():
+        for lane in np.flatnonzero(~positive):
+            try:
+                check_variance(v[lane])
+            except DegenerateVarianceError as exc:
+                outcomes[lanes[lane]] = exc
+        lanes = [k for k, ok in zip(lanes, positive) if ok]
+        if not lanes:
+            return outcomes
+        sb, sg, c, v = sb[positive], sg[positive], c[positive], v[positive]
+        jv = None if jv is None else jv[positive]
     r = _residuals(c, spec)
-    jac = (spec.p * spec.init.population) * np.stack((sb[:T] - sb[1 : T + 1],
-                                                      sg[:T] - sg[1 : T + 1]))
-    wjac = jac / v
-    if jv is None:
-        grad, info = wjac @ r, wjac @ jac.T
-    else:
-        grad = 0.5 * (jv @ ((r * r / v - 1.0) / v))
-        info = 0.5 * ((jv / v**2) @ jv.T)
-        grad[:2] += wjac @ r  # J_mu has a zero sigma column
-        info[:2, :2] += wjac @ jac.T
-    return _Point(_normal_ll(r, v), float(np.dot(r, r / v)), float(np.sum(np.log(v))),
-                  grad, info)
+    jac = (spec.p * spec.init.population) * np.stack((sb[:, :T] - sb[:, 1 : T + 1],
+                                                      sg[:, :T] - sg[:, 1 : T + 1]), axis=1)
+    wjac = jac / v[:, None]
+    grad, info = (wjac @ r[..., None])[..., 0], wjac @ jac.transpose(0, 2, 1)
+    if jv is not None:
+        mean_grad, mean_info = grad, info  # J_mu has a zero sigma column
+        grad = 0.5 * (jv @ ((r * r / v - 1.0) / v)[..., None])[..., 0]
+        info = 0.5 * ((jv / (v**2)[:, None]) @ jv.transpose(0, 2, 1))
+        grad[:, :2] += mean_grad
+        info[:, :2, :2] += mean_info
+    ll = np.sum(-0.5 * r * r / v - 0.5 * np.log(2.0 * math.pi * v), axis=-1)
+    wrss = (r[:, None, :] @ (r / v)[..., None])[:, 0, 0]
+    logdet = np.sum(np.log(v), axis=-1)
+    for k, *point in zip(lanes, ll.tolist(), wrss.tolist(), logdet.tolist(), grad, info):
+        outcomes[k] = _Point(*point)
+    return outcomes
 
 
 def log_likelihood(params: SirParams, sigma: float | None, spec: LikelihoodSpec) -> float:
@@ -323,14 +405,15 @@ def _rates(x) -> SirParams:
     return SirParams(delta + gamma, gamma)
 
 
-def _tangent(x) -> np.ndarray:
-    """T = d(beta, gamma[, sigma]) / dx at x = (log delta, log gamma[, log sigma]).
-
-    T = [[delta, gamma, 0], [0, gamma, 0], [0, 0, sigma]].
-    """
-    tangent = np.diag(np.exp(x))
-    tangent[0, 1] = tangent[1, 1]
-    return tangent
+def _rates_at(xs) -> list:
+    """The rates at every row of xs, or the DegenerateParameterError they raise."""
+    out = []
+    for x in xs:
+        try:
+            out.append(_rates(x))
+        except DegenerateParameterError as exc:
+            out.append(exc)
+    return out
 
 
 def _free_coordinates(x, grad) -> np.ndarray:
@@ -364,40 +447,134 @@ class _Iterate(NamedTuple):
     def first_order_ok(self) -> bool:
         return self.projected_grad_norm <= _FIRST_ORDER_TOL * max(1.0, abs(self.point.ll))
 
-
-def _iterate(x, point: _Point) -> _Iterate:
-    tangent = _tangent(x)
-    grad = point.grad @ tangent
-    free = _free_coordinates(x, grad)
-    if free.all():
-        norm = np.linalg.norm(point.grad)
-    else:
-        norm = np.linalg.norm(point.grad @ np.linalg.qr(tangent[:, free])[0])
-    return _Iterate(x, point, grad, tangent.T @ point.info @ tangent, free, float(norm))
+    @property
+    def decrement_tol(self) -> float:
+        return _DECREMENT_TOL * max(1.0, abs(self.point.ll))
 
 
-def _model_rise(step, grad, info) -> float:
-    """Rise of ll that the scoring model predicts for a step."""
-    return float(step @ grad - 0.5 * step @ info @ step)
+def _iterates(xs, points) -> list:
+    """The _Iterate at every row of xs from its evaluation in ``points``; an
+    error in ``points`` is passed through.
+
+    T = d(beta, gamma[, sigma]) / dx at x = (log delta, log gamma[, log sigma])
+    is [[delta, gamma, 0], [0, gamma, 0], [0, 0, sigma]]. The chain rule and
+    the norms are stacked products over the lanes; a lane with a coordinate
+    held at a bound projects its gradient alone.
+    """
+    lanes = [k for k, point in enumerate(points) if isinstance(point, _Point)]
+    if not lanes:
+        return list(points)
+    xs = xs[lanes]
+    grad = np.array([points[k].grad for k in lanes])
+    info = np.array([points[k].info for k in lanes])
+    tangent = np.zeros(info.shape)
+    diag = np.arange(xs.shape[1])
+    tangent[:, diag, diag] = np.exp(xs)
+    tangent[:, 0, 1] = tangent[:, 1, 1]
+    grad_x = (grad[:, None] @ tangent)[:, 0]
+    info_x = tangent.transpose(0, 2, 1) @ info @ tangent
+    free = _free_coordinates(xs, grad_x)
+    norms = np.sqrt((grad[:, None] @ grad[..., None])[:, 0, 0])
+    out = list(points)
+    for lane, k in enumerate(lanes):
+        norm = norms[lane]
+        if not free[lane].all():
+            norm = np.linalg.norm(grad[lane] @ np.linalg.qr(tangent[lane][:, free[lane]])[0])
+        out[k] = _Iterate(xs[lane], points[k], grad_x[lane], info_x[lane], free[lane], float(norm))
+    return out
 
 
-_TRIAL_ERRORS = (DegenerateParameterError, IntegrationError, DegenerateVarianceError)
+def _evaluate_at(xs, spec: LikelihoodSpec, passes=None) -> list:
+    """The _Iterate at every row of xs, or the error that its evaluation raised.
+
+    ``passes`` are the sensitivity passes at the rates of xs when already run.
+    """
+    if passes is None:
+        passes = _sensitivity_passes(_rates_at(xs), spec.init, spec.T, spec.steps_per_day)
+    sigmas = [math.exp(x[2]) if spec.noise.sigma_free else None for x in xs]
+    return _iterates(xs, _evaluate_passes(passes, sigmas, spec))
 
 
-def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
-    """Levenberg-Marquardt Fisher scoring in x = (log delta, log gamma[, log sigma]).
+def _model_rises(steps, grad, info) -> list[float]:
+    """Rise of ll that the scoring model predicts for each lane's step."""
+    rises = steps[:, None] @ grad[..., None] - (0.5 * steps)[:, None] @ info @ steps[..., None]
+    return rises[:, 0, 0].tolist()
 
-    It fits on spec's substep grid alone; ``_fit_start`` runs it once per
-    start, or twice above _SEARCH_STEPS_PER_DAY. The data pin down the growth
-    rate delta = beta - gamma and leave gamma on a flat slope-one ridge. In
-    these coordinates the ridge runs along the log gamma axis, and
-    beta = delta + gamma keeps delta > 0, so no trial step can cross the
-    delta -> 0 edge. Each evaluation yields ll, its gradient g and the
-    expected information F over theta = (beta, gamma[, sigma]); for fixed
-    variance F is the Gauss-Newton matrix J'WJ of the weighted least squares
-    in r = y - p*delta_k. The chain rule takes them to x as T'g and T'FT,
-    T = d(theta)/dx (``_tangent``), formed once per evaluation with the bound
-    bookkeeping (``_Iterate``). A step solves
+
+def _solve(a, b):
+    """Stacked solutions of a x = b, and a mask of the lanes whose a is nonsingular
+    (their x is zero where it is not)."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(b) == 1:
+            return np.zeros_like(b), np.zeros(1, dtype=bool)
+        xs, ok = zip(*(_solve(a[k : k + 1], b[k : k + 1]) for k in range(len(b))))
+        return np.concatenate(xs), np.concatenate(ok)
+
+
+@dataclass
+class _Lane:
+    """One start's Levenberg-Marquardt state in a lockstep fit."""
+
+    current: _Iterate
+    damping: float = _LM_DAMPING
+    growth: float = 2.0
+    scale: float = 0.0
+    accepted: int = 0
+
+
+def _scoring_steps(lanes: list[_Lane], grad, info, free):
+    """Each lane's damped scoring step over x, and which lanes stop instead.
+
+    A lane stops when its iterate passes the first-order test and its
+    scoring decrement is below its tolerance, or when a system it solves is
+    singular. A coordinate held at a bound gets a zero gradient and an
+    identity row and column, so all lanes solve full-size systems in one
+    stack, with the bits of their systems over the free coordinates alone.
+    """
+    eye = np.eye(grad.shape[1])
+    g = np.where(free, grad, 0.0)
+    f = np.where(free[:, :, None] & free[:, None, :], info, eye)
+    tested = [lane.current.first_order_ok for lane in lanes]
+    solved, decrements = [True] * len(lanes), [math.inf] * len(lanes)
+    if any(tested):
+        sol, solved = _solve(f, g)
+        decrements = ((0.5 * g)[:, None] @ sol[..., None])[:, 0, 0].tolist()
+    peaks = info.diagonal(axis1=1, axis2=2).max(axis=1).tolist()
+    stop, damped = [], []
+    for lane, test, ok, decrement, peak in zip(lanes, tested, solved, decrements, peaks):
+        stop.append(test and (not ok or decrement <= lane.current.decrement_tol))
+        if not stop[-1]:
+            lane.scale = max(lane.scale, peak)
+        damped.append(lane.damping * lane.scale)
+    sol, solved = _solve(f + np.multiply.outer(damped, eye), g)
+    return np.where(free, sol, 0.0), np.array(stop) | ~solved
+
+
+def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams]) -> list:
+    """Levenberg-Marquardt Fisher scoring in x = (log delta, log gamma[, log sigma]),
+    every start a lane of one lockstep fit.
+
+    It fits on spec's substep grid alone and returns, per start, its
+    MleResult or the OptimizationFailureError of a start that cannot be
+    evaluated; ``_fit_start`` runs it once, or in up to three phases above
+    _SEARCH_STEPS_PER_DAY. Each iteration evaluates the trial steps of all
+    active lanes in one batch (``_sensitivity_passes``, ``_evaluate_passes``,
+    ``_iterates``), whose lanes keep the bits of one-lane evaluations. Every
+    lane keeps its own damping, growth, scale, accept/reject, bounds,
+    stopping rule and failure, and leaves the batch when it stops, so a
+    start's result does not depend on the other lanes.
+
+    The data pin down the growth rate delta = beta - gamma and leave gamma
+    on a flat slope-one ridge. In these coordinates the ridge runs along the
+    log gamma axis, and beta = delta + gamma keeps delta > 0, so no trial
+    step can cross the delta -> 0 edge. Each evaluation yields ll, its
+    gradient g and the expected information F over theta = (beta, gamma[,
+    sigma]); for fixed variance F is the Gauss-Newton matrix J'WJ of the
+    weighted least squares in r = y - p*delta_k. The chain rule takes them
+    to x as T'g and T'FT, T = d(theta)/dx, formed once per evaluation with
+    the bound bookkeeping (``_Iterate``). A step solves
     (T'FT + lambda * d * I) step = T'g over the free coordinates, d being the
     largest diagonal entry of T'FT seen so far (a scalar form of More's 1978
     scaling), and each coordinate of x moves at most _MAX_LOG_STEP; lambda
@@ -412,142 +589,172 @@ def _fit_scoring(spec: LikelihoodSpec, start: SirParams) -> MleResult:
     inferred sigma starts at its profile maximizer, read from the sensitivity
     pass that also gives the first evaluation.
 
-    The fit stops once the projected gradient passes the first-order test and
+    A lane stops once the projected gradient passes the first-order test and
     the scoring decrement g'F^-1 g / 2, the same in any coordinates, is below
     tol = _DECREMENT_TOL * max(1, |ll|). The first-order test is on the theta
     gradient, projected at a bound as ``_Iterate`` describes. Once a step
     promises less than tol, the objective can no longer rank it against
     rounding, and it is accepted when it shrinks the projected gradient; when
-    it does not, the fit stops there.
+    it does not, the lane stops there. Each lane makes at most
+    _MAX_ITERATIONS trials.
     """
     lo, hi = _LOG_BOUNDS
-    x = np.clip([math.log(start.delta()), math.log(start.gamma)], lo, hi)
     infer_sigma = spec.noise.sigma_free
-    sigma = None
-    try:
-        states = integrate_with_sensitivities(_rates(x), spec.init, spec.T, spec.steps_per_day)
-        if infer_sigma:
-            x = np.append(x, np.clip(math.log(_profile_sigma_start(states, spec)), lo, hi))
-            sigma = math.exp(x[2])
-        current = _iterate(x, _evaluate_pass(states, sigma, spec))
-    except _TRIAL_ERRORS as exc:
-        raise OptimizationFailureError(f"start {start} cannot be evaluated: {exc}") from exc
-
-    def evaluate(x):
-        return _iterate(x, _evaluate(_rates(x), math.exp(x[2]) if infer_sigma else None, spec))
-
-    damping, growth, scale = _LM_DAMPING, 2.0, 0.0
-    accepted = 0
+    xs = np.clip([[math.log(start.delta()), math.log(start.gamma)] for start in starts], lo, hi)
+    passes = _sensitivity_passes(_rates_at(xs), spec.init, spec.T, spec.steps_per_day)
+    if infer_sigma:
+        logs = [0.0 if isinstance(states, Exception) else
+                math.log(_profile_sigma_start(states, spec)) for states in passes]
+        xs = np.column_stack((xs, np.clip(logs, lo, hi)))
+    first = _evaluate_at(xs, spec, passes)
+    lanes = [_Lane(it) if isinstance(it, _Iterate) else None for it in first]
+    active = [lane for lane in lanes if lane is not None]
     for _ in range(_MAX_ITERATIONS):
-        x, point, grad, info, free, _ = current
-        tol = _DECREMENT_TOL * max(1.0, abs(point.ll))
-        g_free, info_free = grad[free], info[np.ix_(free, free)]
-        try:
-            if (current.first_order_ok
-                    and 0.5 * g_free @ np.linalg.solve(info_free, g_free) <= tol):
-                break
-            scale = max(scale, float(np.max(np.diag(info))))
-            step = np.zeros(len(x))
-            step[free] = np.linalg.solve(info_free + damping * scale * np.eye(len(g_free)), g_free)
-        except np.linalg.LinAlgError:
+        if not active:
             break
-        promised = _model_rise(step, grad, info)
-        trial_x = np.clip(x + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP), lo, hi)
-        predicted = _model_rise(trial_x - x, grad, info)
-        try:
-            trial = evaluate(trial_x)
-        except _TRIAL_ERRORS:
-            trial = None
-        fall = None if trial is None else ((point.wrss - trial.point.wrss)
-                                           + (point.logdet - trial.point.logdet))
-        if trial is not None and (
-                fall > 0.0
-                or (promised <= tol
-                    and trial.projected_grad_norm < current.projected_grad_norm)):
-            gain = 0.5 * fall / predicted if predicted > 0.0 else 0.0
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            growth = 2.0
-            current = trial
-            accepted += 1
-        elif promised <= tol:
+        xs, _, grads, infos, frees, _ = zip(*(lane.current for lane in active))
+        x, grad, info, free = map(np.array, (xs, grads, infos, frees))
+        steps, stop = _scoring_steps(active, grad, info, free)
+        if stop.all():
             break
-        else:
-            damping *= growth
-            growth *= 2.0
-    x, point = current.x, current.point
-    rates = _rates(x)
-    return MleResult(
-        beta_hat=rates.beta,
-        gamma_hat=rates.gamma,
-        sigma_hat=math.exp(x[2]) if infer_sigma else None,
-        loglik=point.ll,
-        converged=current.first_order_ok,
-        iterations=accepted,
-        grad_norm=float(np.linalg.norm(point.grad)),
-    )
+        promised = _model_rises(steps, grad, info)
+        trial_x = np.clip(x + np.clip(steps, -_MAX_LOG_STEP, _MAX_LOG_STEP), lo, hi)
+        predicted = _model_rises(trial_x - x, grad, info)
+        moving = np.flatnonzero(~stop)
+        still = []
+        for k, trial in zip(moving, _evaluate_at(trial_x[moving], spec)):
+            lane = active[k]
+            current, tol = lane.current, lane.current.decrement_tol
+            if isinstance(trial, _Iterate):
+                fall = ((current.point.wrss - trial.point.wrss)
+                        + (current.point.logdet - trial.point.logdet))
+            if isinstance(trial, _Iterate) and (
+                    fall > 0.0
+                    or (promised[k] <= tol
+                        and trial.projected_grad_norm < current.projected_grad_norm)):
+                gain = 0.5 * fall / predicted[k] if predicted[k] > 0.0 else 0.0
+                lane.damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                lane.growth = 2.0
+                lane.current = trial
+                lane.accepted += 1
+            elif promised[k] <= tol:
+                continue
+            else:
+                lane.damping *= lane.growth
+                lane.growth *= 2.0
+            still.append(lane)
+        active = still
+    results = []
+    for start, lane, it in zip(starts, lanes, first):
+        if lane is None:
+            results.append(OptimizationFailureError(f"start {start} cannot be evaluated: {it}"))
+            continue
+        x, point = lane.current.x, lane.current.point
+        rates = _rates(x)
+        results.append(MleResult(
+            beta_hat=rates.beta,
+            gamma_hat=rates.gamma,
+            sigma_hat=math.exp(x[2]) if infer_sigma else None,
+            loglik=point.ll,
+            converged=lane.current.first_order_ok,
+            iterations=lane.accepted,
+            grad_norm=float(np.linalg.norm(point.grad)),
+        ))
+    return results
 
 
 def _rank(result: MleResult):
     return result.converged, result.loglik
 
 
-_FIT_ERRORS = (OptimizationFailureError, IntegrationError, DegenerateVarianceError)
+def _fit_start(spec: LikelihoodSpec, starts: list[SirParams]) -> list:
+    """Every start's fit on spec's grid, searched on the _SEARCH_STEPS_PER_DAY
+    grid: per start, its MleResult or the OptimizationFailureError it ended in.
 
-
-def _fit_start(spec: LikelihoodSpec, start: SirParams) -> MleResult:
-    """One start's fit on spec's grid, searched on the _SEARCH_STEPS_PER_DAY grid.
-
-    A fit at no more substeps than that is ``_fit_scoring``'s. A finer one
-    runs in two levels: the search fits on the coarse grid from ``start``,
-    and the polish fits on spec's grid from the search optimum, with the same
-    stopping rule, so the result is always an optimum of spec's grid. Its
-    ``iterations`` count the accepted steps of both. When the search fails or
-    the polish ends unconverged, the start is also fit on spec's grid alone,
-    and the better of the two by ``_rank`` is kept.
+    A fit at no more substeps than that is one lockstep ``_fit_scoring``. A
+    finer one runs each start in two levels, as lockstep phases over the
+    starts: the search fits every start on the coarse grid, and the polish
+    fits every searched start on spec's grid from its search optimum, with
+    the same stopping rule, so a result is always an optimum of spec's grid.
+    Its ``iterations`` count the accepted steps of both. A start whose
+    search or polish fails, or whose polish ends unconverged, is then fit on
+    spec's grid alone, in a third phase; an unconverged polish keeps the
+    better of the two by ``_rank``, or itself when that fit fails.
     """
     if spec.steps_per_day <= _SEARCH_STEPS_PER_DAY:
-        return _fit_scoring(spec, start)
-    try:
-        search = _fit_scoring(replace(spec, steps_per_day=_SEARCH_STEPS_PER_DAY), start)
-        polish = _fit_scoring(spec, search.params())
-    except _FIT_ERRORS:
-        return _fit_scoring(spec, start)
-    polish = replace(polish, iterations=search.iterations + polish.iterations)
-    if polish.converged:
-        return polish
-    try:
-        direct = _fit_scoring(spec, start)
-    except _FIT_ERRORS:
-        return polish
-    return max(polish, direct, key=_rank)
+        return _fit_scoring(spec, starts)
+    searches = _fit_scoring(replace(spec, steps_per_day=_SEARCH_STEPS_PER_DAY), starts)
+    searched = [k for k, search in enumerate(searches) if isinstance(search, MleResult)]
+    results = [None] * len(starts)
+    if searched:
+        polishes = _fit_scoring(spec, [searches[k].params() for k in searched])
+        for k, polish in zip(searched, polishes):
+            if isinstance(polish, MleResult):
+                results[k] = replace(polish, iterations=searches[k].iterations + polish.iterations)
+    redo = [k for k, polish in enumerate(results) if polish is None or not polish.converged]
+    if redo:
+        for k, direct in zip(redo, _fit_scoring(spec, [starts[k] for k in redo])):
+            if results[k] is None:
+                results[k] = direct
+            elif isinstance(direct, MleResult):
+                results[k] = max(results[k], direct, key=_rank)
+    return results
+
+
+class StartFit(NamedTuple):
+    """How one start of a multi-started fit ended: its ``result``, or the
+    ``error`` message of a start that failed."""
+
+    start: SirParams
+    result: MleResult | None
+    error: str | None = None
+
+
+def fit_starts(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
+               n_starts: int = 8) -> list[StartFit]:
+    """Every start's fit, in the order of ``starts`` (``default_starts`` when None).
+
+    The starts step together as the lanes of one lockstep fit
+    (``_fit_start``), and each start's result is the one it reaches fit alone.
+    """
+    if starts is None:
+        starts = default_starts(spec, n_starts)
+    return [StartFit(start, result) if isinstance(result, MleResult)
+            else StartFit(start, None, str(result))
+            for start, result in zip(starts, _fit_start(spec, starts))]
+
+
+def best_fit(fits: list[StartFit]) -> MleResult:
+    """The best result of ``fits`` by (converged, loglik); the earliest start wins a tie.
+
+    A start that passed the first-order test beats one that did not,
+    whatever their log-likelihoods, so a start stopped a rounding error above
+    the optimum cannot displace a converged one. Raises
+    OptimizationFailureError, with every start's failure, when all failed.
+    """
+    best = None
+    diagnostics = []
+    for idx, fit in enumerate(fits):
+        if fit.result is None:
+            diagnostics.append(f"start {idx} ({fit.start.beta:.4g}, {fit.start.gamma:.4g}): "
+                               f"{fit.error}")
+        elif best is None or _rank(fit.result) > _rank(best):
+            best = fit.result
+    if best is None:
+        raise OptimizationFailureError("all optimizer starts failed", diagnostics=diagnostics)
+    return best
 
 
 def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
             n_starts: int = 8) -> MleResult:
-    """Best local maximum across multi-started ascents.
+    """Best local maximum across multi-started ascents: ``best_fit(fit_starts(...))``.
 
-    Each start is fit by ``_fit_start``: above _SEARCH_STEPS_PER_DAY substeps
-    per day, most of the walk along the ridge runs on that coarser grid and a
-    few passes on spec's grid polish it. Starts rank by (converged, loglik):
-    a start that passed the first-order test beats one that did not, whatever
-    their log-likelihoods, so a start stopped a rounding error above the
-    optimum cannot displace a converged one.
+    The starts step in lockstep, one batched sensitivity pass per iteration
+    for all of them. Above _SEARCH_STEPS_PER_DAY substeps per day, most of
+    the walk along the ridge runs on that coarser grid and a few passes on
+    spec's grid polish it (``_fit_start``).
     """
-    if starts is None:
-        starts = default_starts(spec, n_starts)
-    best = None
-    diagnostics = []
-    for idx, start in enumerate(starts):
-        try:
-            result = _fit_start(spec, start)
-        except _FIT_ERRORS as exc:
-            diagnostics.append(f"start {idx} ({start.beta:.4g}, {start.gamma:.4g}): {exc}")
-            continue
-        if best is None or _rank(result) > _rank(best):
-            best = result
-    if best is None:
-        raise OptimizationFailureError("all optimizer starts failed", diagnostics=diagnostics)
-    return best
+    return best_fit(fit_starts(spec, starts, n_starts))
 
 
 @dataclass(frozen=True)

@@ -217,18 +217,28 @@ class ApproximationErrorSeries:
 def approximation_error(base: SirParams, init: InitialCondition, pert: Perturbation,
                         horizon: int,
                         steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> ApproximationErrorSeries:
-    """Measure how well the closed form tracks the exact separation."""
+    """Measure how well the closed form tracks the exact separation.
+
+    The base and the perturbed rates are integrated one at a time, which at
+    two parameter sets is faster than an array batch; the exact separation
+    has the bits of ``separation_sweep``'s. PerturbationTooLargeError is
+    raised unless the perturbed growth rate is positive, and a perturbed
+    recovery rate that is not positive raises DegenerateParameterError.
+    """
     _check_anchor(base, pert)
-    [curve] = separation_sweep(base, init, pert.epsilon, [pert.omega], horizon, steps_per_day)
-    exact = curve.distance
-    ds, di = linearized_difference(base, init, pert.epsilon, pert.omega, curve.times)
+    pert.delta_eps()
+    reference = integrate_exact(base, init, horizon, steps_per_day)
+    moved = integrate_exact(pert.perturbed(), init, horizon, steps_per_day)
+    times = reference.times
+    exact = np.hypot(moved.s - reference.s, moved.i - reference.i)
+    ds, di = linearized_difference(base, init, pert.epsilon, pert.omega, times)
     linearized = np.hypot(ds, di)
     err = exact - linearized
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.log(np.abs(err)) - np.log(exact)
     rel = np.where((exact == 0.0) | (err == 0.0), np.nan, rel)
     return ApproximationErrorSeries(
-        times=curve.times,
+        times=times,
         exact_distance=exact,
         linearized_distance=linearized,
         error=err,

@@ -3,9 +3,11 @@ import math
 
 import pytest
 
-from sirlimits.cli import main, run_experiment
+from sirlimits.cli import _start_record, main, run_experiment
 from sirlimits.config import load_config, validate_config
 from sirlimits.errors import ConfigError
+from sirlimits.inference import StartFit
+from sirlimits.sir import SirParams
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -229,6 +231,17 @@ class TestRunners:
         assert payload["delta_hat"] == pytest.approx(0.14, rel=0.05)
         # sigma is inferred exactly when the noise block leaves it out
         assert (payload["sigma_hat"] is None) == ("sigma" in fit_noise)
+        # every start is recorded, and the best one carries the top-level fit
+        starts = payload["starts"]
+        assert len(starts) == 2
+        assert all({"beta", "gamma", "converged", "loglik", "iterations"} == set(start)
+                   for start in starts)
+        assert payload["loglik"] in [start["loglik"] for start in starts]
+
+    def test_a_failed_start_is_recorded_with_its_message(self):
+        start = SirParams(0.3, 0.1)
+        record = _start_record(StartFit(start, None, "start cannot be evaluated: day 6"))
+        assert record == {"beta": 0.3, "gamma": 0.1, "error": "start cannot be evaluated: day 6"}
 
     def test_fit_without_noise_block_is_rejected(self):
         with pytest.raises(ConfigError, match="noise"):

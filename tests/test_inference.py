@@ -178,6 +178,22 @@ class TestSensitivities:
             integrate_with_sensitivities(wild, init, 50, steps_per_day)
         assert 1 <= sens.value.step <= exact.value.step
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_lane_is_its_one_lane_pass(self):
+        # a lane that blows up sits between lanes that do not: each lane of
+        # the batch is its one-lane pass bit for bit, or raises what it raises alone
+        init = InitialCondition(s0=0.5, i0=0.5, population=100)
+        rates = [BASE, SirParams(400.0, 0.1), SirParams(1.68, 0.14), SirParams(0.42, 0.07)]
+        batch = inference._sensitivity_passes(rates, init, 50, 5)
+        assert isinstance(batch[1], IntegrationError)
+        for params, lane in zip(rates, batch):
+            try:
+                alone = integrate_with_sensitivities(params, init, 50, 5)
+            except IntegrationError as exc:
+                assert str(lane) == str(exc)
+            else:
+                assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
+
     def test_zero_seed_zero_sensitivities(self):
         init = InitialCondition(s0=1.0, i0=0.0, population=1000)
         _, i, sb, ib, sg, ig, _ = integrate_with_sensitivities(BASE, init, 30, 10)
@@ -450,16 +466,9 @@ class TestFit:
         near, far = inference.default_starts(spec, 2)
         assert (far.beta, far.gamma) == pytest.approx((3.26, 3.23), abs=0.01)
         near_fit = fit_mle(spec, starts=[near])
-        integrate = inference.integrate_with_sensitivities
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return integrate(*args)
-
-        monkeypatch.setattr(inference, "integrate_with_sensitivities", counted)
+        counts = counting_passes(monkeypatch)
         far_fit = fit_mle(spec, starts=[far])
-        assert len(calls) < 100
+        assert 0 < counts[5] < 100
         assert far_fit.converged
         assert far_fit.beta_hat == pytest.approx(near_fit.beta_hat, rel=1e-6)
         assert far_fit.gamma_hat == pytest.approx(near_fit.gamma_hat, rel=1e-6)
@@ -471,27 +480,26 @@ class TestFit:
         lo = inference._LOG_BOUNDS[0]
         point = inference._Point(ll=-10.0, wrss=0.0, logdet=0.0,
                                  grad=np.array([-3.0, 1.0]), info=np.eye(2))
-        held = np.array([lo, math.log(0.5)])
-        assert inference._iterate(held, point).projected_grad_norm == pytest.approx(math.sqrt(2.0))
-        inside = np.array([math.log(0.1), math.log(0.5)])
-        assert inference._iterate(inside, point).projected_grad_norm == math.hypot(3.0, 1.0)
+        held = np.array([[lo, math.log(0.5)]])
+        [at_bound] = inference._iterates(held, [point])
+        assert at_bound.projected_grad_norm == pytest.approx(math.sqrt(2.0))
+        inside = np.array([[math.log(0.1), math.log(0.5)]])
+        assert inference._iterates(inside, [point])[0].projected_grad_norm == math.hypot(3.0, 1.0)
 
     def test_failed_trial_is_a_rejected_step(self, monkeypatch):
         noise = NoiseModel.known(np.full(40, 2e4))
         obs = make_obs(BASE, INIT7, noise, p=1.0, T=40, seed=8)
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
         clean = fit_mle(spec, starts=[moment_start(obs)])
-        integrate = inference.integrate_with_sensitivities
         calls = []
 
-        def fail_second_evaluation(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise IntegrationError("forced failure")
-            return integrate(*args)
+        def on_the_second_pass(steps_per_day, lanes):
+            calls.append(lanes)
+            return len(calls) == 2
 
-        monkeypatch.setattr(inference, "integrate_with_sensitivities", fail_second_evaluation)
+        failing_lane(monkeypatch, on_the_second_pass)
         fit = fit_mle(spec, starts=[moment_start(obs)])
+        assert len(calls) > 2
         assert fit.converged
         assert fit.loglik == pytest.approx(clean.loglik, abs=1e-8)
 
@@ -517,16 +525,31 @@ class TestFit:
 
 
 def counting_passes(monkeypatch):
-    """Counter of sensitivity passes by substeps per day, counting from now on."""
-    integrate = inference.integrate_with_sensitivities
+    """Counter of sensitivity passes by substeps per day, one per lane of
+    every batched pass, counting from now on."""
+    passes = inference._sensitivity_passes
     counts = Counter()
 
-    def counted(params, init, horizon, steps_per_day):
-        counts[steps_per_day] += 1
-        return integrate(params, init, horizon, steps_per_day)
+    def counted(rates, init, horizon, steps_per_day):
+        counts[steps_per_day] += len(rates)
+        return passes(rates, init, horizon, steps_per_day)
 
-    monkeypatch.setattr(inference, "integrate_with_sensitivities", counted)
+    monkeypatch.setattr(inference, "_sensitivity_passes", counted)
     return counts
+
+
+def failing_lane(monkeypatch, fails, lane=0):
+    """Make lane ``lane`` of a batched pass raise IntegrationError whenever
+    ``fails(steps_per_day, lanes)`` is true, from now on."""
+    passes = inference._sensitivity_passes
+
+    def forced(rates, init, horizon, steps_per_day):
+        outcomes = passes(rates, init, horizon, steps_per_day)
+        if fails(steps_per_day, len(rates)):
+            outcomes[lane] = IntegrationError("forced failure")
+        return outcomes
+
+    monkeypatch.setattr(inference, "_sensitivity_passes", forced)
 
 
 class TestTwoLevelFit:
@@ -538,7 +561,7 @@ class TestTwoLevelFit:
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
         start = moment_start(obs)
         counts = counting_passes(monkeypatch)
-        single = inference._fit_scoring(spec, start)
+        [single] = inference._fit_scoring(spec, [start])
         passes = counts[steps_per_day]
         assert fit_mle(spec, starts=[start]) == single
         assert counts == {steps_per_day: 2 * passes}
@@ -550,7 +573,7 @@ class TestTwoLevelFit:
         spec = nyc_likelihood_spec(load_nyc_fixture(), p)
         assert spec.steps_per_day == 50
         for start in inference.default_starts(spec):
-            single = inference._fit_scoring(spec, start)
+            [single] = inference._fit_scoring(spec, [start])
             counts = counting_passes(monkeypatch)
             fit = fit_mle(spec, starts=[start])
             monkeypatch.undo()
@@ -562,8 +585,8 @@ class TestTwoLevelFit:
     def test_iterations_count_the_search_and_the_polish(self):
         spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
         start = inference.default_starts(spec)[-1]
-        search = inference._fit_scoring(replace(spec, steps_per_day=10), start)
-        polish = inference._fit_scoring(spec, search.params())
+        [search] = inference._fit_scoring(replace(spec, steps_per_day=10), [start])
+        [polish] = inference._fit_scoring(spec, [search.params()])
         fit = fit_mle(spec, starts=[start])
         assert (fit.beta_hat, fit.gamma_hat, fit.loglik) == (
             polish.beta_hat, polish.gamma_hat, polish.loglik)
@@ -573,34 +596,115 @@ class TestTwoLevelFit:
     def test_failed_search_falls_back_to_the_full_grid(self, monkeypatch):
         spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
         start = inference.default_starts(spec)[0]
-        single = inference._fit_scoring(spec, start)
-        integrate = inference.integrate_with_sensitivities
-
-        def fail_on_the_search_grid(params, init, horizon, steps_per_day):
-            if steps_per_day == 10:
-                raise IntegrationError("forced failure")
-            return integrate(params, init, horizon, steps_per_day)
-
-        monkeypatch.setattr(inference, "integrate_with_sensitivities", fail_on_the_search_grid)
+        [single] = inference._fit_scoring(spec, [start])
+        failing_lane(monkeypatch, lambda steps_per_day, lanes: steps_per_day == 10)
         assert fit_mle(spec, starts=[start]) == single
 
     def test_unconverged_polish_falls_back_to_the_full_grid(self, monkeypatch):
         spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
         start = inference.default_starts(spec)[0]
-        single = inference._fit_scoring(spec, start)
+        [single] = inference._fit_scoring(spec, [start])
         fit_scoring = inference._fit_scoring
         calls = []
 
-        def unconverged_polish(spec_, start_):
+        def unconverged_polish(spec_, starts_):
+            [start_] = starts_
             calls.append((spec_.steps_per_day, start_ == start))
-            result = fit_scoring(spec_, start_)
+            [result] = fit_scoring(spec_, starts_)
             if spec_.steps_per_day == 50 and start_ != start:
-                return replace(result, converged=False)
-            return result
+                return [replace(result, converged=False)]
+            return [result]
 
         monkeypatch.setattr(inference, "_fit_scoring", unconverged_polish)
         assert fit_mle(spec, starts=[start]) == single
         assert calls == [(10, True), (50, False), (50, True)]
+
+
+def lockstep_spec(name):
+    """The NYC fixture at p = 0.1 or 0.25 (50 substeps per day), or a
+    simulated case2 series fit with sigma inferred (10 substeps per day)."""
+    if name == "case2":
+        obs = make_obs(BASE, INIT7, NoiseModel.case2(0.3), p=1.0, T=40, seed=8)
+        return sigma_inferred_spec(obs, "case2")
+    return nyc_likelihood_spec(load_nyc_fixture(), {"nyc_p01": 0.1, "nyc_p025": 0.25}[name])
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", ["nyc_p01", "nyc_p025", "case2"])
+    def test_every_start_fits_as_it_does_alone(self, name):
+        spec = lockstep_spec(name)
+        starts = inference.default_starts(spec)
+        lockstep = inference._fit_start(spec, starts)
+        alone = [inference._fit_start(spec, [start])[0] for start in starts]
+        assert all(isinstance(result, inference.MleResult) for result in lockstep)
+        assert lockstep == alone
+
+    def test_the_search_takes_as_many_batches_as_its_slowest_start(self, monkeypatch):
+        spec = lockstep_spec("nyc_p025")
+        starts = inference.default_starts(spec)
+        alone = []
+        for start in starts:
+            counts = counting_passes(monkeypatch)
+            inference._fit_start(spec, [start])
+            monkeypatch.undo()
+            alone.append(counts[10])
+        batches = Counter()
+
+        def count_batches(steps_per_day, lanes):
+            batches[steps_per_day] += 1
+            return False
+
+        failing_lane(monkeypatch, count_batches)
+        inference._fit_start(spec, starts)
+        assert batches[10] == max(alone) < sum(alone)
+
+    def test_a_failed_trial_leaves_the_other_lanes_alone(self, monkeypatch):
+        spec = lockstep_spec("case2")
+        starts = inference.default_starts(spec, 4)
+        clean = inference._fit_scoring(spec, starts)
+        batches = []
+
+        def on_the_third_batch(steps_per_day, lanes):
+            batches.append(lanes)
+            return len(batches) == 3
+
+        failing_lane(monkeypatch, on_the_third_batch, lane=1)
+        forced = inference._fit_scoring(spec, starts)
+        assert batches[2] == len(starts)  # every start still stepping, so lane 1 is start 1
+        assert forced[:1] + forced[2:] == clean[:1] + clean[2:]
+        assert forced[1].converged
+        assert forced[1].loglik == pytest.approx(clean[1].loglik, abs=1e-8)
+
+    def test_a_failed_first_search_pass_falls_back_for_that_start_only(self, monkeypatch):
+        spec = lockstep_spec("nyc_p025")
+        starts = inference.default_starts(spec, 4)
+        clean = inference._fit_start(spec, starts)
+        [direct] = inference._fit_scoring(spec, [starts[1]])
+        batches = []
+
+        def on_the_first_batch(steps_per_day, lanes):
+            batches.append(steps_per_day)
+            return len(batches) == 1
+
+        failing_lane(monkeypatch, on_the_first_batch, lane=1)
+        forced = inference._fit_start(spec, starts)
+        assert batches[0] == 10
+        assert forced[1] == direct
+        assert forced[:1] + forced[2:] == clean[:1] + clean[2:]
+
+    def test_fit_starts_reports_every_start(self):
+        sig = np.full(40, 2e4)
+        obs = make_obs(BASE, INIT7, NoiseModel.known(sig), p=1.0, T=40, seed=8)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
+        good = moment_start(obs)
+        bad = LikelihoodSpec(obs=obs, init=INIT7, noise=NoiseModel.known(np.where(
+            np.arange(40) == 5, 0.0, sig)), steps_per_day=10)
+        fits = inference.fit_starts(spec, [good, good])
+        assert [fit.start for fit in fits] == [good, good]
+        assert fits[0] == fits[1] and fits[0].error is None
+        assert inference.best_fit(fits) == fits[0].result == fit_mle(spec, starts=[good])
+        [failed] = inference.fit_starts(bad, [good])
+        assert failed.result is None and "cannot be evaluated" in failed.error
 
 
 class TestEnsemble:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sirlimits.errors import FitDegenerateError, HorizonTooShortError, PerturbationTooLargeError
+from sirlimits.errors import (
+    DegenerateParameterError,
+    FitDegenerateError,
+    HorizonTooShortError,
+    PerturbationTooLargeError,
+)
 from sirlimits.perturb import (
     Perturbation,
     approximation_error,
@@ -154,10 +159,23 @@ class TestApproximationError:
         assert np.all(series.rel_log_error[1:] < 0.0)
 
     def test_exact_distance_is_the_sweep_distance(self):
-        pert = Perturbation(BASE, 0.03, 1.1)
-        series = approximation_error(BASE, INIT7, pert, horizon=50)
-        [curve] = separation_sweep(BASE, INIT7, 0.03, [1.1], 50)
-        assert series.exact_distance.tobytes() == curve.distance.tobytes()
+        # the second input is 96 days at 50 substeps per day, past the peak
+        for omega, horizon in [(1.1, 50), (math.pi / 4 + 0.05, 96)]:
+            pert = Perturbation(BASE, 0.03, omega)
+            series = approximation_error(BASE, INIT7, pert, horizon=horizon)
+            [curve] = separation_sweep(BASE, INIT7, 0.03, [omega], horizon)
+            assert series.exact_distance.tobytes() == curve.distance.tobytes()
+            assert series.times.tobytes() == curve.times.tobytes()
+
+    def test_rejects_a_flipped_perturbed_growth_rate(self):
+        tight = SirParams(0.21, 0.18)  # delta = 0.03
+        with pytest.raises(PerturbationTooLargeError):
+            approximation_error(tight, INIT7, Perturbation(tight, 0.025, 3 * math.pi / 4), 10)
+
+    def test_rejects_a_perturbed_recovery_rate_that_is_not_positive(self):
+        pert = Perturbation(BASE, 0.1, 3 * math.pi / 2)
+        with pytest.raises(DegenerateParameterError, match="gamma"):
+            approximation_error(BASE, INIT7, pert, horizon=40)
 
     def test_rejects_perturbation_of_another_base(self):
         pert = Perturbation(SirParams(0.42, 0.07), 0.03, 0.3)
