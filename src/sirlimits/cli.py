@@ -2,7 +2,8 @@
 
 Usage:
 
-    sirlimits <experiment> --config CONFIG.json --out DIR [--seed N] [--threads K]
+    sirlimits <experiment> --config CONFIG.json --out DIR [--seed N]
+    sirlimits ensemble --config CONFIG.json --out DIR [--seed N] [--threads K]
 
 Each run writes its CSV/JSON artifacts plus a ``manifest.json`` recording the
 configuration hash, effective seed, library versions, and a content hash for
@@ -22,24 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    load_config,
-    parse_init,
-    parse_noise,
-    parse_params,
-    validate_config,
-)
-from .data import NYC_POPULATION, load_cases, nyc_fixture_path
+from .config import EXPERIMENTS, ExperimentConfig, load_config
+from .data import load_cases
 from .errors import ConfigError, SirLimitsError
 from .inference import LikelihoodSpec, StartFit, best_fit, fit_starts, mle_ensemble
 from .inference import write_ensemble_csv
 from .lrt import epsilon_for_power, power_grid, write_power_csv
 from .nyc import reporting_rate_sweep, write_nyc_table_csv
 from .perturb import error_fit, separation_sweep, write_error_fit_csv, write_sweep_csv
-from .simulate import NoiseModel, ObservationSeries, observe, write_observations_csv
-from .sir import DEFAULT_STEPS_PER_DAY, integrate_exact, write_trajectory_csv
+from .simulate import ObservationSeries, observe, write_observations_csv
+from .sir import integrate_exact, write_trajectory_csv
 
 _JSON_KW = dict(indent=2, sort_keys=True)
 
@@ -64,7 +57,7 @@ def _write_manifest(config: ExperimentConfig, out_dir: Path, outputs: list[Path]
         "experiment": config.experiment,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "config": config.raw,
-        "seed": config.seed,
+        "seed": config["seed"],
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -79,16 +72,10 @@ def _write_manifest(config: ExperimentConfig, out_dir: Path, outputs: list[Path]
     return path
 
 
-def _steps_per_day(config: ExperimentConfig) -> int:
-    return int(config.get("steps_per_day", DEFAULT_STEPS_PER_DAY))
-
-
 def _run_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
-    params = parse_params(config.get("params"))
-    init = parse_init(config)
-    noise = parse_noise(config.get("noise"))
-    traj = integrate_exact(params, init, int(config.get("horizon")), _steps_per_day(config))
-    obs = observe(traj, noise, float(config.get("p")), int(config.get("T")), config.seed)
+    traj = integrate_exact(config["params"], config["population"], config["horizon"],
+                           config["steps_per_day"])
+    obs = observe(traj, config["noise"], config["p"], config["T"], config["seed"])
     paths = [out / "trajectory.csv", out / "observations.csv", out / "observations.json"]
     write_trajectory_csv(traj, paths[0])
     write_observations_csv(obs, paths[1], sidecar_path=paths[2])
@@ -96,24 +83,17 @@ def _run_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _run_sweep(config: ExperimentConfig, out: Path) -> list[Path]:
-    params = parse_params(config.get("params"))
-    init = parse_init(config)
-    n_angles = int(config.get("n_angles", 90))
-    omegas = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    curves = separation_sweep(
-        params, init, float(config.get("epsilon")), omegas,
-        int(config.get("horizon")), _steps_per_day(config),
-    )
+    omegas = np.linspace(0.0, 2.0 * math.pi, config["n_angles"], endpoint=False)
+    curves = separation_sweep(config["params"], config["population"], config["epsilon"], omegas,
+                              config["horizon"], config["steps_per_day"])
     path = out / "sweep.csv"
     write_sweep_csv(curves, path)
     return [path]
 
 
 def _run_error_fit(config: ExperimentConfig, out: Path) -> list[Path]:
-    params = parse_params(config.get("params"))
-    init = parse_init(config)
-    fit = error_fit(params, init, float(config.get("epsilon")),
-                    int(config.get("horizon")), _steps_per_day(config))
+    fit = error_fit(config["params"], config["population"], config["epsilon"],
+                    config["horizon"], config["steps_per_day"])
     csv_path = out / "error_fit.csv"
     json_path = out / "error_fit.json"
     write_error_fit_csv(fit, csv_path)
@@ -136,10 +116,17 @@ def _load_observation_csv(path: Path) -> np.ndarray:
         header = fh.readline().strip().lower()
         if header != "t,y":
             raise ConfigError(f"{path}: expected observation header 't,y'")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if line.strip():
-                _, y = line.split(",")
-                rows.append(float(y))
+                try:
+                    _, y = line.split(",")
+                    y = float(y)
+                except ValueError:  # a field count other than 2, or y not a number
+                    y = math.nan
+                if not math.isfinite(y):
+                    raise ConfigError(f"{path}: line {lineno}: expected 't,y' with a finite y, "
+                                      f"got {line.strip()!r}")
+                rows.append(y)
     if not rows:
         raise ConfigError(f"{path}: no observations")
     return np.asarray(rows)
@@ -157,19 +144,18 @@ def _start_record(fit: StartFit) -> dict:
 
 
 def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
-    values = _load_observation_csv(Path(config.get("observations")))
-    init = parse_init(config)
-    noise = parse_noise(config.get("noise"))
+    values = _load_observation_csv(config["observations"])
+    init, noise = config["population"], config["noise"]
     obs = ObservationSeries(
         values=values,
-        reporting_rate=float(config.get("p")),
+        reporting_rate=config["p"],
         noise=noise,
-        seed=config.seed,
+        seed=config["seed"],
         sigma_t=np.zeros(len(values)),
         population=init.population,
     )
-    spec = LikelihoodSpec(obs=obs, init=init, noise=noise, steps_per_day=_steps_per_day(config))
-    fits = fit_starts(spec, n_starts=int(config.get("n_starts", 8)))
+    spec = LikelihoodSpec(obs=obs, init=init, noise=noise, steps_per_day=config["steps_per_day"])
+    fits = fit_starts(spec, n_starts=config["n_starts"])
     result = best_fit(fits)
     path = out / "fit.json"
     _write_json(
@@ -192,16 +178,16 @@ def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
 
 def _run_ensemble(config: ExperimentConfig, out: Path) -> list[Path]:
     ensemble = mle_ensemble(
-        true_params=parse_params(config.get("params")),
-        init=parse_init(config),
-        noise=parse_noise(config.get("noise")),
-        p=float(config.get("p")),
-        T=int(config.get("T")),
-        replicates=int(config.get("replicates")),
-        seed=config.seed,
-        workers=config.threads,
-        fit_steps_per_day=int(config.get("fit_steps_per_day", 10)),
-        n_starts=int(config.get("n_starts", 2)),
+        true_params=config["params"],
+        init=config["population"],
+        noise=config["noise"],
+        p=config["p"],
+        T=config["T"],
+        replicates=config["replicates"],
+        seed=config["seed"],
+        workers=config["threads"],
+        fit_steps_per_day=config["fit_steps_per_day"],
+        n_starts=config["n_starts"],
     )
     csv_path = out / "ensemble.csv"
     json_path = out / "ensemble.json"
@@ -222,23 +208,17 @@ def _run_ensemble(config: ExperimentConfig, out: Path) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _run_power(config: ExperimentConfig, out: Path, empirical: bool) -> list[Path]:
-    params = parse_params(config.get("params"))
-    init = parse_init(config)
-    base_noise = parse_noise(config.get("noise"))
-    omegas = [float(w) for w in config.get("omegas")]
-    epsilons = [float(e) for e in config.get("epsilons")]
-    sigmas = config.get("sigmas")
-    noises = ([base_noise] if sigmas is None
-              else [NoiseModel(kind=base_noise.kind, sigma=float(s)) for s in sigmas])
+def _run_power(config: ExperimentConfig, out: Path) -> list[Path]:
+    """power, or power-empirical: the one whose config has replicates."""
     rows = power_grid(
-        params, init, noises, omegas, epsilons,
-        alpha=float(config.get("alpha")),
-        T=int(config.get("T")),
-        p=float(config.get("p")),
-        steps_per_day=_steps_per_day(config),
-        replicates=int(config.get("replicates", 0)) if empirical else None,
-        seed=config.seed,
+        config["params"], config["population"], config["sigmas"] or [config["noise"]],
+        config["omegas"], config["epsilons"],
+        alpha=config["alpha"],
+        T=config["T"],
+        p=config["p"],
+        steps_per_day=config["steps_per_day"],
+        replicates=config.values.get("replicates"),
+        seed=config["seed"],
     )
     path = out / "power.csv"
     write_power_csv(rows, path)
@@ -246,33 +226,17 @@ def _run_power(config: ExperimentConfig, out: Path, empirical: bool) -> list[Pat
 
 
 def _run_epsilon_invert(config: ExperimentConfig, out: Path) -> list[Path]:
-    results = []
-    for target in config.get("targets"):
-        eps = epsilon_for_power(
-            target_type2=float(target["target_type2"]),
-            alpha=float(target["alpha"]),
-            sigma=float(target["sigma"]),
-            p=float(target["p"]),
-            T=int(target["T"]),
-            delta=float(target["delta"]),
-        )
-        results.append({**target, "epsilon": eps})
+    results = [{**raw, "epsilon": epsilon_for_power(**target)}
+               for raw, target in zip(config.raw["targets"], config["targets"])]
     path = out / "epsilon_invert.json"
     _write_json({"results": results}, path)
     return [path]
 
 
 def _run_nyc_table(config: ExperimentConfig, out: Path) -> list[Path]:
-    data_path = config.get("data")
-    data_path = nyc_fixture_path() if data_path is None else Path(data_path)
-    population = int(config.get("population", NYC_POPULATION))
-    data = load_cases(data_path, population)
-    rows = reporting_rate_sweep(
-        data,
-        [float(p) for p in config.get("p_values")],
-        n_starts=int(config.get("n_starts", 8)),
-        steps_per_day=_steps_per_day(config),
-    )
+    data = load_cases(config["data"], config["population"].population)
+    rows = reporting_rate_sweep(data, config["p_values"], n_starts=config["n_starts"],
+                                steps_per_day=config["steps_per_day"])
     path = out / "nyc_table.csv"
     write_nyc_table_csv(rows, path)
     return [path]
@@ -284,8 +248,8 @@ _RUNNERS = {
     "error-fit": _run_error_fit,
     "fit": _run_fit,
     "ensemble": _run_ensemble,
-    "power": lambda cfg, out: _run_power(cfg, out, empirical=False),
-    "power-empirical": lambda cfg, out: _run_power(cfg, out, empirical=True),
+    "power": _run_power,
+    "power-empirical": _run_power,
     "epsilon-invert": _run_epsilon_invert,
     "nyc-table": _run_nyc_table,
 }
@@ -311,23 +275,19 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the JSON configuration")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None, help="override worker count")
+        if name == "ensemble":
+            sp.add_argument("--threads", type=int, default=None, help="override the worker count")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: value for key in ("seed", "threads")
+                 if (value := getattr(args, key, None)) is not None}
     try:
-        config = load_config(args.config, args.experiment)
-        raw = dict(config.raw)
-        raw["experiment"] = config.experiment
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.threads is not None:
-            raw["threads"] = args.threads
-        config = validate_config(raw, args.experiment)
-        outputs = run_experiment(config, args.out)
-    except SirLimitsError as exc:
+        outputs = run_experiment(load_config(args.config, args.experiment, **overrides), args.out)
+    # OSError: a path the OS refuses to read or write; UnicodeDecodeError: an input that is not text
+    except (SirLimitsError, OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
     for path in outputs:

@@ -3,57 +3,57 @@
 A configuration is a JSON document with an ``experiment`` name plus the
 blocks that experiment needs. Validation is strict: unknown keys anywhere are
 rejected, so typos fail loudly instead of silently falling back to defaults.
+Each key has one parser in ``_PARSERS``: it checks the value and returns the
+typed value the runners read, and its ConfigError names the key path, such as
+``omegas[0]`` or ``targets[1].T``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from .data import NYC_POPULATION, nyc_fixture_path
 from .errors import ConfigError, DegenerateParameterError
 from .simulate import NoiseModel
-from .sir import InitialCondition, SirParams
+from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams
 
-# experiment name -> (required keys, optional keys)
+_SPD = DEFAULT_STEPS_PER_DAY
+
+# experiment name -> (required keys, {optional key: default}); every experiment also takes seed
 _SCHEMA = {
-    "simulate": ({"params", "population", "horizon", "noise", "p", "T"}, {"steps_per_day"}),
-    "sweep-directions": ({"params", "population", "epsilon", "horizon"}, {"n_angles", "steps_per_day"}),
-    "error-fit": ({"params", "population", "epsilon", "horizon"}, {"steps_per_day"}),
-    "fit": ({"observations", "population", "p", "noise"}, {"steps_per_day", "n_starts"}),
+    "simulate": ({"params", "population", "horizon", "noise", "p", "T"}, {"steps_per_day": _SPD}),
+    "sweep-directions": ({"params", "population", "epsilon", "horizon"},
+                         {"n_angles": 90, "steps_per_day": _SPD}),
+    "error-fit": ({"params", "population", "epsilon", "horizon"}, {"steps_per_day": _SPD}),
+    "fit": ({"observations", "population", "p", "noise"}, {"steps_per_day": _SPD, "n_starts": 8}),
     "ensemble": ({"params", "population", "noise", "p", "T", "replicates"},
-                 {"fit_steps_per_day", "n_starts"}),
+                 {"fit_steps_per_day": 10, "n_starts": 2, "threads": 1}),
     "power": ({"params", "population", "noise", "alpha", "T", "p", "omegas", "epsilons"},
-              {"sigmas", "steps_per_day"}),
+              {"sigmas": None, "steps_per_day": _SPD}),
     "power-empirical": ({"params", "population", "noise", "alpha", "T", "p", "omegas", "epsilons",
-                         "replicates"}, {"sigmas", "steps_per_day"}),
-    "epsilon-invert": ({"targets"}, set()),
-    "nyc-table": ({"p_values"}, {"data", "population", "n_starts", "steps_per_day"}),
+                         "replicates"}, {"sigmas": None, "steps_per_day": _SPD}),
+    "epsilon-invert": ({"targets"}, {}),
+    "nyc-table": ({"p_values"}, {"data": nyc_fixture_path(), "n_starts": 8, "steps_per_day": _SPD,
+                                 "population": InitialCondition.from_population(NYC_POPULATION)}),
 }
 
 EXPERIMENTS = tuple(_SCHEMA)
 
-_COMMON_KEYS = {"experiment", "seed", "threads"}
-
-# keys that count days, substeps, starts, angles or workers
-_COUNT_KEYS = ("threads", "horizon", "T", "steps_per_day", "fit_steps_per_day", "n_starts", "n_angles")
-
-_TARGET_KEYS = {"target_type2", "alpha", "sigma", "p", "T", "delta"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated configuration: the experiment name plus its raw blocks."""
+    """A validated configuration: the experiment name, the raw JSON that the
+    manifest hashes and echoes, and every key's parsed value, defaults filled in."""
 
     experiment: str
     raw: dict
-    seed: int
-    threads: int
+    values: dict
 
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
+    def __getitem__(self, key):
+        return self.values[key]
 
 
 def _check_keys(block: dict, allowed: set, where: str) -> None:
@@ -62,61 +62,114 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-def parse_params(block) -> SirParams:
+def _integer(lo, hi, law: str):
+    def parse(value, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+            raise ConfigError(f"{where} must be {law}, got {value!r}")
+        return value
+    return parse
+
+
+def _real(ok, law: str):
+    def parse(value, where: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+            raise ConfigError(f"{where} must {law}, got {value!r}")
+        return float(value)
+    return parse
+
+
+def _list_of(item):
+    def parse(value, where: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+        return [item(entry, f"{where}[{k}]") for k, entry in enumerate(value)]
+    return parse
+
+
+def _fields(block, where: str, parsers: dict, optional=frozenset()) -> dict:
+    """Parse an object block field by field; every field not in ``optional`` is required."""
     if not isinstance(block, dict):
-        raise ConfigError("params must be an object with beta and gamma")
-    _check_keys(block, {"beta", "gamma"}, "params")
+        raise ConfigError(f"{where} must be an object, got {block!r}")
+    _check_keys(block, set(parsers), where)
+    missing = set(parsers) - set(optional) - set(block)
+    if missing:
+        raise ConfigError(f"{where} is missing: {', '.join(sorted(missing))}")
+    return {key: parsers[key](value, f"{where}.{key}") for key, value in block.items()}
+
+
+_count = _integer(1, math.inf, "a positive integer")
+_seed = _integer(0, 2**64 - 1, "an unsigned 64-bit integer")
+_finite = _real(math.isfinite, "be a finite number")
+_positive = _real(lambda v: 0.0 < v < math.inf, "be finite and > 0")
+_rate = _real(lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+_level = _real(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_angle = _real(lambda v: 0.0 <= v < 2.0 * math.pi, "lie in [0, 2*pi)")
+
+
+def _file(value, where: str) -> Path:
+    if not isinstance(value, str) or not Path(value).is_file():
+        raise ConfigError(f"{where} must name an existing file, got {value!r}")
+    return Path(value)
+
+
+def _params(block, where: str) -> SirParams:
     try:
-        return SirParams(float(block["beta"]), float(block["gamma"]))
-    except KeyError as exc:
-        raise ConfigError(f"params is missing {exc}") from exc
-    except (TypeError, ValueError, DegenerateParameterError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
+        return SirParams(**_fields(block, where, {"beta": _finite, "gamma": _finite}))
+    except DegenerateParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def parse_noise(block) -> NoiseModel:
-    if not isinstance(block, dict):
-        raise ConfigError("noise must be an object with a kind")
-    _check_keys(block, {"kind", "sigma", "sigma_t"}, "noise")
-    kind = block.get("kind")
+def _noise_model(where: str, **fields) -> NoiseModel:
     try:
-        if kind == "known_sequence":
-            if "sigma_t" not in block:
-                raise ConfigError("known_sequence noise needs sigma_t")
-            return NoiseModel.known(np.asarray(block["sigma_t"], dtype=float))
-        if kind in ("case1", "case2", "case3"):
-            sigma = block.get("sigma")
-            return NoiseModel(kind=kind, sigma=None if sigma is None else float(sigma))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-    raise ConfigError(f"noise kind must be known_sequence, case1, case2 or case3, got {kind!r}")
+        return NoiseModel(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def parse_init(config: ExperimentConfig) -> InitialCondition:
-    population = config.get("population")
-    if population is None:
-        raise ConfigError("population is required")
-    return InitialCondition.from_population(int(population))
+def _kind(value, where: str) -> str:
+    if value not in ("known_sequence", "case1", "case2", "case3"):
+        raise ConfigError(f"{where} must be known_sequence, case1, case2 or case3, got {value!r}")
+    return value
 
 
-def _check_count(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+def _noise(block, where: str) -> NoiseModel:
+    """A known_sequence block takes sigma_t; the other kinds take sigma, left out when inferred."""
+    known = isinstance(block, dict) and block.get("kind") == "known_sequence"
+    scale = {"sigma_t": _list_of(_finite)} if known else {"sigma": _finite}
+    return _noise_model(where, **_fields(block, where, {"kind": _kind, **scale}, optional={"sigma"}))
 
 
-def _check_rate(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
-        raise ConfigError(f"{where} must lie in (0, 1], got {value!r}")
+def _population(value, where: str) -> InitialCondition:
+    return InitialCondition.from_population(_count(value, where))
 
 
-def _check_positive(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < np.inf:
-        raise ConfigError(f"{where} must be finite and > 0, got {value!r}")
+_TARGET = {"target_type2": _level, "alpha": _level, "sigma": _positive, "p": _rate, "T": _count,
+           "delta": _positive}
 
-
-def _check_alpha(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
-        raise ConfigError(f"{where} must lie in (0, 1), got {value!r}")
+_PARSERS = {
+    "seed": _seed,
+    "threads": _count,
+    "horizon": _count,
+    "T": _count,
+    "steps_per_day": _count,
+    "fit_steps_per_day": _count,
+    "n_starts": _count,
+    "n_angles": _count,
+    "replicates": _count,
+    "population": _population,
+    "params": _params,
+    "noise": _noise,
+    "p": _rate,
+    "alpha": _level,
+    "epsilon": _positive,
+    "observations": _file,
+    "data": _file,
+    "omegas": _list_of(_angle),
+    "epsilons": _list_of(_positive),
+    "sigmas": _list_of(_positive),
+    "p_values": _list_of(_rate),
+    "targets": _list_of(lambda block, where: _fields(block, where, _TARGET)),
+}
 
 
 def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
@@ -131,61 +184,33 @@ def validate_config(raw: dict, experiment: str | None = None) -> ExperimentConfi
         )
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
-    required, optional = _SCHEMA[name]
-    _check_keys(raw, required | optional | _COMMON_KEYS, "configuration")
+    required, defaults = _SCHEMA[name]
+    _check_keys(raw, required | set(defaults) | {"experiment", "seed"}, "configuration")
     missing = required - set(raw)
     if missing:
         raise ConfigError(f"{name} config is missing: {', '.join(sorted(missing))}")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0 or seed > 2**64 - 1:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    for key in _COUNT_KEYS:
-        _check_count(raw.get(key, 1), key)
-    if "population" in raw:
-        _check_count(raw["population"], "population")
-    if "p" in raw:
-        _check_rate(raw["p"], "p")
-    if "p_values" in raw:
-        if not isinstance(raw["p_values"], list):
-            raise ConfigError("p_values must be a list of reporting rates")
-        for idx, value in enumerate(raw["p_values"]):
-            _check_rate(value, f"p_values[{idx}]")
-
-    if name == "ensemble" and int(raw.get("replicates", 0)) < 1:
-        raise ConfigError("ensemble needs replicates >= 1")
-    if name == "power-empirical" and int(raw.get("replicates", 0)) < 100:
+    values = {"seed": 0, **defaults}
+    values.update((key, _PARSERS[key](value, key)) for key, value in raw.items() if key != "experiment")
+    if name == "power-empirical" and values["replicates"] < 100:
         raise ConfigError("power-empirical needs replicates >= 100")
-    if name in ("power", "power-empirical"):
-        _check_alpha(raw["alpha"], "alpha")
-    if name in ("power", "power-empirical") and raw.get("sigmas") is not None:
-        noise_block = raw.get("noise") or {}
-        if noise_block.get("kind") == "known_sequence":
+    if values.get("sigmas") is not None:
+        kind = values["noise"].kind
+        if kind == "known_sequence":
             raise ConfigError("a sigmas sweep needs case1, case2 or case3 noise")
-    if name == "epsilon-invert":
-        targets = raw.get("targets")
-        if not isinstance(targets, list) or not targets:
-            raise ConfigError("epsilon-invert needs a non-empty list of targets")
-        for idx, target in enumerate(targets):
-            where = f"targets[{idx}]"
-            if not isinstance(target, dict):
-                raise ConfigError(f"{where} must be an object")
-            _check_keys(target, _TARGET_KEYS, where)
-            missing = _TARGET_KEYS - set(target)
-            if missing:
-                raise ConfigError(f"{where} is missing: {', '.join(sorted(missing))}")
-            _check_alpha(target["alpha"], f"{where}.alpha")
-            _check_rate(target["p"], f"{where}.p")
-            _check_count(target["T"], f"{where}.T")
-            _check_positive(target["sigma"], f"{where}.sigma")
-            _check_positive(target["delta"], f"{where}.delta")
-
-    return ExperimentConfig(experiment=name, raw=raw, seed=seed, threads=raw.get("threads", 1))
+        values["sigmas"] = [_noise_model(f"sigmas[{k}]", kind=kind, sigma=sigma)
+                            for k, sigma in enumerate(values["sigmas"])]
+    return ExperimentConfig(experiment=name, raw=raw, values=values)
 
 
-def load_config(path, experiment: str | None = None) -> ExperimentConfig:
+def load_config(path, experiment: str | None = None, **overrides) -> ExperimentConfig:
+    """Read a JSON configuration, replace the keys in ``overrides`` and validate it once."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if isinstance(raw, dict):
+        raw = {"experiment": experiment, **raw, **overrides}
     return validate_config(raw, experiment)

@@ -37,6 +37,10 @@ class HorizonTooShortError(SirLimitsError):
         self.required = required
 
 
+class HorizonPastPeakError(SirLimitsError, ValueError):
+    """A test horizon T reaches the null peak time; the test is defined only before it."""
+
+
 class PerturbationTooLargeError(SirLimitsError):
     """Perturbation magnitude incompatible with delta > 0."""
 

@@ -33,6 +33,7 @@ from scipy.special import ndtr, ndtri
 
 from ._csv import fmt, write_csv
 from .errors import (
+    HorizonPastPeakError,
     IndistinguishableHypothesesError,
     InsufficientDataError,
     NoDetectablePerturbationError,
@@ -82,7 +83,7 @@ class TestSpec:
             raise ValueError("perturbation must be anchored at the null parameters")
         t_star = peak_time_for(self.null_params, self.init, self.steps_per_day)
         if self.T >= t_star:
-            raise ValueError(
+            raise HorizonPastPeakError(
                 f"T = {self.T} must precede the null peak time {t_star:.2f}"
             )
         object.__setattr__(self, "_t_star", t_star)

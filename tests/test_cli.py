@@ -16,6 +16,11 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
 PARAMS = {"beta": 0.21, "gamma": 0.07}
 
 # the smallest valid configuration of each experiment, without its experiment name
@@ -342,6 +347,14 @@ class TestMain:
         ("simulate", {"params": {"beta": 0.07, "gamma": 0.21}}, "params"),
         ("epsilon-invert", {"targets": [{**TARGET, "delta": 0.0}]}, "targets[0].delta"),
         ("epsilon-invert", {"targets": [TARGET, {**TARGET, "sigma": -0.2}]}, "targets[1].sigma"),
+        ("sweep-directions", {"epsilon": "abc"}, "epsilon"),
+        ("ensemble", {"replicates": "x"}, "replicates"),
+        ("ensemble", {"replicates": 1000.0}, "replicates"),
+        ("power", {"epsilons": ["x"]}, "epsilons[0]"),
+        ("power", {"omegas": [7.0]}, "omegas[0]"),
+        ("power", {"omegas": 0.7}, "omegas"),
+        ("power", {"sigmas": [-1]}, "sigmas[0]"),
+        ("sweep-directions", {"threads": 2}, "threads"),
     ])
     def test_cli_error_json_for_out_of_range_values(self, tmp_path, capsys, experiment, change, key):
         raw = {"experiment": experiment, **SMALL_CONFIGS.get(experiment, {}), **change}
@@ -351,6 +364,42 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["error"] == "ConfigError"
         assert key in payload["message"]
+
+    @pytest.mark.parametrize("experiment, change, error, text", [
+        ("fit", lambda d: {"observations": str(d / "absent.csv")}, "ConfigError", "absent.csv"),
+        ("nyc-table", lambda d: {"data": str(d / "absent.csv")}, "ConfigError", "absent.csv"),
+        ("fit", lambda d: {"observations": write_text(d / "o.csv", "t,y\n1,3\n2,abc\n")},
+         "ConfigError", "o.csv: line 3"),
+        ("fit", lambda d: {"observations": write_text(d / "o.csv", "t,y\n1,3\n2,4,5\n")},
+         "ConfigError", "o.csv: line 3"),
+        ("power", lambda d: {"T": 200}, "HorizonPastPeakError", "T = 200"),
+    ], ids=["observations-absent", "data-absent", "y-not-a-number", "three-fields", "T-past-peak"])
+    def test_cli_error_json_for_unusable_inputs(self, tmp_path, capsys, experiment, change, error, text):
+        fit = {"population": 10**7, "p": 1.0, "noise": {"kind": "case1", "sigma": 0.01}}
+        base = fit if experiment == "fit" else SMALL_CONFIGS[experiment]
+        config = write_config(tmp_path, {"experiment": experiment, **base, **change(tmp_path)})
+        code = main([experiment, "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == error
+        assert text in payload["message"]
+
+    def test_cli_error_json_for_a_missing_config_file(self, tmp_path, capsys):
+        code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == "ConfigError"
+        assert "absent.json" in payload["message"]
+
+    def test_threads_is_an_ensemble_flag(self, tmp_path, capsys):
+        sweep = write_config(tmp_path, {"experiment": "sweep-directions", **SMALL_CONFIGS["sweep-directions"]})
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-directions", "--config", str(sweep), "--out", str(tmp_path / "s"), "--threads", "2"])
+        assert exc.value.code == 2
+        ensemble = write_config(tmp_path, {"experiment": "ensemble", **SMALL_CONFIGS["ensemble"],
+                                           "replicates": 2})
+        assert main(["ensemble", "--config", str(ensemble), "--out", str(tmp_path / "e"), "--threads", "1"]) == 0
+        assert json.loads((tmp_path / "e" / "manifest.json").read_text())["config"]["threads"] == 1
 
     def test_cli_seed_override(self, tmp_path):
         raw = {
