@@ -72,9 +72,15 @@ def _integer(lo, hi, law: str):
 
 def _real(ok, law: str):
     def parse(value, where: str) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where} must {law}, got {value!r}")
-        return float(value)
+        try:
+            real = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must {law}, got an integer too large for a float") from None
+        if not ok(real):
+            raise ConfigError(f"{where} must {law}, got {value!r}")
+        return real
     return parse
 
 
@@ -140,7 +146,11 @@ def _noise(block, where: str) -> NoiseModel:
 
 
 def _population(value, where: str) -> InitialCondition:
-    return InitialCondition.from_population(_count(value, where))
+    try:
+        return InitialCondition.from_population(_count(value, where))
+    except OverflowError:
+        raise ConfigError(f"{where} must be a positive integer a float can hold, "
+                          f"got an integer too large for a float") from None
 
 
 _TARGET = {"target_type2": _level, "alpha": _level, "sigma": _positive, "p": _rate, "T": _count,

@@ -36,14 +36,16 @@ in one batched sensitivity pass, and each start keeps its own damping,
 accept/reject, bounds, stopping rule and failure, so its result is the one
 it reaches fit alone. Above 10 substeps per day the starts are fit in two
 levels (``_fit_start``): the walk along the ridge runs on a 10-substep grid
-and a few passes on the requested grid polish its optimum. A replicate
-study (``mle_ensemble``) also starts every replicate at the optimum of its
-pooled series; replicates are fit one after another, not as lanes.
+and a few passes on the requested grid polish its optimum. Each lane
+carries its own observed row, so a replicate study (``mle_ensemble``) fits
+each worker's block of replicates as the lanes of one lockstep fit, every
+replicate started at the optimum of their pooled series. A sensitivity pass
+runs its lanes in chunks of bounded size, so the batch's arrays stay small
+however many replicates it holds.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -73,6 +75,7 @@ _MAX_LOG_STEP = 0.5  # longest step in any log coordinate
 _MOMENT_FLOOR = 0.02  # least growth rate the moment initializer starts from
 _MAX_FAILURE_FRACTION = 0.05  # mle_ensemble raises when more replicate fits than this fail
 _SEARCH_STEPS_PER_DAY = 10  # finer fits search on this grid, then polish on their own
+_CHUNK_LANE_SUBSTEPS = 4096  # lanes x substeps of one batch of a sensitivity pass
 
 
 def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
@@ -94,11 +97,25 @@ def _sensitivity_passes(rates: list[SirParams], init: InitialCondition, horizon:
 
     Each lane's entry is the seven arrays of ``integrate_with_sensitivities``
     as the rows of one array, or the IntegrationError that lane raised; an
-    error in ``rates`` is passed through as that lane's entry. Every lane's s
-    and i come from its own run of the scalar state kernel (``sir._rk4``) on
-    the substep grid. The four RK4 stages of every substep are then formed
-    again as (lane, substep) arrays, with the kernel's elementwise
-    operations, so c, their accumulated increments, keeps the kernel's bits.
+    error in ``rates`` is passed through as that lane's entry. The lanes run
+    in chunks of at most _CHUNK_LANE_SUBSTEPS lanes x substeps (at least one
+    lane each), so the (lane, substep) arrays of a chunk stay cache-sized
+    however many lanes there are; ``_sensitivity_chunk`` describes the pass.
+    """
+    width = max(1, _CHUNK_LANE_SUBSTEPS // max(1, int(horizon) * int(steps_per_day)))
+    return [outcome for k in range(0, len(rates), width)
+            for outcome in _sensitivity_chunk(rates[k : k + width], init, horizon, steps_per_day)]
+
+
+def _sensitivity_chunk(rates: list[SirParams], init: InitialCondition, horizon: int,
+                       steps_per_day: int) -> list:
+    """The lanes of ``_sensitivity_passes`` as one batch.
+
+    Every lane's s and i come from its own run of the scalar state kernel
+    (``sir._rk4``) on the substep grid. The four RK4 stages of every substep
+    are then formed again as (lane, substep) arrays, with the kernel's
+    elementwise operations, so c, their accumulated increments, keeps the
+    kernel's bits.
     RK4 commutes with linearization, so the sensitivities are the exact
     tangent of that discrete path: differentiating the stages gives each
     substep's z_{n+1} = M_n z_n + F_n, z = d(s, i)/d(beta, gamma), with M_n
@@ -239,11 +256,16 @@ class _Point:
     info: np.ndarray
 
 
-def _residuals(c, spec: LikelihoodSpec) -> np.ndarray:
+def _observed(spec: LikelihoodSpec, lanes: int) -> np.ndarray:
+    """spec's observed row as the row of each of ``lanes`` lanes."""
+    return np.broadcast_to(np.asarray(spec.obs.values, dtype=float), (lanes, spec.T))
+
+
+def _residuals(c, y, spec: LikelihoodSpec) -> np.ndarray:
     """r = y - p*delta, with delta_k = N*(c_k - c_{k-1}) from the cumulative
-    outflow c along the last axis."""
+    outflow c along the last axis, and y the observed row (or rows) it is scored against."""
     T = spec.T
-    return spec.obs.values - spec.p * (spec.init.population * (c[..., 1 : T + 1] - c[..., :T]))
+    return y - spec.p * (spec.init.population * (c[..., 1 : T + 1] - c[..., :T]))
 
 
 def _one_lane(outcomes):
@@ -257,13 +279,14 @@ def _one_lane(outcomes):
 def _evaluate(params: SirParams, sigma: float | None, spec: LikelihoodSpec) -> _Point:
     """ll, its exact gradient and the Fisher information from one sensitivity pass."""
     passes = _sensitivity_passes([params], spec.init, spec.T, spec.steps_per_day)
-    return _one_lane(_evaluate_passes(passes, [sigma], spec))
+    return _one_lane(_evaluate_passes(passes, [sigma], _observed(spec, 1), spec))
 
 
-def _evaluate_passes(passes, sigmas, spec: LikelihoodSpec) -> list:
+def _evaluate_passes(passes, sigmas, ys, spec: LikelihoodSpec) -> list:
     """The evaluation of ``_evaluate`` for every lane from the arrays of its
-    sensitivity pass, or the DegenerateVarianceError its variance raised; an
-    error in ``passes`` is passed through.
+    sensitivity pass and its own observed row ``ys[lane]``, or the
+    DegenerateVarianceError its variance raised; an error in ``passes`` is
+    passed through. The lanes share spec's init, T, steps_per_day, p and noise.
 
     With mu = p*delta, r = y - mu, W = 1/v, J_mu the Jacobian of mu (zero in
     sigma) and J_v that of v, the gradient is J_mu'Wr + J_v'(r^2 W^2 - W) / 2
@@ -291,7 +314,7 @@ def _evaluate_passes(passes, sigmas, spec: LikelihoodSpec) -> list:
             return outcomes
         sb, sg, c, v = sb[positive], sg[positive], c[positive], v[positive]
         jv = None if jv is None else jv[positive]
-    r = _residuals(c, spec)
+    r = _residuals(c, ys[lanes], spec)
     jac = (spec.p * spec.init.population) * np.stack((sb[:, :T] - sb[:, 1 : T + 1],
                                                       sg[:, :T] - sg[:, 1 : T + 1]), axis=1)
     wjac = jac / v[:, None]
@@ -369,14 +392,14 @@ def moment_start(obs: ObservationSeries) -> SirParams:
     return SirParams(2.0 * delta0, delta0)
 
 
-def _profile_sigma_start(states, spec: LikelihoodSpec) -> float:
+def _profile_sigma_start(states, y, spec: LikelihoodSpec) -> float:
     """Closed-form sigma maximizer at the rates of the sensitivity pass
-    ``states``, used to seed starts: sigma^2 = mean(r^2 / u), u being the
-    variance law at sigma = 1."""
+    ``states`` against the observed row y, used to seed starts:
+    sigma^2 = mean(r^2 / u), u being the variance law at sigma = 1."""
     u, _ = variance_law(spec.noise.kind, 1.0, spec.init.population, states[1][1 : spec.T + 1])
     if np.any(u <= 0.0):
         return 1.0
-    r = _residuals(states[6], spec)
+    r = _residuals(states[6], y, spec)
     s2 = float(np.mean(r * r / u))
     return max(math.sqrt(s2), 1e-6)
 
@@ -484,15 +507,16 @@ def _iterates(xs, points) -> list:
     return out
 
 
-def _evaluate_at(xs, spec: LikelihoodSpec, passes=None) -> list:
-    """The _Iterate at every row of xs, or the error that its evaluation raised.
+def _evaluate_at(xs, ys, spec: LikelihoodSpec, passes=None) -> list:
+    """The _Iterate at every row of xs, scored against the same row of ys, or
+    the error that its evaluation raised.
 
     ``passes`` are the sensitivity passes at the rates of xs when already run.
     """
     if passes is None:
         passes = _sensitivity_passes(_rates_at(xs), spec.init, spec.T, spec.steps_per_day)
     sigmas = [math.exp(x[2]) if spec.noise.sigma_free else None for x in xs]
-    return _iterates(xs, _evaluate_passes(passes, sigmas, spec))
+    return _iterates(xs, _evaluate_passes(passes, sigmas, ys, spec))
 
 
 def _model_rises(steps, grad, info) -> list[float]:
@@ -515,9 +539,11 @@ def _solve(a, b):
 
 @dataclass
 class _Lane:
-    """One start's Levenberg-Marquardt state in a lockstep fit."""
+    """One start's Levenberg-Marquardt state in a lockstep fit, and the
+    observed row it fits."""
 
     current: _Iterate
+    y: np.ndarray
     damping: float = _LM_DAMPING
     growth: float = 2.0
     scale: float = 0.0
@@ -552,13 +578,15 @@ def _scoring_steps(lanes: list[_Lane], grad, info, free):
     return np.where(free, sol, 0.0), np.array(stop) | ~solved
 
 
-def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams]) -> list:
+def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
     """Levenberg-Marquardt Fisher scoring in x = (log delta, log gamma[, log sigma]),
     every start a lane of one lockstep fit.
 
-    It fits on spec's substep grid alone and returns, per start, its
-    MleResult or the OptimizationFailureError of a start that cannot be
-    evaluated; ``_fit_start`` runs it once, or in up to three phases above
+    Start k fits the observed row ``ys[k]``, spec's own row for every start
+    when ``ys`` is None; the lanes share everything else of spec. It fits on
+    spec's substep grid alone and returns, per start, its MleResult or the
+    OptimizationFailureError of a start that cannot be evaluated;
+    ``_fit_start`` runs it once, or in up to three phases above
     _SEARCH_STEPS_PER_DAY. Each iteration evaluates the trial steps of all
     active lanes in one batch (``_sensitivity_passes``, ``_evaluate_passes``,
     ``_iterates``), whose lanes keep the bits of one-lane evaluations. Every
@@ -600,14 +628,15 @@ def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams]) -> list:
     """
     lo, hi = _LOG_BOUNDS
     infer_sigma = spec.noise.sigma_free
+    ys = _observed(spec, len(starts)) if ys is None else np.asarray(ys, dtype=float)
     xs = np.clip([[math.log(start.delta()), math.log(start.gamma)] for start in starts], lo, hi)
     passes = _sensitivity_passes(_rates_at(xs), spec.init, spec.T, spec.steps_per_day)
     if infer_sigma:
         logs = [0.0 if isinstance(states, Exception) else
-                math.log(_profile_sigma_start(states, spec)) for states in passes]
+                math.log(_profile_sigma_start(states, y, spec)) for states, y in zip(passes, ys)]
         xs = np.column_stack((xs, np.clip(logs, lo, hi)))
-    first = _evaluate_at(xs, spec, passes)
-    lanes = [_Lane(it) if isinstance(it, _Iterate) else None for it in first]
+    first = _evaluate_at(xs, ys, spec, passes)
+    lanes = [_Lane(it, y) if isinstance(it, _Iterate) else None for it, y in zip(first, ys)]
     active = [lane for lane in lanes if lane is not None]
     for _ in range(_MAX_ITERATIONS):
         if not active:
@@ -622,7 +651,8 @@ def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams]) -> list:
         predicted = _model_rises(trial_x - x, grad, info)
         moving = np.flatnonzero(~stop)
         still = []
-        for k, trial in zip(moving, _evaluate_at(trial_x[moving], spec)):
+        trial_ys = np.array([active[k].y for k in moving])
+        for k, trial in zip(moving, _evaluate_at(trial_x[moving], trial_ys, spec)):
             lane = active[k]
             current, tol = lane.current, lane.current.decrement_tol
             if isinstance(trial, _Iterate):
@@ -667,9 +697,10 @@ def _rank(result: MleResult):
     return result.converged, result.loglik
 
 
-def _fit_start(spec: LikelihoodSpec, starts: list[SirParams]) -> list:
+def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
     """Every start's fit on spec's grid, searched on the _SEARCH_STEPS_PER_DAY
     grid: per start, its MleResult or the OptimizationFailureError it ended in.
+    Start k fits the observed row ``ys[k]`` as ``_fit_scoring`` does.
 
     A fit at no more substeps than that is one lockstep ``_fit_scoring``. A
     finer one runs each start in two levels, as lockstep phases over the
@@ -681,19 +712,20 @@ def _fit_start(spec: LikelihoodSpec, starts: list[SirParams]) -> list:
     spec's grid alone, in a third phase; an unconverged polish keeps the
     better of the two by ``_rank``, or itself when that fit fails.
     """
+    ys = _observed(spec, len(starts)) if ys is None else np.asarray(ys, dtype=float)
     if spec.steps_per_day <= _SEARCH_STEPS_PER_DAY:
-        return _fit_scoring(spec, starts)
-    searches = _fit_scoring(replace(spec, steps_per_day=_SEARCH_STEPS_PER_DAY), starts)
+        return _fit_scoring(spec, starts, ys)
+    searches = _fit_scoring(replace(spec, steps_per_day=_SEARCH_STEPS_PER_DAY), starts, ys)
     searched = [k for k, search in enumerate(searches) if isinstance(search, MleResult)]
     results = [None] * len(starts)
     if searched:
-        polishes = _fit_scoring(spec, [searches[k].params() for k in searched])
+        polishes = _fit_scoring(spec, [searches[k].params() for k in searched], ys[searched])
         for k, polish in zip(searched, polishes):
             if isinstance(polish, MleResult):
                 results[k] = replace(polish, iterations=searches[k].iterations + polish.iterations)
     redo = [k for k, polish in enumerate(results) if polish is None or not polish.converged]
     if redo:
-        for k, direct in zip(redo, _fit_scoring(spec, [starts[k] for k in redo])):
+        for k, direct in zip(redo, _fit_scoring(spec, [starts[k] for k in redo], ys[redo])):
             if results[k] is None:
                 results[k] = direct
             elif isinstance(direct, MleResult):
@@ -719,9 +751,24 @@ def fit_starts(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
     """
     if starts is None:
         starts = default_starts(spec, n_starts)
-    return [StartFit(start, result) if isinstance(result, MleResult)
-            else StartFit(start, None, str(result))
-            for start, result in zip(starts, _fit_start(spec, starts))]
+    return _fit_rows([spec], [starts])[0]
+
+
+def _fit_rows(specs: list[LikelihoodSpec], starts: list[list[SirParams]]) -> list:
+    """``fit_starts(specs[k], starts[k])`` for every k, all starts of all
+    specs the lanes of one lockstep fit (``_fit_start``).
+
+    The specs differ in their observed rows alone; each lane fits its own
+    spec's row, so every entry is what ``fit_starts`` gives that spec alone.
+    """
+    owners = [k for k, own in enumerate(starts) for _ in own]
+    flat = [start for own in starts for start in own]
+    ys = np.array([np.asarray(specs[k].obs.values, dtype=float) for k in owners])
+    fits = [[] for _ in specs]
+    for k, start, result in zip(owners, flat, _fit_start(specs[0], flat, ys)):
+        fits[k].append(StartFit(start, result) if isinstance(result, MleResult)
+                       else StartFit(start, None, str(result)))
+    return fits
 
 
 def best_fit(fits: list[StartFit]) -> MleResult:
@@ -783,12 +830,14 @@ class MleEnsemble:
     def deltas(self) -> np.ndarray:
         return np.array([r.delta_hat for r in self.replicates])
 
-    def slope_beta_on_gamma(self) -> float:
-        """OLS slope of beta_hat regressed on gamma_hat."""
+    def slope_beta_on_gamma(self) -> float | None:
+        """OLS slope of beta_hat regressed on gamma_hat; None when the
+        gamma_hat have no spread, as with one replicate."""
         g = self.gammas()
         b = self.betas()
         gc = g - g.mean()
-        return float(np.dot(gc, b - b.mean()) / np.dot(gc, gc))
+        spread = np.dot(gc, gc)
+        return float(np.dot(gc, b - b.mean()) / spread) if spread > 0.0 else None
 
     def r0_range(self) -> tuple[float, float]:
         r = self.r0s()
@@ -801,20 +850,37 @@ def _ensemble_spec(y, sigma_t, p, noise, init, seed, steps_per_day) -> Likelihoo
     return LikelihoodSpec(obs=obs, init=init, noise=noise, steps_per_day=steps_per_day)
 
 
-def _ensemble_fit_one(job):
-    index, spec, pooled, n_starts = job
-    warm = [pooled] + (default_starts(spec, n_starts - 1) if n_starts > 1 else [])
-    try:
-        fit = fit_mle(spec, warm)
-    except OptimizationFailureError as exc:
-        return index, None, str(exc)
-    if not fit.converged:
-        # A warm start can stall short of the replicate's own optimum, as on
-        # the delta -> 0 edge of uninformative data; the replicate's own
-        # default starts then get their turn.
-        with contextlib.suppress(OptimizationFailureError):
-            fit = max(fit, fit_mle(spec, n_starts=n_starts), key=_rank)
-    return index, fit, None
+def _best_fits(specs: list[LikelihoodSpec], starts: list[list[SirParams]]) -> list:
+    """``fit_mle(specs[k], starts[k])`` for every k from one lockstep fit
+    (``_fit_rows``): its MleResult, or the OptimizationFailureError it raises."""
+    out = []
+    for fits in _fit_rows(specs, starts):
+        try:
+            out.append(best_fit(fits))
+        except OptimizationFailureError as exc:
+            out.append(exc)
+    return out
+
+
+def _fit_replicates(job) -> list:
+    """Each replicate of a block fit as ``mle_ensemble`` describes, as the lanes
+    of one lockstep fit: per replicate, (its MleResult, None) or (None, the
+    message of its failure), in the order of the block."""
+    specs, pooled, n_starts = job
+    warm = [[pooled] + (default_starts(spec, n_starts - 1) if n_starts > 1 else [])
+            for spec in specs]
+    fits = _best_fits(specs, warm)
+    # A warm start can stall short of the replicate's own optimum, as on the
+    # delta -> 0 edge of uninformative data; the replicate's own default
+    # starts then get their turn.
+    redo = [k for k, fit in enumerate(fits) if isinstance(fit, MleResult) and not fit.converged]
+    if redo:
+        own = _best_fits([specs[k] for k in redo],
+                         [default_starts(specs[k], n_starts) for k in redo])
+        for k, fit in zip(redo, own):
+            if isinstance(fit, MleResult):
+                fits[k] = max(fits[k], fit, key=_rank)
+    return [(fit, None) if isinstance(fit, MleResult) else (None, str(fit)) for fit in fits]
 
 
 def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseModel,
@@ -824,7 +890,11 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
     """Replicate study of the MLE sampling distribution.
 
     Data for replicate r are drawn with a seed derived deterministically from
-    (seed, r), so results do not depend on worker count or execution order.
+    (seed, r). The replicates are split into ``workers`` contiguous blocks,
+    one per worker process, and each block is fit as the lanes of one
+    lockstep fit whose lanes are (replicate, start) pairs; every replicate's
+    result, or failure message, is what ``fit_mle`` gives it alone by the
+    rules below, so results do not depend on the worker count.
 
     The pooled series, the mean of the replicate rows, is fit first under
     the replicates' noise model with each sd divided by sqrt(replicates),
@@ -835,7 +905,8 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
     ``default_starts``, so ``n_starts`` counts the starts of each replicate.
     A replicate whose warm-started fit ends unconverged is fit again from
     its own ``default_starts(n_starts)`` and keeps the better result by
-    fit_mle's rule (converged first, then log-likelihood).
+    fit_mle's rule (converged first, then log-likelihood); the refits of a
+    block run as one more lockstep fit.
 
     The pooled fit is paid once per study, so the saving grows with the
     replicate count. On the benchmark design (T = 120, sd sqrt(100 N), 5
@@ -846,7 +917,9 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
     against 189 at 4. A replicate whose warm-started fit stops unconverged,
     as can happen at very small noise, pays for both fits: at sd 1e-3 (T =
     40, 3 replicates, 2 starts) the study needs 170 against 127, one
-    replicate being fit twice.
+    replicate being fit twice. These are lane-passes; the lanes of a block
+    share each batched pass. With 40 replicates, 1 start and 2 workers, the
+    two blocks' 274 lane-passes run as 8 batched passes each.
 
     Fits default to 10 substeps per day, and the ensemble is fit-bound. At
     the acceptance design (N = 1e7, T = 120, sd sqrt(100 N)) halving the
@@ -870,24 +943,22 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
             f"the pooled fit of {replicates} replicates failed: {exc}",
             diagnostics=exc.diagnostics,
         ) from exc
-    jobs = [
-        (r, _ensemble_spec(ys[r], sigma_t, p, noise, init, seed, fit_steps_per_day),
-         pooled, n_starts)
-        for r in range(replicates)
-    ]
-    if workers > 1:
+    specs = [_ensemble_spec(ys[r], sigma_t, p, noise, init, seed, fit_steps_per_day)
+             for r in range(replicates)]
+    blocks = min(workers, replicates)
+    edges = [b * replicates // blocks for b in range(blocks + 1)]
+    jobs = [(specs[lo:hi], pooled, n_starts) for lo, hi in zip(edges, edges[1:])]
+    if blocks > 1:
         import multiprocessing as mp
 
-        with mp.Pool(workers) as pool:
-            outcomes = pool.map(_ensemble_fit_one, jobs,
-                                chunksize=max(1, len(jobs) // (4 * workers)))
+        with mp.Pool(blocks) as pool:
+            outcomes = pool.map(_fit_replicates, jobs)
     else:
-        outcomes = [_ensemble_fit_one(job) for job in jobs]
-    outcomes.sort(key=lambda item: item[0])
+        outcomes = [_fit_replicates(job) for job in jobs]
     results = []
     indices = []
     failures = []
-    for index, result, message in outcomes:
+    for index, (result, message) in enumerate(outcome for block in outcomes for outcome in block):
         if result is None:
             failures.append((index, message))
         else:

@@ -355,6 +355,8 @@ class TestMain:
         ("power", {"omegas": 0.7}, "omegas"),
         ("power", {"sigmas": [-1]}, "sigmas[0]"),
         ("sweep-directions", {"threads": 2}, "threads"),
+        ("sweep-directions", {"population": 10**400}, "population"),
+        ("sweep-directions", {"epsilon": 10**400}, "epsilon"),
     ])
     def test_cli_error_json_for_out_of_range_values(self, tmp_path, capsys, experiment, change, key):
         raw = {"experiment": experiment, **SMALL_CONFIGS.get(experiment, {}), **change}
@@ -383,6 +385,19 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["error"] == error
         assert text in payload["message"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_replicate_ensemble_writes_strict_json(self, tmp_path):
+        # one replicate has no gamma spread to regress on: the slope is null, not NaN
+        raw = {"experiment": "ensemble", **SMALL_CONFIGS["ensemble"], "T": 30}
+        config = write_config(tmp_path, raw)
+        assert main(["ensemble", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((tmp_path / "e" / "ensemble.json").read_text(), parse_constant=refuse)
+        assert summary["replicates"] == 1
+        assert summary["slope_beta_on_gamma"] is None
 
     def test_cli_error_json_for_a_missing_config_file(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")])

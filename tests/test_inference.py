@@ -194,6 +194,25 @@ class TestSensitivities:
             else:
                 assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_chunked_lanes_are_their_one_lane_passes(self):
+        # 9 lanes of 700 substeps (NYC p = 0.25 at 50 per day) run in more
+        # than one chunk; the middle lane blows up and fails alone
+        spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
+        rates = inference.default_starts(spec)
+        rates.insert(4, SirParams(400.0, 0.1))
+        width = inference._CHUNK_LANE_SUBSTEPS // (spec.T * spec.steps_per_day)
+        assert 1 <= width < len(rates)
+        batch = inference._sensitivity_passes(rates, spec.init, spec.T, spec.steps_per_day)
+        assert [k for k, lane in enumerate(batch) if isinstance(lane, IntegrationError)] == [4]
+        for params, lane in zip(rates, batch):
+            try:
+                alone = integrate_with_sensitivities(params, spec.init, spec.T, spec.steps_per_day)
+            except IntegrationError as exc:
+                assert str(lane) == str(exc)
+            else:
+                assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
+
     def test_zero_seed_zero_sensitivities(self):
         init = InitialCondition(s0=1.0, i0=0.0, population=1000)
         _, i, sb, ib, sg, ig, _ = integrate_with_sensitivities(BASE, init, 30, 10)
@@ -607,10 +626,10 @@ class TestTwoLevelFit:
         fit_scoring = inference._fit_scoring
         calls = []
 
-        def unconverged_polish(spec_, starts_):
+        def unconverged_polish(spec_, starts_, ys_=None):
             [start_] = starts_
             calls.append((spec_.steps_per_day, start_ == start))
-            [result] = fit_scoring(spec_, starts_)
+            [result] = fit_scoring(spec_, starts_, ys_)
             if spec_.steps_per_day == 50 and start_ != start:
                 return [replace(result, converged=False)]
             return [result]
@@ -773,6 +792,59 @@ class TestEnsemble:
         fine = incidence(integrate_exact(BASE, INIT7, T, 2 * steps_per_day))
         assert np.max(np.abs(coarse - fine)) / sd < bound
 
+    @pytest.mark.parametrize("n_starts", [1, 2])
+    @pytest.mark.parametrize("noise, T, R, seed, steps_per_day, refit", [
+        (NoiseModel.known(np.full(30, 3e4)), 30, 4, 5, 5, False),
+        (NoiseModel.case1(2e-6), 40, 4, 5, 5, False),
+        (NoiseModel.known(np.full(40, 1e-3)), 40, 3, 9, 20, True),
+    ], ids=["known-3e4", "case1", "known-1e-3"])
+    def test_every_replicate_is_its_own_fit_mle(self, noise, T, R, seed, steps_per_day, refit,
+                                                n_starts):
+        # the replicates step as lanes of one lockstep fit, yet each result is
+        # what fit_mle gives that replicate alone: the warm start at the pooled
+        # optimum plus its own starts, then its own default starts when that
+        # ends unconverged. At sd 1e-3 some warm fits end unconverged at the
+        # rounding floor of the gradient, so the refit runs too
+        ensemble = mle_ensemble(BASE, INIT7, noise, p=1.0, T=T, replicates=R, seed=seed,
+                                fit_steps_per_day=steps_per_day, n_starts=n_starts)
+        truth = integrate_exact(BASE, INIT7, T)
+        ys = observe_batch(truth, noise, 1.0, T, seed, R)
+        sigma_t = sigma_sequence(noise, truth, T)
+
+        def spec_of(values, noise_, sigma_t_):
+            obs = ObservationSeries(values=values, reporting_rate=1.0, noise=noise_, seed=seed,
+                                    sigma_t=sigma_t_, population=10**7)
+            return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
+
+        root = math.sqrt(R)
+        pooled_noise = (NoiseModel.known(noise.sigma_t / root) if noise.kind == "known_sequence"
+                        else NoiseModel(kind=noise.kind, sigma=noise.sigma / root))
+        pooled = fit_mle(spec_of(ys.mean(axis=0), pooled_noise, sigma_t / root),
+                         n_starts=n_starts).params()
+        refits = 0
+        alone = []
+        for y in ys:
+            spec = spec_of(y, noise, sigma_t)
+            fit = fit_mle(spec, [pooled] + inference.default_starts(spec, n_starts - 1)
+                          if n_starts > 1 else [pooled])
+            if not fit.converged:
+                refits += 1
+                fit = max(fit, fit_mle(spec, n_starts=n_starts), key=inference._rank)
+            alone.append(fit)
+        assert (refits > 0) == refit
+        assert ensemble.failures == []
+        assert ensemble.indices == list(range(R))
+        assert ensemble.replicates == alone
+
+    def test_byte_identical_across_uneven_worker_blocks(self):
+        # 4 replicates on 3 workers: blocks of 1, 1 and 2 replicates
+        noise = NoiseModel.known(np.full(30, 3e4))
+        runs = [mle_ensemble(BASE, INIT7, noise, p=1.0, T=30, replicates=4, seed=5,
+                             workers=workers, fit_steps_per_day=5, n_starts=1)
+                for workers in (1, 2, 3)]
+        assert len({run.betas().tobytes() for run in runs}) == 1
+        assert runs[1].replicates == runs[0].replicates == runs[2].replicates
+
     def test_deterministic_across_worker_counts(self):
         noise = NoiseModel.known(np.full(30, 3e4))
         one = mle_ensemble(BASE, INIT7, noise, p=1.0, T=30, replicates=6,
@@ -802,13 +874,14 @@ class TestEnsemble:
         assert len(lines) == 4
 
     def test_csv_keeps_replicate_indices_after_a_failure(self, tmp_path, monkeypatch):
-        fit_one = inference._ensemble_fit_one
+        fit_block = inference._fit_replicates
 
         def fail_replicate_1(job):
-            index, result, message = fit_one(job)
-            return (index, None, "forced failure") if index == 1 else (index, result, message)
+            outcomes = fit_block(job)
+            outcomes[1] = (None, "forced failure")
+            return outcomes
 
-        monkeypatch.setattr(inference, "_ensemble_fit_one", fail_replicate_1)
+        monkeypatch.setattr(inference, "_fit_replicates", fail_replicate_1)
         monkeypatch.setattr(inference, "_MAX_FAILURE_FRACTION", 0.5)
         noise = NoiseModel.known(np.full(20, 3e4))
         ensemble = mle_ensemble(BASE, INIT7, noise, p=1.0, T=20, replicates=3, seed=2,
