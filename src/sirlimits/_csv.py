@@ -1,6 +1,8 @@
-"""The one number format and CSV writer behind every ``write_*_csv``."""
+"""The one number format, CSV writer and JSON writer behind every output file."""
 
 from __future__ import annotations
+
+import json
 
 
 def fmt(x) -> str:
@@ -14,3 +16,10 @@ def write_csv(path, header: str, lines) -> None:
         fh.write(header + "\n")
         for line in lines:
             fh.write(line + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write payload as JSON indented by 2 with sorted keys, ended by a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

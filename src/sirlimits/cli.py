@@ -9,6 +9,10 @@ Each run writes its CSV/JSON artifacts plus a ``manifest.json`` recording the
 configuration hash, effective seed, library versions, and a content hash for
 every output, so a rerun can be verified byte-for-byte. Failures exit nonzero
 after printing a machine-readable error JSON.
+
+``fit`` reads its observations from a ``t,y`` file, the format ``simulate``
+writes: one row per day, t running 1, 2, ..., T in order. A skipped,
+repeated or non-integer day is a ConfigError naming the file and line.
 """
 
 from __future__ import annotations
@@ -18,11 +22,13 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._csv import write_json
 from .config import EXPERIMENTS, ExperimentConfig, load_config
 from .data import load_cases
 from .errors import ConfigError, SirLimitsError
@@ -31,17 +37,8 @@ from .inference import write_ensemble_csv
 from .lrt import epsilon_for_power, power_grid, write_power_csv
 from .nyc import reporting_rate_sweep, write_nyc_table_csv
 from .perturb import error_fit, separation_sweep, write_error_fit_csv, write_sweep_csv
-from .simulate import ObservationSeries, observe, write_observations_csv
+from .simulate import observe, write_observations_csv
 from .sir import integrate_exact, write_trajectory_csv
-
-_JSON_KW = dict(indent=2, sort_keys=True)
-
-
-def _write_json(payload, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, **_JSON_KW)
-        fh.write("\n")
-
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -68,7 +65,7 @@ def _write_manifest(config: ExperimentConfig, out_dir: Path, outputs: list[Path]
         ],
     }
     path = out_dir / "manifest.json"
-    _write_json(manifest, path)
+    write_json(path, manifest)
     return path
 
 
@@ -97,20 +94,18 @@ def _run_error_fit(config: ExperimentConfig, out: Path) -> list[Path]:
     csv_path = out / "error_fit.csv"
     json_path = out / "error_fit.json"
     write_error_fit_csv(fit, csv_path)
-    _write_json(
-        {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "crossing_time": fit.crossing_time,
-            "percent_of_peak": fit.percent_of_peak,
-            "peak_time": fit.t_star,
-        },
-        json_path,
-    )
+    write_json(json_path, {
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "crossing_time": fit.crossing_time,
+        "percent_of_peak": fit.percent_of_peak,
+        "peak_time": fit.t_star,
+    })
     return [csv_path, json_path]
 
 
 def _load_observation_csv(path: Path) -> np.ndarray:
+    """The y column of a ``t,y`` file whose t reads 1, 2, ..., T in order."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().lower()
@@ -118,14 +113,15 @@ def _load_observation_csv(path: Path) -> np.ndarray:
             raise ConfigError(f"{path}: expected observation header 't,y'")
         for lineno, line in enumerate(fh, start=2):
             if line.strip():
+                day = len(rows) + 1
                 try:
-                    _, y = line.split(",")
-                    y = float(y)
-                except ValueError:  # a field count other than 2, or y not a number
+                    t, y = line.split(",")
+                    y = float(y) if int(t) == day else math.nan
+                except ValueError:  # a field count other than 2, or t or y not a number
                     y = math.nan
                 if not math.isfinite(y):
-                    raise ConfigError(f"{path}: line {lineno}: expected 't,y' with a finite y, "
-                                      f"got {line.strip()!r}")
+                    raise ConfigError(f"{path}: line {lineno}: expected 't,y' with t = {day} "
+                                      f"and a finite y, got {line.strip()!r}")
                 rows.append(y)
     if not rows:
         raise ConfigError(f"{path}: no observations")
@@ -144,35 +140,14 @@ def _start_record(fit: StartFit) -> dict:
 
 
 def _run_fit(config: ExperimentConfig, out: Path) -> list[Path]:
-    values = _load_observation_csv(config["observations"])
-    init, noise = config["population"], config["noise"]
-    obs = ObservationSeries(
-        values=values,
-        reporting_rate=config["p"],
-        noise=noise,
-        seed=config["seed"],
-        sigma_t=np.zeros(len(values)),
-        population=init.population,
-    )
-    spec = LikelihoodSpec(obs=obs, init=init, noise=noise, steps_per_day=config["steps_per_day"])
+    spec = LikelihoodSpec.from_values(_load_observation_csv(config["observations"]), config["p"],
+                                      config["noise"], config["population"],
+                                      config["steps_per_day"])
     fits = fit_starts(spec, n_starts=config["n_starts"])
     result = best_fit(fits)
     path = out / "fit.json"
-    _write_json(
-        {
-            "beta_hat": result.beta_hat,
-            "gamma_hat": result.gamma_hat,
-            "sigma_hat": result.sigma_hat,
-            "r0_hat": result.r0_hat,
-            "delta_hat": result.delta_hat,
-            "loglik": result.loglik,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "grad_norm": result.grad_norm,
-            "starts": [_start_record(fit) for fit in fits],
-        },
-        path,
-    )
+    write_json(path, {**asdict(result), "r0_hat": result.r0_hat, "delta_hat": result.delta_hat,
+                      "starts": [_start_record(fit) for fit in fits]})
     return [path]
 
 
@@ -193,18 +168,15 @@ def _run_ensemble(config: ExperimentConfig, out: Path) -> list[Path]:
     json_path = out / "ensemble.json"
     write_ensemble_csv(ensemble, csv_path)
     lo, hi = ensemble.r0_range()
-    _write_json(
-        {
-            "replicates": len(ensemble.replicates),
-            "failures": len(ensemble.failures),
-            "slope_beta_on_gamma": ensemble.slope_beta_on_gamma(),
-            "r0_min": lo,
-            "r0_max": hi,
-            "delta_std": float(np.std(ensemble.deltas())),
-            "beta_std": float(np.std(ensemble.betas())),
-        },
-        json_path,
-    )
+    write_json(json_path, {
+        "replicates": len(ensemble.replicates),
+        "failures": len(ensemble.failures),
+        "slope_beta_on_gamma": ensemble.slope_beta_on_gamma(),
+        "r0_min": lo,
+        "r0_max": hi,
+        "delta_std": float(np.std(ensemble.deltas())),
+        "beta_std": float(np.std(ensemble.betas())),
+    })
     return [csv_path, json_path]
 
 
@@ -229,7 +201,7 @@ def _run_epsilon_invert(config: ExperimentConfig, out: Path) -> list[Path]:
     results = [{**raw, "epsilon": epsilon_for_power(**target)}
                for raw, target in zip(config.raw["targets"], config["targets"])]
     path = out / "epsilon_invert.json"
-    _write_json({"results": results}, path)
+    write_json(path, {"results": results})
     return [path]
 
 

@@ -132,17 +132,13 @@ def _noise_model(where: str, **fields) -> NoiseModel:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _kind(value, where: str) -> str:
-    if value not in ("known_sequence", "case1", "case2", "case3"):
-        raise ConfigError(f"{where} must be known_sequence, case1, case2 or case3, got {value!r}")
-    return value
-
-
 def _noise(block, where: str) -> NoiseModel:
-    """A known_sequence block takes sigma_t; the other kinds take sigma, left out when inferred."""
+    """A known_sequence block takes sigma_t; the other kinds take sigma, left out when
+    inferred. NoiseModel checks the kind."""
     known = isinstance(block, dict) and block.get("kind") == "known_sequence"
     scale = {"sigma_t": _list_of(_finite)} if known else {"sigma": _finite}
-    return _noise_model(where, **_fields(block, where, {"kind": _kind, **scale}, optional={"sigma"}))
+    fields = _fields(block, where, {"kind": lambda kind, _: kind, **scale}, optional={"sigma"})
+    return _noise_model(where, **fields)
 
 
 def _population(value, where: str) -> InitialCondition:

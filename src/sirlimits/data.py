@@ -1,9 +1,10 @@
 """Daily case-count ingestion.
 
 Input files are plain CSV with header ``date,count``, ISO-8601 dates, one row
-per day. Validation is strict: dates must be unique, strictly increasing and
-daily-spaced inside the requested range, and counts must be nonnegative
-integers. Missing days are a hard error; nothing is imputed.
+per day, in any order. Validation is strict: dates must be unique, the rows
+are sorted by date and must then be daily-spaced, covering the requested
+range exactly, and counts must be nonnegative integers. Missing days are a
+hard error; nothing is imputed.
 
 A fixture with New York City's reported daily cases for the first two weeks
 of the 2020 outbreak (2020-02-29 through 2020-03-14) ships with the package
@@ -35,7 +36,6 @@ class CaseData:
     dates: tuple
     counts: np.ndarray
     population: int
-    label: str = ""
 
     def __post_init__(self):
         if len(self.dates) != len(self.counts):
@@ -54,12 +54,13 @@ def _parse_date(raw: str, line: int) -> dt.date:
         raise CaseDataError(f"line {line}: bad date {raw!r}: {exc}", code="bad-date") from exc
 
 
-def load_cases(path, population: int, date_range=None, label: str | None = None) -> CaseData:
-    """Load and validate a daily case-count CSV.
+def load_cases(path, population: int, date_range=None) -> CaseData:
+    """Load and validate a daily case-count CSV, its rows sorted by date.
 
     ``date_range`` is an inclusive (start, end) pair of ``datetime.date``;
     omit it to keep every row. Raises CaseDataError with a machine-readable
-    ``code`` on any defect.
+    ``code`` on any defect: a duplicate date, or a gap between consecutive
+    dates once sorted.
     """
     path = Path(path)
     rows: list[tuple[dt.date, int]] = []
@@ -129,7 +130,6 @@ def load_cases(path, population: int, date_range=None, label: str | None = None)
         dates=tuple(d for d, _ in rows),
         counts=np.array([c for _, c in rows], dtype=np.int64),
         population=int(population),
-        label=label or path.name,
     )
 
 
@@ -139,4 +139,4 @@ def nyc_fixture_path() -> Path:
 
 
 def load_nyc_fixture(population: int = NYC_POPULATION) -> CaseData:
-    return load_cases(nyc_fixture_path(), population, label="nyc-2020-spring")
+    return load_cases(nyc_fixture_path(), population)

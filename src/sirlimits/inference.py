@@ -62,7 +62,7 @@ from .errors import (
     IntegrationError,
     OptimizationFailureError,
 )
-from .simulate import NoiseModel, ObservationSeries, observe_batch, sigma_sequence
+from .simulate import NoiseModel, ObservationSeries, observe_batch
 from .simulate import check_variance, variance_law
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _check_guard, _rk4
 from .sir import _STATE_GUARD, integrate_exact
@@ -205,6 +205,15 @@ class LikelihoodSpec:
             raise InsufficientDataError(
                 f"known_sequence provides {len(self.noise.sigma_t)} days, need {self.T}"
             )
+
+    @classmethod
+    def from_values(cls, values, p: float, noise: NoiseModel, init: InitialCondition,
+                    steps_per_day: int) -> "LikelihoodSpec":
+        """The spec that fits the observed ``values`` at reporting rate p under
+        ``noise``; the series' seed and sigma_t, which no fit reads, are left zero."""
+        obs = ObservationSeries(values=values, reporting_rate=p, noise=noise, seed=0,
+                                sigma_t=np.zeros(len(values)), population=init.population)
+        return cls(obs=obs, init=init, noise=noise, steps_per_day=steps_per_day)
 
     @property
     def T(self) -> int:
@@ -815,8 +824,6 @@ class MleEnsemble:
     replicates: list[MleResult]
     indices: list[int]
     failures: list[tuple[int, str]]
-    seed_base: int
-    true_params: SirParams
 
     def betas(self) -> np.ndarray:
         return np.array([r.beta_hat for r in self.replicates])
@@ -842,12 +849,6 @@ class MleEnsemble:
     def r0_range(self) -> tuple[float, float]:
         r = self.r0s()
         return float(r.min()), float(r.max())
-
-
-def _ensemble_spec(y, sigma_t, p, noise, init, seed, steps_per_day) -> LikelihoodSpec:
-    obs = ObservationSeries(values=y, reporting_rate=p, noise=noise, seed=seed,
-                            sigma_t=sigma_t, population=init.population)
-    return LikelihoodSpec(obs=obs, init=init, noise=noise, steps_per_day=steps_per_day)
 
 
 def _best_fits(specs: list[LikelihoodSpec], starts: list[list[SirParams]]) -> list:
@@ -930,12 +931,11 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     truth = integrate_exact(true_params, init, T)
     ys = observe_batch(truth, noise, p, T, seed, replicates)
-    sigma_t = sigma_sequence(noise, truth, T)
     root = math.sqrt(replicates)
     pooled_noise = (NoiseModel.known(noise.sigma_t / root) if noise.kind == "known_sequence"
                     else NoiseModel(kind=noise.kind, sigma=noise.sigma / root))
-    pooled_spec = _ensemble_spec(ys.mean(axis=0), sigma_t / root, p, pooled_noise, init, seed,
-                                 fit_steps_per_day)
+    pooled_spec = LikelihoodSpec.from_values(ys.mean(axis=0), p, pooled_noise, init,
+                                             fit_steps_per_day)
     try:
         pooled = fit_mle(pooled_spec, n_starts=n_starts).params()
     except OptimizationFailureError as exc:
@@ -943,7 +943,7 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
             f"the pooled fit of {replicates} replicates failed: {exc}",
             diagnostics=exc.diagnostics,
         ) from exc
-    specs = [_ensemble_spec(ys[r], sigma_t, p, noise, init, seed, fit_steps_per_day)
+    specs = [LikelihoodSpec.from_values(ys[r], p, noise, init, fit_steps_per_day)
              for r in range(replicates)]
     blocks = min(workers, replicates)
     edges = [b * replicates // blocks for b in range(blocks + 1)]
@@ -969,8 +969,7 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
             f"{len(failures)} of {replicates} replicate fits failed",
             diagnostics=[f"replicate {i}: {m}" for i, m in failures],
         )
-    return MleEnsemble(replicates=results, indices=indices, failures=failures,
-                       seed_base=int(seed), true_params=true_params)
+    return MleEnsemble(replicates=results, indices=indices, failures=failures)
 
 
 def write_ensemble_csv(ensemble: MleEnsemble, path) -> None:

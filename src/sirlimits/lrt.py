@@ -39,7 +39,7 @@ from .errors import (
     NoDetectablePerturbationError,
     PerturbationTooLargeError,
 )
-from .perturb import Perturbation
+from .perturb import Perturbation, _check_anchor
 from .simulate import NoiseModel, ObservationSeries, replicate_normals, sigma_sequence
 from .sir import (
     DEFAULT_STEPS_PER_DAY,
@@ -79,8 +79,7 @@ class TestSpec:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"reporting rate must lie in (0, 1], got {self.p}")
-        if self.pert.base != self.null_params:
-            raise ValueError("perturbation must be anchored at the null parameters")
+        _check_anchor(self.null_params, self.pert)
         t_star = peak_time_for(self.null_params, self.init, self.steps_per_day)
         if self.T >= t_star:
             raise HorizonPastPeakError(

@@ -19,7 +19,7 @@ from ._csv import fmt, write_csv
 from .data import CaseData
 from .errors import OptimizationFailureError
 from .inference import LikelihoodSpec, MleResult, default_starts, fit_mle
-from .simulate import NoiseModel, ObservationSeries, sigma_sequence
+from .simulate import NoiseModel, sigma_sequence
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, incidence, integrate_exact
 
 
@@ -29,21 +29,9 @@ def nyc_likelihood_spec(data: CaseData, p: float,
     counts = np.asarray(data.counts, dtype=float)
     if len(counts) < 2:
         raise ValueError("need at least two daily counts (day zero plus one observation)")
-    noise = NoiseModel(kind="case3", sigma=None)
-    obs = ObservationSeries(
-        values=counts[1:],
-        reporting_rate=p,
-        noise=noise,
-        seed=0,
-        sigma_t=np.zeros(len(counts) - 1),
-        population=data.population,
-    )
-    return LikelihoodSpec(
-        obs=obs,
-        init=InitialCondition.from_population(data.population),
-        noise=noise,
-        steps_per_day=steps_per_day,
-    )
+    return LikelihoodSpec.from_values(counts[1:], p, NoiseModel(kind="case3", sigma=None),
+                                      InitialCondition.from_population(data.population),
+                                      steps_per_day)
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,18 @@ class ApproximationErrorSeries:
     rel_log_error: np.ndarray
 
 
+def _closed_form_error(base: SirParams, init: InitialCondition, epsilon: float, omega: float,
+                       times, exact):
+    """The closed form's separation at ``times``, its error against the exact
+    separation ``exact``, and the relative log error, NaN where either vanishes."""
+    ds, di = linearized_difference(base, init, epsilon, omega, times)
+    linearized = np.hypot(ds, di)
+    err = exact - linearized
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.log(np.abs(err)) - np.log(exact)
+    return linearized, err, np.where((exact == 0.0) | (err == 0.0), np.nan, rel)
+
+
 def approximation_error(base: SirParams, init: InitialCondition, pert: Perturbation,
                         horizon: int,
                         steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> ApproximationErrorSeries:
@@ -231,12 +243,7 @@ def approximation_error(base: SirParams, init: InitialCondition, pert: Perturbat
     moved = integrate_exact(pert.perturbed(), init, horizon, steps_per_day)
     times = reference.times
     exact = np.hypot(moved.s - reference.s, moved.i - reference.i)
-    ds, di = linearized_difference(base, init, pert.epsilon, pert.omega, times)
-    linearized = np.hypot(ds, di)
-    err = exact - linearized
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.log(np.abs(err)) - np.log(exact)
-    rel = np.where((exact == 0.0) | (err == 0.0), np.nan, rel)
+    linearized, err, rel = _closed_form_error(base, init, pert.epsilon, pert.omega, times, exact)
     return ApproximationErrorSeries(
         times=times,
         exact_distance=exact,
@@ -293,10 +300,7 @@ def error_fit(base: SirParams, init: InitialCondition, epsilon: float, horizon: 
     slopes = np.empty(len(omegas))
     intercepts = np.empty(len(omegas))
     for k, curve in enumerate(curves):
-        ds, di = linearized_difference(base, init, epsilon, curve.omega, days)
-        err = curve.distance - np.hypot(ds, di)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.log(np.abs(err)) - np.log(curve.distance)
+        _, _, rel = _closed_form_error(base, init, epsilon, curve.omega, days, curve.distance)
         mask = window & np.isfinite(rel)
         if mask.sum() < _MIN_FIT_POINTS:
             raise FitDegenerateError(

@@ -14,16 +14,18 @@ series seed, so replicate r / day t is independent of iteration order and
 identical output is guaranteed for identical seeds, across runs and worker
 counts. Observations are deliberately left unrounded and may be negative:
 the likelihood machinery treats Y_t as continuous.
+
+``write_observations_csv`` writes a series as a ``t,y`` table whose t runs
+1..T, the format the ``fit`` experiment reads back.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import fmt, write_csv
+from ._csv import fmt, write_csv, write_json
 from .errors import DegenerateVarianceError, InsufficientDataError
 from .sir import Trajectory, incidence
 
@@ -92,7 +94,11 @@ def check_variance(v) -> None:
 
 
 def sigma_sequence(noise: NoiseModel, traj: Trajectory, T: int | None = None) -> np.ndarray:
-    """Per-day standard deviations sigma_1..sigma_T for the given trajectory."""
+    """Per-day standard deviations sigma_1..sigma_T for the given trajectory.
+
+    Raises InsufficientDataError unless 1 <= T <= the trajectory's horizon:
+    the one check of T that ``observe`` and ``observe_batch`` rely on.
+    """
     horizon = traj.horizon
     if T is None:
         T = horizon
@@ -148,10 +154,6 @@ def observe(traj: Trajectory, noise: NoiseModel, p: float, T: int, seed: int) ->
     """Draw one noisy series of daily observations from a trajectory."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"reporting rate must lie in (0, 1], got {p}")
-    if T > traj.horizon:
-        raise InsufficientDataError(
-            f"T = {T} exceeds the trajectory horizon of {traj.horizon} days"
-        )
     sig = sigma_sequence(noise, traj, T)
     mean = p * incidence(traj)[:T]
     z = _generator(int(seed)).standard_normal(T)
@@ -173,25 +175,20 @@ def observe_batch(traj: Trajectory, noise: NoiseModel, p: float, T: int,
     Row r draws from replicate_seed(seed, r), a stream of its own; it is not
     the series ``observe`` draws for any seed, which comes from SeedSequence(seed).
     """
-    if T > traj.horizon:
-        raise InsufficientDataError(
-            f"T = {T} exceeds the trajectory horizon of {traj.horizon} days"
-        )
     sig = sigma_sequence(noise, traj, T)
     mean = p * incidence(traj)[:T]
     return mean + sig * replicate_normals(seed, replicates, T)
 
 
 def write_observations_csv(obs: ObservationSeries, path, sidecar_path=None) -> None:
+    """The series as a ``t,y`` table, t running 1..T, and, given a
+    ``sidecar_path``, its reporting rate, noise, population and seed as JSON."""
     write_csv(path, "t,y", (f"{t},{fmt(y)}" for t, y in enumerate(obs.values, start=1)))
     if sidecar_path is not None:
-        meta = {
+        write_json(sidecar_path, {
             "reporting_rate": obs.reporting_rate,
             "noise_kind": obs.noise.kind,
             "sigma": obs.noise.sigma,
             "population": obs.population,
             "seed": obs.seed,
-        }
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })

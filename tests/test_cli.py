@@ -230,6 +230,8 @@ class TestRunners:
         out = tmp_path / "fit"
         run_experiment(config, out)
         payload = json.loads((out / "fit.json").read_text())
+        assert set(payload) == {"beta_hat", "gamma_hat", "sigma_hat", "loglik", "converged",
+                                "iterations", "grad_norm", "r0_hat", "delta_hat", "starts"}
         assert payload["converged"]
         assert math.isfinite(payload["grad_norm"])
         # the growth rate is the robustly identified combination
@@ -357,6 +359,7 @@ class TestMain:
         ("sweep-directions", {"threads": 2}, "threads"),
         ("sweep-directions", {"population": 10**400}, "population"),
         ("sweep-directions", {"epsilon": 10**400}, "epsilon"),
+        ("simulate", {"noise": {"kind": "case4"}}, "noise"),
     ])
     def test_cli_error_json_for_out_of_range_values(self, tmp_path, capsys, experiment, change, key):
         raw = {"experiment": experiment, **SMALL_CONFIGS.get(experiment, {}), **change}
@@ -374,8 +377,15 @@ class TestMain:
          "ConfigError", "o.csv: line 3"),
         ("fit", lambda d: {"observations": write_text(d / "o.csv", "t,y\n1,3\n2,4,5\n")},
          "ConfigError", "o.csv: line 3"),
+        ("fit", lambda d: {"observations": write_text(d / "o.csv", "t,y\n1,3\n2,4\n4,6\n")},
+         "ConfigError", "o.csv: line 4"),
+        ("fit", lambda d: {"observations": write_text(d / "o.csv", "t,y\n1,3\n1,4\n2,6\n")},
+         "ConfigError", "o.csv: line 3"),
+        ("fit", lambda d: {"observations": write_text(d / "o.csv", "t,y\n1,3\n2.5,4\n")},
+         "ConfigError", "o.csv: line 3"),
         ("power", lambda d: {"T": 200}, "HorizonPastPeakError", "T = 200"),
-    ], ids=["observations-absent", "data-absent", "y-not-a-number", "three-fields", "T-past-peak"])
+    ], ids=["observations-absent", "data-absent", "y-not-a-number", "three-fields", "t-skips-a-day",
+            "t-repeats-a-day", "t-not-an-integer", "T-past-peak"])
     def test_cli_error_json_for_unusable_inputs(self, tmp_path, capsys, experiment, change, error, text):
         fit = {"population": 10**7, "p": 1.0, "noise": {"kind": "case1", "sigma": 0.01}}
         base = fit if experiment == "fit" else SMALL_CONFIGS[experiment]

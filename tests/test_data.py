@@ -92,7 +92,7 @@ def test_roundtrip_is_identity(tmp_path):
     path = tmp_path / "echo.csv"
     lines = [f"{date.isoformat()},{count}" for date, count in zip(original.dates, original.counts)]
     path.write_text("\n".join(["date,count", *lines]) + "\n")
-    again = load_cases(path, NYC_POPULATION, label=original.label)
+    again = load_cases(path, NYC_POPULATION)
     assert again.dates == original.dates
     np.testing.assert_array_equal(again.counts, original.counts)
     assert again.population == original.population
