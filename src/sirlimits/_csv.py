@@ -5,9 +5,14 @@ from __future__ import annotations
 import json
 
 
+#: The one number format, as a printf field: round-trip decimals. Row
+#: templates use it to format many cells with one ``%``.
+CELL = "%.17g"
+
+
 def fmt(x) -> str:
     """Round-trip decimal of a number; None becomes an empty cell."""
-    return "" if x is None else format(float(x), ".17g")
+    return "" if x is None else CELL % float(x)
 
 
 def write_csv(path, header: str, lines) -> None:

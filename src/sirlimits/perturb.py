@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import fmt, write_csv
+from ._csv import CELL, fmt, write_csv
 from .errors import FitDegenerateError, PerturbationTooLargeError
 from .sir import (
     DEFAULT_STEPS_PER_DAY,
@@ -347,11 +347,21 @@ def theoretical_error_bound(base: SirParams, init: InitialCondition,
 
 
 def write_sweep_csv(curves: list[SeparationCurve], path) -> None:
+    """One row (omega, t, distance, s_distance) per day of each curve.
+
+    The days' t cells are formatted once for each day grid (the curves of one
+    sweep share theirs), and each curve's rows are one ``%`` over a row
+    template of its omega and those days.
+    """
     def lines():
+        times = None
         for curve in curves:
+            if curve.times is not times:
+                times = curve.times
+                days = [f",{fmt(t)},{CELL},{CELL}" for t in times]
             omega = fmt(curve.omega)
-            for t, d, sd in zip(curve.times, curve.distance, curve.s_distance):
-                yield f"{omega},{fmt(t)},{fmt(d)},{fmt(sd)}"
+            cells = np.column_stack((curve.distance, curve.s_distance)).ravel().tolist()
+            yield (omega + f"\n{omega}".join(days)) % tuple(cells)
 
     write_csv(path, "omega,t,distance,s_distance", lines())
 

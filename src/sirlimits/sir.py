@@ -8,7 +8,10 @@ The exact system
 is integrated with classical fixed-step RK4 (default 50 substeps per day),
 which is plenty for these smooth, non-stiff dynamics and keeps day grids
 deterministic. The removed compartment is never stored: r = 1 - s - i by
-construction, so the conservation identity cannot drift.
+construction, so the conservation identity cannot drift. One kernel,
+``_rk4``, has two bodies: a scalar loop for one parameter pair, and an
+in-place array loop whose lanes are many parameter pairs on one day grid
+(``integrate_day_grid_batch``). Each lane has the bits of its scalar loop.
 
 The companion closed form freezes s at 1 in the transmission term, giving
 exponential growth of infections; it is evaluated directly, with no stepping:
@@ -141,7 +144,12 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
     ds/dt = -x with x = beta*i*s, so s subtracts h*x where the textbook
     scheme adds h*(-x); negation is exact, so the values are those of the
     textbook scheme bit for bit.
+
+    Floats run the scalar loop below, arrays the in-place lane loop
+    (``_rk4_lanes``), and every lane has the bits of its scalar loop.
     """
+    if isinstance(beta, np.ndarray):
+        return _check_guard(_rk4_lanes(beta, gamma, y0, n_steps, h, stride), stride, h)
     s, i = y0
     h2 = 0.5 * h
     h6 = h / 6.0
@@ -172,6 +180,63 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
     return _check_guard(tuple(np.array(row) for row in rows), stride, h)
 
 
+def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
+    """The lane body of ``_rk4``: (s, i) of shape (n_steps // stride + 1, lanes).
+
+    Steps z = (u, i) with u = -s, so that both derivatives come from one
+    product: with bi = beta*i, K = (bi*u, bi*u + gamma*i) = -(ds/dt, di/dt),
+    each stage state is z - a*K and the step is z - h/6*(K1 + 2(K2 + K3) + K4).
+    Negation commutes with rounding, so every lane keeps the bits of the
+    scalar loop. At ~100 lanes numpy's cost per call outweighs the
+    arithmetic, so a substep is 24 ufunc calls writing into buffers made
+    before the loop, with operands of one shape: a scalar operand or a
+    broadcast costs more per call.
+    """
+    lanes = len(beta)
+    rec = np.empty((n_steps // stride + 1, 2, lanes))  # recorded (u, i) rows
+    rec[0] = z = np.stack((np.negative(y0[0]), y0[1]))
+    bg = np.empty((2, lanes))  # (beta*i, gamma): one product gives (bi*u, gamma*i)
+    bg[1] = gamma
+    w = np.empty((2, lanes))  # stage state
+    acc = np.empty((2, lanes))
+    k = np.empty((4, 2, lanes))
+    k1, k2, k3, k4 = k
+    (k1u, k1i), (k2u, k2i), (k3u, k3i), (k4u, k4i) = k
+    bi, zi, wi = bg[0], z[1], w[1]
+    h2, h1, h6 = (np.full((2, lanes), c) for c in (0.5 * h, h, h / 6.0))
+    mul, add, sub = np.multiply, np.add, np.subtract
+    # A lane that blows up runs on as inf/NaN; the guard reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rec[1:]:
+            for _ in range(stride):
+                mul(beta, zi, bi)
+                mul(bg, z, k1)
+                add(k1u, k1i, k1i)
+                mul(h2, k1, acc)
+                sub(z, acc, w)
+                mul(beta, wi, bi)
+                mul(bg, w, k2)
+                add(k2u, k2i, k2i)
+                mul(h2, k2, acc)
+                sub(z, acc, w)
+                mul(beta, wi, bi)
+                mul(bg, w, k3)
+                add(k3u, k3i, k3i)
+                mul(h1, k3, acc)
+                sub(z, acc, w)
+                mul(beta, wi, bi)
+                mul(bg, w, k4)
+                add(k4u, k4i, k4i)
+                add(k2, k3, acc)
+                add(acc, acc, acc)  # 2*(K2 + K3), exactly
+                add(k1, acc, acc)
+                add(acc, k4, acc)
+                mul(h6, acc, acc)
+                sub(z, acc, z)
+            row[...] = z
+    return np.negative(rec[:, 0]), rec[:, 1]
+
+
 def _check_guard(out, stride, h):
     """Return the recorded arrays ``out`` if every value keeps |x| < _STATE_GUARD.
 
@@ -190,6 +255,15 @@ def _check_guard(out, stride, h):
     return out
 
 
+def _day_grid(horizon, steps_per_day):
+    """The checked (horizon, steps_per_day) of an integration, as ints."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1 day, got {horizon}")
+    if steps_per_day < 1:
+        raise ValueError(f"steps_per_day must be >= 1, got {steps_per_day}")
+    return int(horizon), int(steps_per_day)
+
+
 def integrate_exact(
     params: SirParams,
     init: InitialCondition,
@@ -197,12 +271,7 @@ def integrate_exact(
     steps_per_day: int = DEFAULT_STEPS_PER_DAY,
 ) -> Trajectory:
     """Integrate the full nonlinear system and sample it at whole days."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1 day, got {horizon}")
-    if steps_per_day < 1:
-        raise ValueError(f"steps_per_day must be >= 1, got {steps_per_day}")
-    horizon = int(horizon)
-    spd = int(steps_per_day)
+    horizon, spd = _day_grid(horizon, steps_per_day)
     n = horizon * spd
     h = 1.0 / spd
     fine_s, fine_i = _rk4(float(params.beta), float(params.gamma),
@@ -228,15 +297,16 @@ def integrate_day_grid_batch(betas, gammas, init: InitialCondition, horizon: int
 
     Returns (s, i) arrays of shape (horizon + 1, len(betas)). Used by the
     direction sweeps, where integrating ~90 perturbed parameter sets one by
-    one would dominate the runtime.
+    one would dominate the runtime. Each lane has the bits of
+    ``integrate_exact``'s day samples.
     """
+    horizon, spd = _day_grid(horizon, steps_per_day)
     betas = np.asarray(betas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    if betas.shape != gammas.shape or betas.ndim != 1:
-        raise ValueError("betas and gammas must be 1-d arrays of equal length")
-    spd = int(steps_per_day)
+    if betas.shape != gammas.shape or betas.ndim != 1 or betas.size == 0:
+        raise ValueError("betas and gammas must be nonempty 1-d arrays of equal length")
     y0 = (np.full(betas.shape, init.s0), np.full(betas.shape, init.i0))
-    return _rk4(betas, gammas, y0, int(horizon) * spd, 1.0 / spd, spd)
+    return _rk4(betas, gammas, y0, horizon * spd, 1.0 / spd, spd)
 
 
 def linearized_state(params: SirParams, init: InitialCondition, t):

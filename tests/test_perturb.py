@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sirlimits._csv import fmt
 from sirlimits.errors import (
     DegenerateParameterError,
     FitDegenerateError,
@@ -123,6 +124,23 @@ class TestSeparationSweep:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "omega,t,distance,s_distance"
         assert len(lines) == 1 + 2 * 6
+
+    @pytest.mark.parametrize("epsilon,omegas,horizon", [
+        (0.03, np.linspace(0.0, 2 * math.pi, 7, endpoint=False), 40),
+        (0.0, [0.0, 1.0, 4.0], 12),  # all-zero curves
+        (0.03, [math.pi / 4], 25),  # a single angle
+        (0.03, [0.0, 2.0, 5.0], 1),  # a 1-day horizon
+    ])
+    def test_sweep_csv_bytes_match_a_cell_by_cell_reference(self, tmp_path, epsilon, omegas,
+                                                            horizon):
+        curves = separation_sweep(BASE, INIT7, epsilon, omegas, horizon=horizon, steps_per_day=5)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(curves, path)
+        expected = "omega,t,distance,s_distance\n" + "".join(
+            f"{fmt(c.omega)},{fmt(t)},{fmt(d)},{fmt(sd)}\n"
+            for c in curves for t, d, sd in zip(c.times, c.distance, c.s_distance)
+        )
+        assert path.read_bytes() == expected.encode()
 
 
 class TestApproximationError:

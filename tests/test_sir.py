@@ -3,7 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sirlimits import sir
 from sirlimits.errors import (
     DegenerateParameterError,
     HorizonTooShortError,
@@ -145,7 +147,7 @@ class TestExactIntegration:
         assert batch.value.step == exact.value.step
         assert 1 <= sens.value.step <= exact.value.step
 
-    @pytest.mark.parametrize("lanes", [2, 91])
+    @pytest.mark.parametrize("lanes", [1, 2, 91])
     def test_batch_matches_integrate_exact_lane_by_lane(self, lanes):
         # the kernel's array path gives every lane the bits of its scalar path
         omegas = np.linspace(0.0, 2.0 * math.pi, lanes, endpoint=False)
@@ -158,7 +160,7 @@ class TestExactIntegration:
             np.testing.assert_array_equal(s[:, k], traj.s)
             np.testing.assert_array_equal(i[:, k], traj.i)
 
-    @pytest.mark.parametrize("lanes", [2, 91])
+    @pytest.mark.parametrize("lanes", [1, 2, 91])
     def test_batch_failure_names_the_earliest_substep_of_any_lane(self, lanes):
         init = InitialCondition(s0=0.999, i0=1e-3, population=1000)
         late, early = SirParams(6.0, 0.1), SirParams(12.0, 0.1)
@@ -168,17 +170,66 @@ class TestExactIntegration:
                 integrate_exact(params, init, 50, steps_per_day=1)
             steps.append(exact.value.step)
         assert steps[1] < steps[0]
+        lane_params = ([BASE] * (lanes - 2) + [late, early])[-lanes:]  # one lane: early alone
         with pytest.raises(IntegrationError) as batch:
-            integrate_day_grid_batch([BASE.beta] * (lanes - 2) + [late.beta, early.beta],
-                                     [BASE.gamma] * (lanes - 2) + [late.gamma, early.gamma],
+            integrate_day_grid_batch([p.beta for p in lane_params], [p.gamma for p in lane_params],
                                      init, 50, steps_per_day=1)
         assert batch.value.step == steps[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(lanes=st.integers(1, 100),
+           rates=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(1e-3, 6.0)),
+                          min_size=1, max_size=8),
+           steps_per_day=st.sampled_from([1, 2, 5, 50]),
+           horizon=st.integers(1, 30),
+           population=st.sampled_from([100, 10**4, 10**7]))
+    def test_batch_lanes_have_the_bits_of_integrate_exact(self, lanes, rates, steps_per_day,
+                                                           horizon, population):
+        # lane k runs the (gamma, delta) pair k % len(rates); at one substep
+        # per day the fastest pairs blow up
+        init = InitialCondition.from_population(population)
+        pairs = [SirParams(gamma + delta, gamma) for gamma, delta in rates[:lanes]]
+        lane_params = [pairs[k % len(pairs)] for k in range(lanes)]
+        trajs, fail_steps = {}, []
+        for p in pairs:
+            try:
+                trajs[p] = integrate_exact(p, init, horizon, steps_per_day)
+            except IntegrationError:
+                # the batch guards whole days only: the lane's first bad day
+                with pytest.raises(IntegrationError) as day_grid:
+                    sir._rk4(p.beta, p.gamma, (init.s0, init.i0), horizon * steps_per_day,
+                             1.0 / steps_per_day, steps_per_day)
+                fail_steps.append(day_grid.value.step)
+        betas = [p.beta for p in lane_params]
+        gammas = [p.gamma for p in lane_params]
+        if fail_steps:
+            with pytest.raises(IntegrationError) as batch:
+                integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
+            assert batch.value.step == min(fail_steps)
+            return
+        s, i = integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
+        assert s.shape == i.shape == (horizon + 1, lanes)
+        for k, p in enumerate(lane_params):
+            np.testing.assert_array_equal(s[:, k], trajs[p].s)
+            np.testing.assert_array_equal(i[:, k], trajs[p].i)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             integrate_exact(BASE, INIT7, 0)
         with pytest.raises(ValueError):
             integrate_exact(BASE, INIT7, 10, steps_per_day=0)
+
+    @pytest.mark.parametrize("horizon,steps_per_day", [(0, 50), (-3, 50), (10, 0)])
+    def test_batch_checks_the_grid_as_integrate_exact_does(self, horizon, steps_per_day):
+        with pytest.raises(ValueError) as exact:
+            integrate_exact(BASE, INIT7, horizon, steps_per_day)
+        with pytest.raises(ValueError) as batch:
+            integrate_day_grid_batch([BASE.beta], [BASE.gamma], INIT7, horizon, steps_per_day)
+        assert str(batch.value) == str(exact.value)
+
+    def test_batch_rejects_zero_lanes(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            integrate_day_grid_batch([], [], INIT7, 10)
 
 
 class TestPeak:
