@@ -36,7 +36,8 @@ in one batched sensitivity pass, and each start keeps its own damping,
 accept/reject, bounds, stopping rule and failure, so its result is the one
 it reaches fit alone. Above 10 substeps per day the starts are fit in two
 levels (``_fit_start``): the walk along the ridge runs on a 10-substep grid
-and a few passes on the requested grid polish its optimum. Each lane
+and a few passes on the requested grid polish its optimum; a start whose
+walk fails is polished from where it started. Each lane
 carries its own observed row, so a replicate study (``mle_ensemble``) fits
 each worker's block of replicates as the lanes of one lockstep fit, every
 replicate started at the optimum of their pooled series. A sensitivity pass
@@ -229,9 +230,9 @@ def _variance_terms(spec: LikelihoodSpec, sigmas, i, ib, ig):
     one row per lane of the day-sampled i, ib and ig.
 
     J_v is None for known_sequence noise; ``sigmas``, one per lane, are read
-    only when the noise leaves sigma free. The law is applied lane by lane,
-    so powers of sigma stay Python floats and each row keeps the bits of its
-    one-lane law; the products with the sensitivities are stacked.
+    only when the noise leaves sigma free. The law takes every lane at once,
+    sigma being a (lanes, 1) column; it is made of elementwise products and
+    squares alone, so each row keeps the bits of its one-lane law.
     """
     T = spec.T
     noise = spec.noise
@@ -241,15 +242,12 @@ def _variance_terms(spec: LikelihoodSpec, sigmas, i, ib, ig):
     if free and None in sigmas:
         raise ValueError(f"sigma is required: the {noise.kind} noise leaves it to inference")
     n, ik = spec.init.population, i[:, 1 : T + 1]
-    laws = [variance_law(noise.kind, sigma if free else noise.sigma, n, row)
-            for sigma, row in zip(sigmas, ik)]
-    v = np.array([law[0] for law in laws])
-    dv_di = np.array([law[1] for law in laws]).reshape(len(laws), -1)  # a float or a row
+    sigma = np.array(sigmas, dtype=float)[:, None] if free else noise.sigma
+    v, dv_di = variance_law(noise.kind, sigma, n, ik)
     rows = [dv_di * ib[:, 1 : T + 1], dv_di * ig[:, 1 : T + 1]]
     if free:
         # v = sigma^2 u, u being the law at sigma = 1: dv/dsigma = 2 v / sigma = 2 u sigma
-        u = np.array([variance_law(noise.kind, 1.0, n, row)[0] for row in ik])
-        rows.append(2.0 * u * np.array(sigmas)[:, None])
+        rows.append(2.0 * variance_law(noise.kind, 1.0, n, ik)[0] * sigma)
     return v, np.stack(rows, axis=1)
 
 
@@ -414,7 +412,12 @@ def _profile_sigma_start(states, y, spec: LikelihoodSpec) -> float:
 
 
 def default_starts(spec: LikelihoodSpec, n_starts: int = 8) -> list[SirParams]:
-    """Log-spaced grid along the slope-one ridge through the moment initializer."""
+    """Log-spaced grid along the slope-one ridge through the moment initializer.
+
+    Raises ValueError unless n_starts >= 1.
+    """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     anchor = moment_start(spec.obs)
     delta0 = anchor.delta()
     if n_starts == 1:
@@ -595,7 +598,7 @@ def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list
     when ``ys`` is None; the lanes share everything else of spec. It fits on
     spec's substep grid alone and returns, per start, its MleResult or the
     OptimizationFailureError of a start that cannot be evaluated;
-    ``_fit_start`` runs it once, or in up to three phases above
+    ``_fit_start`` runs it once, or as its search and polish phases above
     _SEARCH_STEPS_PER_DAY. Each iteration evaluates the trial steps of all
     active lanes in one batch (``_sensitivity_passes``, ``_evaluate_passes``,
     ``_iterates``), whose lanes keep the bits of one-lane evaluations. Every
@@ -706,6 +709,17 @@ def _rank(result: MleResult):
     return result.converged, result.loglik
 
 
+def _keep_better(results: list, redo: list[int], refits: list) -> None:
+    """Set each ``results[k]``, k in ``redo``, against its refit, in place: a
+    failed result takes its refit, and otherwise the better of the two by
+    ``_rank`` stays, the result itself on a tie or when the refit failed."""
+    for k, refit in zip(redo, refits):
+        if not isinstance(results[k], MleResult):
+            results[k] = refit
+        elif isinstance(refit, MleResult):
+            results[k] = max(results[k], refit, key=_rank)
+
+
 def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
     """Every start's fit on spec's grid, searched on the _SEARCH_STEPS_PER_DAY
     grid: per start, its MleResult or the OptimizationFailureError it ended in.
@@ -714,31 +728,29 @@ def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
     A fit at no more substeps than that is one lockstep ``_fit_scoring``. A
     finer one runs each start in two levels, as lockstep phases over the
     starts: the search fits every start on the coarse grid, and the polish
-    fits every searched start on spec's grid from its search optimum, with
-    the same stopping rule, so a result is always an optimum of spec's grid.
-    Its ``iterations`` count the accepted steps of both. A start whose
-    search or polish fails, or whose polish ends unconverged, is then fit on
-    spec's grid alone, in a third phase; an unconverged polish keeps the
-    better of the two by ``_rank``, or itself when that fit fails.
+    fits every start on spec's grid, with the same stopping rule, so a
+    result is always an optimum of spec's grid. The polish starts from the
+    search optimum, or from the start itself where the search failed, which
+    is the start's fit on spec's grid alone. A searched start's
+    ``iterations`` count the accepted steps of both. A searched start whose
+    polish fails or ends unconverged is then fit on spec's grid alone, and
+    ``_keep_better`` settles between the two.
     """
     ys = _observed(spec, len(starts)) if ys is None else np.asarray(ys, dtype=float)
     if spec.steps_per_day <= _SEARCH_STEPS_PER_DAY:
         return _fit_scoring(spec, starts, ys)
     searches = _fit_scoring(replace(spec, steps_per_day=_SEARCH_STEPS_PER_DAY), starts, ys)
     searched = [k for k, search in enumerate(searches) if isinstance(search, MleResult)]
-    results = [None] * len(starts)
-    if searched:
-        polishes = _fit_scoring(spec, [searches[k].params() for k in searched], ys[searched])
-        for k, polish in zip(searched, polishes):
-            if isinstance(polish, MleResult):
-                results[k] = replace(polish, iterations=searches[k].iterations + polish.iterations)
-    redo = [k for k, polish in enumerate(results) if polish is None or not polish.converged]
+    results = _fit_scoring(spec, [search.params() if isinstance(search, MleResult) else start
+                                  for start, search in zip(starts, searches)], ys)
+    for k in searched:
+        if isinstance(results[k], MleResult):
+            results[k] = replace(results[k],
+                                 iterations=searches[k].iterations + results[k].iterations)
+    redo = [k for k in searched
+            if not (isinstance(results[k], MleResult) and results[k].converged)]
     if redo:
-        for k, direct in zip(redo, _fit_scoring(spec, [starts[k] for k in redo], ys[redo])):
-            if results[k] is None:
-                results[k] = direct
-            elif isinstance(direct, MleResult):
-                results[k] = max(results[k], direct, key=_rank)
+        _keep_better(results, redo, _fit_scoring(spec, [starts[k] for k in redo], ys[redo]))
     return results
 
 
@@ -757,9 +769,12 @@ def fit_starts(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
 
     The starts step together as the lanes of one lockstep fit
     (``_fit_start``), and each start's result is the one it reaches fit alone.
+    Raises ValueError when ``starts`` is empty.
     """
     if starts is None:
         starts = default_starts(spec, n_starts)
+    if not starts:
+        raise ValueError("starts must hold at least one start")
     return _fit_rows([spec], [starts])[0]
 
 
@@ -876,11 +891,8 @@ def _fit_replicates(job) -> list:
     # starts then get their turn.
     redo = [k for k, fit in enumerate(fits) if isinstance(fit, MleResult) and not fit.converged]
     if redo:
-        own = _best_fits([specs[k] for k in redo],
-                         [default_starts(specs[k], n_starts) for k in redo])
-        for k, fit in zip(redo, own):
-            if isinstance(fit, MleResult):
-                fits[k] = max(fits[k], fit, key=_rank)
+        _keep_better(fits, redo, _best_fits([specs[k] for k in redo],
+                                            [default_starts(specs[k], n_starts) for k in redo]))
     return [(fit, None) if isinstance(fit, MleResult) else (None, str(fit)) for fit in fits]
 
 
@@ -929,6 +941,8 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     truth = integrate_exact(true_params, init, T)
     ys = observe_batch(truth, noise, p, T, seed, replicates)
     root = math.sqrt(replicates)

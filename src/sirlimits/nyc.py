@@ -36,15 +36,11 @@ def nyc_likelihood_spec(data: CaseData, p: float,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One reporting rate's fit, or the error that prevented it."""
+    """One reporting rate's fit: its MleResult, or None and the ``error`` that
+    prevented it."""
 
     p: float
-    beta_hat: float | None
-    gamma_hat: float | None
-    sigma_hat: float | None
-    r0_hat: float | None
-    loglik: float | None
-    converged: bool
+    fit: MleResult | None
     error: str | None = None
 
 
@@ -68,19 +64,9 @@ def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
         try:
             fit = fit_mle(spec, starts=starts)
         except OptimizationFailureError as exc:
-            rows.append(SweepRow(p=float(p), beta_hat=None, gamma_hat=None,
-                                 sigma_hat=None, r0_hat=None, loglik=None,
-                                 converged=False, error=str(exc)))
+            rows.append(SweepRow(float(p), None, str(exc)))
             continue
-        rows.append(SweepRow(
-            p=float(p),
-            beta_hat=fit.beta_hat,
-            gamma_hat=fit.gamma_hat,
-            sigma_hat=fit.sigma_hat,
-            r0_hat=fit.r0_hat,
-            loglik=fit.loglik,
-            converged=fit.converged,
-        ))
+        rows.append(SweepRow(float(p), fit))
         previous = fit
     return rows
 
@@ -121,9 +107,13 @@ def fitted_band(data: CaseData, fit: MleResult, p: float, level: float = 0.95,
 
 
 def write_nyc_table_csv(rows: list[SweepRow], path) -> None:
+    """One line per row; a failed fit leaves its cells empty, converged 0, and
+    its error with commas and newlines replaced."""
     write_csv(path, "p,beta_hat,gamma_hat,sigma_hat,r0_hat,loglik,converged,error", (
-        f"{fmt(row.p)},{fmt(row.beta_hat)},{fmt(row.gamma_hat)},{fmt(row.sigma_hat)},"
-        f"{fmt(row.r0_hat)},{fmt(row.loglik)},{int(row.converged)},"
+        f"{fmt(row.p)},"
+        + (",,,,,0," if row.fit is None else
+           f"{fmt(row.fit.beta_hat)},{fmt(row.fit.gamma_hat)},{fmt(row.fit.sigma_hat)},"
+           f"{fmt(row.fit.r0_hat)},{fmt(row.fit.loglik)},{int(row.fit.converged)},")
         + (row.error.replace(",", ";").replace("\n", " ") if row.error else "")
         for row in rows
     ))

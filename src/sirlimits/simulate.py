@@ -74,11 +74,15 @@ class NoiseModel:
         return cls(kind="case2", sigma=float(sigma))
 
 
-def variance_law(kind: str, sigma: float, n: int, i):
+def variance_law(kind: str, sigma, n: int, i):
     """Per-day variance v of a case1, case2 or case3 law at scale sigma, and
-    dv/di, for population n and infected fractions i."""
+    dv/di, for population n and infected fractions i.
+
+    sigma may be a (lanes, 1) column against (lanes, days) rows of i: every
+    operation is an elementwise product or square, so each row has the bits
+    of its one-lane law."""
     if kind == "case1":
-        return np.full(len(i), (n * sigma) ** 2), 0.0
+        return np.full(np.shape(i), (n * sigma) ** 2), 0.0
     if kind == "case2":
         return (n * sigma * i) ** 2, 2.0 * (n * sigma) ** 2 * i
     if kind == "case3":
@@ -180,15 +184,14 @@ def observe_batch(traj: Trajectory, noise: NoiseModel, p: float, T: int,
     return mean + sig * replicate_normals(seed, replicates, T)
 
 
-def write_observations_csv(obs: ObservationSeries, path, sidecar_path=None) -> None:
-    """The series as a ``t,y`` table, t running 1..T, and, given a
-    ``sidecar_path``, its reporting rate, noise, population and seed as JSON."""
+def write_observations_csv(obs: ObservationSeries, path, sidecar_path) -> None:
+    """The series as a ``t,y`` table, t running 1..T, and its reporting rate,
+    noise, population and seed as JSON at ``sidecar_path``."""
     write_csv(path, "t,y", (f"{t},{fmt(y)}" for t, y in enumerate(obs.values, start=1)))
-    if sidecar_path is not None:
-        write_json(sidecar_path, {
-            "reporting_rate": obs.reporting_rate,
-            "noise_kind": obs.noise.kind,
-            "sigma": obs.noise.sigma,
-            "population": obs.population,
-            "seed": obs.seed,
-        })
+    write_json(sidecar_path, {
+        "reporting_rate": obs.reporting_rate,
+        "noise_kind": obs.noise.kind,
+        "sigma": obs.noise.sigma,
+        "population": obs.population,
+        "seed": obs.seed,
+    })

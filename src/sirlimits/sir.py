@@ -8,10 +8,11 @@ The exact system
 is integrated with classical fixed-step RK4 (default 50 substeps per day),
 which is plenty for these smooth, non-stiff dynamics and keeps day grids
 deterministic. The removed compartment is never stored: r = 1 - s - i by
-construction, so the conservation identity cannot drift. One kernel,
-``_rk4``, has two bodies: a scalar loop for one parameter pair, and an
-in-place array loop whose lanes are many parameter pairs on one day grid
-(``integrate_day_grid_batch``). Each lane has the bits of its scalar loop.
+construction, so the conservation identity cannot drift. The RK4 kernel has
+two bodies: ``_rk4``, a scalar loop for one parameter pair, and
+``_rk4_lanes``, an in-place array loop whose lanes are many parameter pairs
+on one day grid (``integrate_day_grid_batch``). Each lane has the bits of
+its scalar loop.
 
 The companion closed form freezes s at 1 in the transmission term, giving
 exponential growth of infections; it is evaluated directly, with no stepping:
@@ -115,7 +116,6 @@ class Trajectory:
     params: SirParams
     init: InitialCondition
     kind: str
-    steps_per_day: int = 1
     fine_times: np.ndarray | None = field(default=None, repr=False)
     fine_s: np.ndarray | None = field(default=None, repr=False)
     fine_i: np.ndarray | None = field(default=None, repr=False)
@@ -130,26 +130,21 @@ class Trajectory:
 
 
 def _rk4(beta, gamma, y0, n_steps, h, stride):
-    """Classical RK4 of the SIR state (s, i).
+    """Classical RK4 of the SIR state (s, i) for one parameter pair: the scalar body.
 
-    ``beta`` and ``gamma`` are floats, or equal-length 1-d arrays with one
-    lane per parameter set, and ``y0`` holds (s, i). The state is recorded at
-    t = 0 and after every ``stride`` substeps of size ``h`` (callers pass
-    n_steps = horizon * steps_per_day, with ``stride`` 1 or steps_per_day).
-    The arrays (s, i) come back, each of shape (n_steps // stride + 1,) plus
-    the lane axis for arrays; the first recorded row with a value at or
+    ``beta`` and ``gamma`` are floats and ``y0`` holds (s, i). The state is
+    recorded at t = 0 and after every ``stride`` substeps of size ``h``
+    (callers pass n_steps = horizon * steps_per_day and stride 1; stride
+    steps_per_day records the day samples alone). The arrays (s, i) come back, each of shape
+    (n_steps // stride + 1,); the first recorded row with a value at or
     beyond _STATE_GUARD raises (``_check_guard``). Parameter sensitivities
     are the tangent of this path (``inference.integrate_with_sensitivities``).
 
     ds/dt = -x with x = beta*i*s, so s subtracts h*x where the textbook
     scheme adds h*(-x); negation is exact, so the values are those of the
-    textbook scheme bit for bit.
-
-    Floats run the scalar loop below, arrays the in-place lane loop
-    (``_rk4_lanes``), and every lane has the bits of its scalar loop.
+    textbook scheme bit for bit. ``_rk4_lanes`` is the lane body, and every
+    lane has the bits of this loop.
     """
-    if isinstance(beta, np.ndarray):
-        return _check_guard(_rk4_lanes(beta, gamma, y0, n_steps, h, stride), stride, h)
     s, i = y0
     h2 = 0.5 * h
     h6 = h / 6.0
@@ -181,7 +176,9 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
 
 
 def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
-    """The lane body of ``_rk4``: (s, i) of shape (n_steps // stride + 1, lanes).
+    """The lane body of the RK4 kernel: ``_rk4`` for equal-length 1-d arrays
+    ``beta`` and ``gamma``, one lane per parameter pair, returning (s, i) of
+    shape (n_steps // stride + 1, lanes) unguarded.
 
     Steps z = (u, i) with u = -s, so that both derivatives come from one
     product: with bi = beta*i, K = (bi*u, bi*u + gamma*i) = -(ds/dt, di/dt),
@@ -284,7 +281,6 @@ def integrate_exact(
         params=params,
         init=init,
         kind="exact",
-        steps_per_day=spd,
         fine_times=fine_t,
         fine_s=fine_s,
         fine_i=fine_i,
@@ -297,8 +293,9 @@ def integrate_day_grid_batch(betas, gammas, init: InitialCondition, horizon: int
 
     Returns (s, i) arrays of shape (horizon + 1, len(betas)). Used by the
     direction sweeps, where integrating ~90 perturbed parameter sets one by
-    one would dominate the runtime. Each lane has the bits of
-    ``integrate_exact``'s day samples.
+    one would dominate the runtime. The lane body ``_rk4_lanes`` steps them
+    at day stride, and the guard checks every lane's day samples; each lane
+    has the bits of ``integrate_exact``'s day samples.
     """
     horizon, spd = _day_grid(horizon, steps_per_day)
     betas = np.asarray(betas, dtype=float)
@@ -306,7 +303,8 @@ def integrate_day_grid_batch(betas, gammas, init: InitialCondition, horizon: int
     if betas.shape != gammas.shape or betas.ndim != 1 or betas.size == 0:
         raise ValueError("betas and gammas must be nonempty 1-d arrays of equal length")
     y0 = (np.full(betas.shape, init.s0), np.full(betas.shape, init.i0))
-    return _rk4(betas, gammas, y0, horizon * spd, 1.0 / spd, spd)
+    h = 1.0 / spd
+    return _check_guard(_rk4_lanes(betas, gammas, y0, horizon * spd, h, spd), spd, h)
 
 
 def linearized_state(params: SirParams, init: InitialCondition, t):

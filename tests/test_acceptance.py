@@ -405,7 +405,7 @@ def test_acceptance_09_nyc_r0_monotone():
     p_values = [0.01, 0.02, 0.03, 0.04, 0.05, 0.1, 0.15, 0.2, 0.25]
     rows = reporting_rate_sweep(data, p_values, n_starts=4)
     errors = [row.p for row in rows if row.error is not None]
-    r0s = [row.r0_hat for row in rows if row.error is None]
+    r0s = [row.fit.r0_hat for row in rows if row.error is None]
     monotone = all(a < b for a, b in zip(r0s, r0s[1:]))
     elapsed = time.perf_counter() - start
     ok = monotone and not errors

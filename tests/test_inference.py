@@ -532,6 +532,24 @@ class TestFit:
             fit_mle(spec, starts=[moment_start(obs)])
         assert "cannot be evaluated" in info.value.diagnostics[0]
 
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_start_counts_below_one_are_rejected(self, n_starts):
+        obs = make_obs(BASE, INIT7, NoiseModel.known(np.full(40, 2e4)), p=1.0, T=40, seed=8)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
+        for fit in (fit_mle, inference.fit_starts):
+            with pytest.raises(ValueError, match=f"n_starts must be >= 1, got {n_starts}"):
+                fit(spec, n_starts=n_starts)
+        with pytest.raises(ValueError, match=f"n_starts must be >= 1, got {n_starts}"):
+            mle_ensemble(BASE, INIT7, NoiseModel.known(np.full(20, 3e4)), p=1.0, T=20,
+                         replicates=3, seed=2, fit_steps_per_day=5, n_starts=n_starts)
+
+    def test_an_empty_start_list_is_rejected(self):
+        obs = make_obs(BASE, INIT7, NoiseModel.known(np.full(40, 2e4)), p=1.0, T=40, seed=8)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
+        for fit in (fit_mle, inference.fit_starts):
+            with pytest.raises(ValueError, match="at least one start"):
+                fit(spec, starts=[])
+
     def test_moment_start_close_on_clean_data(self):
         noise = NoiseModel.known(np.full(60, 1.0))
         traj = integrate_exact(BASE, INIT7, 60)
@@ -640,16 +658,18 @@ class TestTwoLevelFit:
 
 
 def lockstep_spec(name):
-    """The NYC fixture at p = 0.1 or 0.25 (50 substeps per day), or a
-    simulated case2 series fit with sigma inferred (10 substeps per day)."""
-    if name == "case2":
-        obs = make_obs(BASE, INIT7, NoiseModel.case2(0.3), p=1.0, T=40, seed=8)
-        return sigma_inferred_spec(obs, "case2")
+    """The NYC fixture at p = 0.1 or 0.25 (50 substeps per day, case3), or a
+    simulated case1 or case2 series fit with sigma inferred (10 substeps per day)."""
+    if name in ("case1", "case2"):
+        noise = NoiseModel.case1(2e-6) if name == "case1" else NoiseModel.case2(0.3)
+        return sigma_inferred_spec(make_obs(BASE, INIT7, noise, p=1.0, T=40, seed=8), name)
     return nyc_likelihood_spec(load_nyc_fixture(), {"nyc_p01": 0.1, "nyc_p025": 0.25}[name])
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("name", ["nyc_p01", "nyc_p025", "case2"])
+    # one spec per variance law with sigma inferred, so each law's batched
+    # variance Jacobian is checked against one-lane fits
+    @pytest.mark.parametrize("name", ["nyc_p01", "nyc_p025", "case1", "case2"])
     def test_every_start_fits_as_it_does_alone(self, name):
         spec = lockstep_spec(name)
         starts = inference.default_starts(spec)
@@ -706,8 +726,19 @@ class TestLockstep:
             return len(batches) == 1
 
         failing_lane(monkeypatch, on_the_first_batch, lane=1)
+        fit_scoring = inference._fit_scoring
+        phases = []
+
+        def counted(spec_, starts_, ys_=None):
+            phases.append(spec_.steps_per_day)
+            return fit_scoring(spec_, starts_, ys_)
+
+        monkeypatch.setattr(inference, "_fit_scoring", counted)
         forced = inference._fit_start(spec, starts)
         assert batches[0] == 10
+        # start 1 is polished from itself, which is its fit on the full grid
+        # alone, so no third phase runs
+        assert phases == [10, 50]
         assert forced[1] == direct
         assert forced[:1] + forced[2:] == clean[:1] + clean[2:]
 
@@ -844,6 +875,13 @@ class TestEnsemble:
                 for workers in (1, 2, 3)]
         assert len({run.betas().tobytes() for run in runs}) == 1
         assert runs[1].replicates == runs[0].replicates == runs[2].replicates
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_counts_below_one_are_rejected(self, workers):
+        # no worker count below one can split the replicates into blocks
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            mle_ensemble(BASE, INIT7, NoiseModel.known(np.full(20, 3e4)), p=1.0, T=20,
+                         replicates=3, seed=2, workers=workers, fit_steps_per_day=5, n_starts=1)
 
     def test_deterministic_across_worker_counts(self):
         noise = NoiseModel.known(np.full(30, 3e4))

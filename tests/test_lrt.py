@@ -378,14 +378,13 @@ def test_power_grid_integrates_each_distinct_hypothesis_once(monkeypatch):
     epsilons = (0.004, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
     exact_calls = count_calls(monkeypatch, lrt)
     lane_calls = []
-    rk4 = sir._rk4
+    rk4_lanes = sir._rk4_lanes
 
-    def counted_rk4(beta, *args):
-        if np.ndim(beta):
-            lane_calls.append(len(beta))
-        return rk4(beta, *args)
+    def counted_rk4_lanes(beta, *args):
+        lane_calls.append(len(beta))
+        return rk4_lanes(beta, *args)
 
-    monkeypatch.setattr(sir, "_rk4", counted_rk4)
+    monkeypatch.setattr(sir, "_rk4_lanes", counted_rk4_lanes)
     rows = power_grid(BASE, INIT7, [NoiseModel.case2(s) for s in sigmas], GRID_OMEGAS, epsilons,
                       alpha=0.05, T=60, p=1.0)
     assert len(rows) == 168

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from sirlimits._csv import fmt
 from sirlimits.data import load_nyc_fixture
 from sirlimits.errors import OptimizationFailureError
 from sirlimits.inference import MleResult, default_starts, fit_mle, log_likelihood
-from sirlimits.nyc import fitted_band, nyc_likelihood_spec, reporting_rate_sweep, write_nyc_table_csv
+from sirlimits.nyc import (SweepRow, fitted_band, nyc_likelihood_spec, reporting_rate_sweep,
+                           write_nyc_table_csv)
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
 
 
@@ -76,14 +78,14 @@ class TestSweep:
     def test_r0_monotone_in_p(self, data):
         rows = reporting_rate_sweep(data, [0.01, 0.05, 0.1, 0.25], n_starts=4)
         assert all(row.error is None for row in rows)
-        r0s = [row.r0_hat for row in rows]
+        r0s = [row.fit.r0_hat for row in rows]
         assert all(a < b for a, b in zip(r0s, r0s[1:]))
 
     def test_sweep_rows_converged(self, data):
         # every row passes the first-order test; at p = 0.25 that includes the
         # warm start from the p = 0.1 optimum
         rows = reporting_rate_sweep(data, [0.1, 0.25])
-        assert [row.converged for row in rows] == [True, True]
+        assert [row.fit.converged for row in rows] == [True, True]
 
     def test_table_csv(self, data, tmp_path):
         rows = reporting_rate_sweep(data, [0.05], n_starts=2)
@@ -92,6 +94,16 @@ class TestSweep:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("p,beta_hat,gamma_hat")
         assert len(lines) == 2
+        assert lines[1].split(",")[1:7] == [fmt(rows[0].fit.beta_hat), fmt(rows[0].fit.gamma_hat),
+                                            fmt(rows[0].fit.sigma_hat), fmt(rows[0].fit.r0_hat),
+                                            fmt(rows[0].fit.loglik), "1"]
+
+    def test_table_csv_failed_row(self, tmp_path):
+        # a failed fit leaves every fit cell empty and converged 0; its error
+        # keeps to one cell of one line
+        path = tmp_path / "table.csv"
+        write_nyc_table_csv([SweepRow(0.5, None, "all starts failed, twice\nstart 0")], path)
+        assert path.read_text().splitlines()[1] == "0.5,,,,,,0,all starts failed; twice start 0"
 
 
 class TestFittedBand:
