@@ -30,7 +30,9 @@ no constraints. When v_k does not depend on the parameters (``known_sequence``
 and ``case1`` noise) the information is the Gauss-Newton matrix of a weighted
 least-squares fit. Fits are multi-started from a moment-based initializer:
 the growth rate delta is read off a regression of log y_t on t and beta
-starts at twice that. The starts of a fit step in lockstep, as the lanes of
+starts at twice that. ``closed_form_start`` gives one start instead, the
+maximizer of the frozen-s closed form, which profiles to a 1-D search in
+delta with no stepping. The starts of a fit step in lockstep, as the lanes of
 one batch (``_fit_scoring``): each iteration evaluates every active start
 in one batched sensitivity pass, and each start keeps its own damping,
 accept/reject, bounds, stopping rule and failure, so its result is the one
@@ -54,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize  # noqa: F401  (perfbench/tracing.py wraps it by name)
+from scipy.optimize import minimize_scalar
 
 from ._csv import fmt, write_csv
 from .errors import (
@@ -432,6 +435,78 @@ def default_starts(spec: LikelihoodSpec, n_starts: int = 8) -> list[SirParams]:
 
 
 _LOG_BOUNDS = (math.log(1e-6), math.log(500.0))  # on delta, gamma and sigma
+_PROFILE_GRID = 64  # log-spaced delta points the closed-form profile is scanned on
+
+
+def _frozen_profile(spec: LikelihoodSpec, log_delta):
+    """The frozen-s log-likelihood at each log delta, maximized over A (and a
+    free sigma), and the maximizing A: two arrays shaped like ``log_delta``.
+
+    i_k = i0 e^{delta k}, the mean is A m_k with m_k = N i_k (1 - e^{-delta})
+    and v_k = sigma^2 u_k, u_k the variance law at sigma = 1 when sigma is
+    free and v_k itself otherwise. A is the weighted least-squares
+    coefficient sum(y m / u) / sum(m^2 / u), and a free sigma^2 is
+    mean(r^2 / u). Where that sigma^2 is zero the profile is -inf.
+    """
+    T, n = spec.T, spec.init.population
+    noise = spec.noise
+    delta = np.exp(np.asarray(log_delta, dtype=float))[..., None]
+    i = spec.init.i0 * np.exp(delta * np.arange(1.0, T + 1.0))
+    m = n * i * -np.expm1(-delta)
+    if noise.kind == "known_sequence":
+        u = np.asarray(noise.sigma_t[:T], dtype=float) ** 2
+    else:
+        u = variance_law(noise.kind, 1.0 if noise.sigma_free else noise.sigma, n, i)[0]
+    y = np.asarray(spec.obs.values, dtype=float)
+    amp = np.sum(m * y / u, axis=-1) / np.sum(m * m / u, axis=-1)
+    q = np.sum((y - amp[..., None] * m) ** 2 / u, axis=-1)
+    logu = np.broadcast_to(np.sum(np.log(2.0 * math.pi * u), axis=-1), q.shape)
+    if not noise.sigma_free:
+        return -0.5 * (q + logu), amp
+    s2 = q / T
+    positive = s2 > 0.0
+    ll = -0.5 * (T + T * np.log(np.where(positive, s2, 1.0)) + logu)
+    return np.where(positive, ll, -np.inf), amp
+
+
+def closed_form_start(spec: LikelihoodSpec) -> SirParams | None:
+    """The maximizer of the frozen-s likelihood (``sir.linearized_state``),
+    or None where it gives no start.
+
+    Its i_k depend on delta alone and its mean on A = p beta / delta besides,
+    so A and a free sigma have closed-form maxima at each delta and the
+    likelihood profiles to one coordinate (``_frozen_profile``). The profile
+    is scanned on _PROFILE_GRID log-spaced points of the delta of _LOG_BOUNDS
+    for which i0 e^{delta T} stays below the state guard, and a bounded Brent
+    search in log delta refines the best bracket. Then beta = A delta / p and
+    gamma = beta - delta. None when a known variance has a zero day, no delta
+    has a finite profile, the best scanned delta is an end of the scan (the
+    profile has no interior maximum, as with flat counts), or the maximizer
+    has A <= p (so gamma <= 0). Early in an outbreak the RK4 optimum lies
+    close by, on the same ridge.
+    """
+    noise = spec.noise
+    if noise.kind == "known_sequence" and not np.all(noise.sigma_t[: spec.T] > 0.0):
+        return None
+    lo, hi = _LOG_BOUNDS
+    hi = min(hi, math.log(math.log(_STATE_GUARD / spec.init.i0) / spec.T))
+    grid = np.linspace(lo, hi, _PROFILE_GRID)
+    ll, _ = _frozen_profile(spec, grid)
+    best = int(np.argmax(ll))
+    if not (np.isfinite(ll[best]) and 0 < best < len(grid) - 1):
+        return None
+    x = float(minimize_scalar(lambda x: -_frozen_profile(spec, x)[0],
+                              bounds=(grid[best - 1], grid[best + 1]), method="bounded",
+                              options={"xatol": 1e-12}).x)
+    amp = float(_frozen_profile(spec, x)[1])
+    if not amp > spec.p:
+        return None
+    delta = math.exp(x)
+    beta = amp * delta / spec.p
+    try:
+        return SirParams(beta, beta - delta)
+    except DegenerateParameterError:
+        return None
 
 
 def _rates(x) -> SirParams:

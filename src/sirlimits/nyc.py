@@ -6,6 +6,10 @@ observations y_1..y_T. The noise is the case3 law, per-day variance
 N * i_k * sigma^2 taken from the candidate model's own trajectory, with sigma
 inferred jointly with the rates. Because beta and the reporting rate p are
 not jointly identifiable, p is fixed per fit and swept over a grid instead.
+
+Each p is fit from one start, the maximizer of the frozen-s closed form
+(``inference.closed_form_start``), and falls back to the default multi-start
+fit only when that start is missing or its fit fails or ends unconverged.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from scipy.special import ndtri
 from ._csv import fmt, write_csv
 from .data import CaseData
 from .errors import OptimizationFailureError
-from .inference import LikelihoodSpec, MleResult, default_starts, fit_mle
+from .inference import LikelihoodSpec, MleResult, _keep_better, closed_form_start, default_starts
+from .inference import fit_mle
 from .simulate import NoiseModel, sigma_sequence
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, incidence, integrate_exact
 
@@ -44,30 +49,44 @@ class SweepRow:
     error: str | None = None
 
 
+def _fit_or_error(spec: LikelihoodSpec, starts) -> MleResult | OptimizationFailureError:
+    """``fit_mle(spec, starts=starts)``, or the OptimizationFailureError it raises."""
+    try:
+        return fit_mle(spec, starts=starts)
+    except OptimizationFailureError as exc:
+        return exc
+
+
 def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
                          steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> list[SweepRow]:
     """Fit the model once per reporting rate; failures are recorded in-table.
 
-    Each fit is warm-started with the previous rate's optimum in addition to
-    the standard multi-start grid, which keeps the sweep on one likelihood
-    branch as p varies.
+    Each p is fit from one start, the frozen-s closed-form optimum
+    (``closed_form_start``). In that regime p enters only through
+    A = p * beta / delta, so every p's start lies on one curve, delta and A
+    fixed and r0 = A / (A - p), and the early-outbreak RK4 optimum lies close
+    to it. Where there is no closed-form start, or its fit fails or ends
+    unconverged, the p is also fit from ``default_starts(spec, n_starts)``
+    and the better fit stays (``inference._keep_better``): the row is then
+    what ``fit_mle(spec, n_starts=n_starts)`` gives when the closed-form fit
+    does no better. ``n_starts`` sizes that fallback alone. Every p and
+    ``n_starts`` are checked before the first fit.
     """
+    p_values = [float(p) for p in p_values]
+    bad = [p for p in p_values if not 0.0 < p <= 1.0]
+    if bad:
+        raise ValueError(f"reporting rate must lie in (0, 1], got {bad[0]}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     rows: list[SweepRow] = []
-    previous: MleResult | None = None
     for p in p_values:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"reporting rate must lie in (0, 1], got {p}")
-        spec = nyc_likelihood_spec(data, float(p), steps_per_day)
-        starts = default_starts(spec, n_starts)
-        if previous is not None:
-            starts = [previous.params()] + starts
-        try:
-            fit = fit_mle(spec, starts=starts)
-        except OptimizationFailureError as exc:
-            rows.append(SweepRow(float(p), None, str(exc)))
-            continue
-        rows.append(SweepRow(float(p), fit))
-        previous = fit
+        spec = nyc_likelihood_spec(data, p, steps_per_day)
+        start = closed_form_start(spec)
+        fits = [None if start is None else _fit_or_error(spec, [start])]
+        if not (isinstance(fits[0], MleResult) and fits[0].converged):
+            _keep_better(fits, [0], [_fit_or_error(spec, default_starts(spec, n_starts))])
+        fit = fits[0]
+        rows.append(SweepRow(p, fit) if isinstance(fit, MleResult) else SweepRow(p, None, str(fit)))
     return rows
 
 

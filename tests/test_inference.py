@@ -28,6 +28,7 @@ from sirlimits.inference import (
 from sirlimits.nyc import nyc_likelihood_spec
 from sirlimits.simulate import NoiseModel, ObservationSeries, observe, observe_batch, sigma_sequence
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
+from sirlimits.sir import integrate_linearized
 
 BASE = SirParams(0.21, 0.07)
 INIT7 = InitialCondition.from_population(10**7)
@@ -559,6 +560,94 @@ class TestFit:
         )
         start = moment_start(obs)
         assert start.delta() == pytest.approx(0.14, rel=0.05)
+
+
+def frozen_loglik(x, spec):
+    """The frozen-s log-likelihood at x = (log delta, log A[, log sigma]), A =
+    p beta / delta, from ``integrate_linearized`` and the noise laws written out."""
+    p, n, noise = spec.p, spec.init.population, spec.noise
+    delta, amp = math.exp(x[0]), math.exp(x[1])
+    beta = amp * delta / p
+    traj = integrate_linearized(SirParams(beta, beta - delta), spec.init, spec.T)
+    r, i = spec.obs.values - p * incidence(traj), traj.i[1:]
+    sigma = math.exp(x[2]) if noise.sigma_free else noise.sigma
+    v = {"known_sequence": lambda: noise.sigma_t[: spec.T] ** 2,
+         "case1": lambda: np.full(spec.T, (n * sigma) ** 2),
+         "case2": lambda: (n * sigma * i) ** 2,
+         "case3": lambda: n * i * sigma**2}[noise.kind]()
+    return float(np.sum(-0.5 * r * r / v - 0.5 * np.log(2.0 * math.pi * v)))
+
+
+def frozen_coordinates(params, spec):
+    """(log delta, log A[, log sigma]) at the rates ``params``, a free sigma at
+    its closed-form maximum mean(r^2 / u) there."""
+    x = [math.log(params.delta()), math.log(spec.p * params.beta / params.delta())]
+    if spec.noise.sigma_free:
+        traj = integrate_linearized(params, spec.init, spec.T)
+        r, i = spec.obs.values - spec.p * incidence(traj), traj.i[1:]
+        n = spec.init.population
+        u = {"case1": np.full(spec.T, float(n) ** 2), "case2": (n * i) ** 2,
+             "case3": n * i}[spec.noise.kind]
+        x.append(0.5 * math.log(np.mean(r * r / u)))
+    return x
+
+
+EARLY_TRUTH = integrate_exact(BASE, INIT7, 60)
+EARLY_NOISES = [NoiseModel.known(0.3 * np.sqrt(10**7 * EARLY_TRUTH.i[1:])), NoiseModel.case1(1e-7),
+                NoiseModel.case2(0.05), NoiseModel(kind="case3", sigma=0.5)]
+
+
+def early_spec(noise, sigma_free, p=0.5, seed=3):
+    """60 early-outbreak days of BASE at reporting rate p, drawn under
+    ``noise`` and fit under its law, with sigma left out when ``sigma_free``."""
+    obs = observe(EARLY_TRUTH, noise, p, 60, seed)
+    fit_noise = NoiseModel(kind=noise.kind) if sigma_free else noise
+    return LikelihoodSpec.from_values(obs.values, p, fit_noise, INIT7, 10)
+
+
+class TestClosedFormStart:
+    CASES = [(EARLY_NOISES[0], False)] + [(noise, free) for noise in EARLY_NOISES[1:]
+                                          for free in (False, True)]
+    IDS = ["known"] + [f"{noise.kind}-{'free' if free else 'fixed'}"
+                       for noise in EARLY_NOISES[1:] for free in (False, True)]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("noise, sigma_free", CASES, ids=IDS)
+    def test_start_is_the_frozen_s_maximum(self, noise, sigma_free, seed):
+        spec = early_spec(noise, sigma_free, seed=seed)
+        start = inference.closed_form_start(spec)
+        x = frozen_coordinates(start, spec)
+        best = frozen_loglik(x, spec)
+        # the quadratic model through central differences puts the maximum
+        # within 1e-5 of the start in every coordinate; steps of 1e-4 keep
+        # clear of the rounding of incidence taken from s near 1
+        h = 1e-4
+        for j in range(len(x)):
+            up, dn = list(x), list(x)
+            up[j] += h
+            dn[j] -= h
+            f_up, f_dn = frozen_loglik(up, spec), frozen_loglik(dn, spec)
+            curvature = (2.0 * best - f_up - f_dn) / h**2
+            assert curvature > 0.0
+            assert abs((f_up - f_dn) / (2.0 * h)) <= 1e-5 * curvature
+        for other in inference.default_starts(spec, 8):
+            assert frozen_loglik(frozen_coordinates(other, spec), spec) <= best + 1e-9
+
+    def test_no_start_without_growth_above_the_reporting_rate(self):
+        # all-zero counts give A = 0; data this noisy put the frozen-s
+        # maximum at A < p, so gamma would be negative
+        zeros = LikelihoodSpec.from_values(np.zeros(60), 0.5, NoiseModel(kind="case3"), INIT7, 10)
+        assert inference.closed_form_start(zeros) is None
+        noisy = NoiseModel.known(1.7 * np.sqrt(10**7 * EARLY_TRUTH.i[1:41]))
+        obs = observe(EARLY_TRUTH, noisy, 0.5, 40, 3)
+        spec = LikelihoodSpec.from_values(obs.values, 0.5, noisy, INIT7, 10)
+        assert inference.closed_form_start(spec) is None
+
+    def test_no_start_with_a_zero_known_variance(self):
+        spec = early_spec(EARLY_NOISES[0], False)
+        sigma_t = spec.noise.sigma_t.copy()
+        sigma_t[5] = 0.0
+        assert inference.closed_form_start(replace(spec, noise=NoiseModel.known(sigma_t))) is None
 
 
 def counting_passes(monkeypatch):

@@ -1,11 +1,17 @@
+import datetime as dt
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from sirlimits._csv import fmt
-from sirlimits.data import load_nyc_fixture
+from sirlimits import inference, nyc
+from sirlimits.data import CaseData, load_nyc_fixture
 from sirlimits.errors import OptimizationFailureError
-from sirlimits.inference import MleResult, default_starts, fit_mle, log_likelihood
+from sirlimits.inference import (MleResult, closed_form_start, default_starts, fit_mle,
+                                 log_likelihood)
 from sirlimits.nyc import (SweepRow, fitted_band, nyc_likelihood_spec, reporting_rate_sweep,
                            write_nyc_table_csv)
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
@@ -82,10 +88,90 @@ class TestSweep:
         assert all(a < b for a, b in zip(r0s, r0s[1:]))
 
     def test_sweep_rows_converged(self, data):
-        # every row passes the first-order test; at p = 0.25 that includes the
-        # warm start from the p = 0.1 optimum
+        # the benchmark's two rows pass the first-order test, each fit from
+        # its closed-form start alone
         rows = reporting_rate_sweep(data, [0.1, 0.25])
         assert [row.fit.converged for row in rows] == [True, True]
+
+    def test_wide_sweep_keeps_every_multistart_optimum(self, data):
+        p_values = [0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0]
+        rows = reporting_rate_sweep(data, p_values)
+        assert [row.p for row in rows] == p_values
+        for row in rows:
+            assert row.error is None and row.fit.converged
+            multistart = fit_mle(nyc_likelihood_spec(data, row.p), n_starts=8)
+            assert row.fit.loglik >= multistart.loglik - 1e-9
+
+    def test_one_start_per_fit_when_it_converges(self, data, monkeypatch):
+        # no fallback runs on the fixture: each p is one fit of one start
+        calls = []
+
+        def recorded(spec, starts=None, n_starts=8):
+            calls.append(starts)
+            return fit_mle(spec, starts=starts, n_starts=n_starts)
+
+        monkeypatch.setattr(nyc, "fit_mle", recorded)
+        rows = reporting_rate_sweep(data, [0.1, 0.25])
+        assert calls == [[closed_form_start(nyc_likelihood_spec(data, row.p))] for row in rows]
+
+    @pytest.mark.parametrize("counts", [[1] + [0] * 14, [1] + [5] * 14], ids=["zero", "flat"])
+    def test_no_closed_form_start_gives_the_fallback_row(self, data, counts):
+        # neither series has an interior frozen-s maximum with A > p, so
+        # each row is the default-start fit's
+        series = CaseData(dates=tuple(dt.date(2020, 3, 1) + dt.timedelta(days=k)
+                                      for k in range(len(counts))),
+                          counts=np.array(counts), population=data.population)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = reporting_rate_sweep(series, [0.1, 1.0], n_starts=4)
+        for row in rows:
+            spec = nyc_likelihood_spec(series, row.p)
+            assert closed_form_start(spec) is None
+            assert row == SweepRow(row.p, fit_mle(spec, n_starts=4))
+
+    @pytest.mark.parametrize("fallback_converges", [True, False])
+    def test_unconverged_closed_form_fit_is_settled_by_keep_better(self, data, monkeypatch,
+                                                                   fallback_converges):
+        # the closed-form fit is forced unconverged; the default-start fit
+        # runs and the better of the two by (converged, loglik) is the row
+        fits = []
+
+        def forced(spec, starts=None, n_starts=8):
+            fit = fit_mle(spec, starts=starts, n_starts=n_starts)
+            if not fits or not fallback_converges:
+                fit = replace(fit, converged=False)
+            fits.append(fit)
+            return fit
+
+        monkeypatch.setattr(nyc, "fit_mle", forced)
+        [row] = reporting_rate_sweep(data, [0.25], n_starts=3)
+        closed, fallback = fits
+        assert fallback == replace(fit_mle(nyc_likelihood_spec(data, 0.25), n_starts=3),
+                                   converged=fallback_converges)
+        # _keep_better: a converged fit wins, then the higher ll, the first on a tie
+        assert row.fit == (fallback if fallback_converges or fallback.loglik > closed.loglik
+                           else closed)
+
+    def test_every_p_is_checked_before_the_first_fit(self, data, monkeypatch):
+        passes = []
+        monkeypatch.setattr(inference, "_sensitivity_passes",
+                            lambda *args: passes.append(args) or [])
+        with pytest.raises(ValueError, match="1.5"):
+            reporting_rate_sweep(data, [0.1, 1.5])
+        with pytest.raises(ValueError, match="n_starts"):
+            reporting_rate_sweep(data, [0.1], n_starts=0)
+        assert passes == []
+
+    def test_closed_form_start_is_invariant_in_p(self, data):
+        # frozen-s: p enters only through A = p beta / delta, so delta and A
+        # are the same at every p and r0 = A / (A - p)
+        starts = {p: closed_form_start(nyc_likelihood_spec(data, p)) for p in (0.01, 0.1, 0.25, 1.0)}
+        ref = starts[0.1]
+        amp = 0.1 * ref.beta / ref.delta()
+        for p, start in starts.items():
+            assert start.delta() == pytest.approx(ref.delta(), rel=1e-12)
+            assert p * start.beta / start.delta() == pytest.approx(amp, rel=1e-12)
+            assert start.r0() == pytest.approx(amp / (amp - p), rel=1e-12)
 
     def test_table_csv(self, data, tmp_path):
         rows = reporting_rate_sweep(data, [0.05], n_starts=2)
