@@ -42,9 +42,11 @@ and a few passes on the requested grid polish its optimum; a start whose
 walk fails is polished from where it started. Each lane
 carries its own observed row, so a replicate study (``mle_ensemble``) fits
 each worker's block of replicates as the lanes of one lockstep fit, every
-replicate started at the optimum of their pooled series. A sensitivity pass
-runs its lanes in chunks of bounded size, so the batch's arrays stay small
-however many replicates it holds.
+replicate started at the optimum of their pooled series. A fit from such a
+guessed start, this one or ``closed_form_start``, falls back to the default
+starts where it fails or ends unconverged, by one rule (``_best_fits``).
+A sensitivity pass runs its lanes in chunks of bounded size, so the batch's
+arrays stay small however many replicates it holds.
 """
 
 from __future__ import annotations
@@ -214,9 +216,9 @@ class LikelihoodSpec:
     def from_values(cls, values, p: float, noise: NoiseModel, init: InitialCondition,
                     steps_per_day: int) -> "LikelihoodSpec":
         """The spec that fits the observed ``values`` at reporting rate p under
-        ``noise``; the series' seed and sigma_t, which no fit reads, are left zero."""
+        ``noise``; the series' seed, which no fit reads, is left zero."""
         obs = ObservationSeries(values=values, reporting_rate=p, noise=noise, seed=0,
-                                sigma_t=np.zeros(len(values)), population=init.population)
+                                population=init.population)
         return cls(obs=obs, init=init, noise=noise, steps_per_day=steps_per_day)
 
     @property
@@ -859,12 +861,13 @@ def _fit_rows(specs: list[LikelihoodSpec], starts: list[list[SirParams]]) -> lis
 
     The specs differ in their observed rows alone; each lane fits its own
     spec's row, so every entry is what ``fit_starts`` gives that spec alone.
+    A spec with no starts adds no lanes and gets an empty list.
     """
     owners = [k for k, own in enumerate(starts) for _ in own]
     flat = [start for own in starts for start in own]
     ys = np.array([np.asarray(specs[k].obs.values, dtype=float) for k in owners])
     fits = [[] for _ in specs]
-    for k, start, result in zip(owners, flat, _fit_start(specs[0], flat, ys)):
+    for k, start, result in zip(owners, flat, _fit_start(specs[0], flat, ys) if flat else []):
         fits[k].append(StartFit(start, result) if isinstance(result, MleResult)
                        else StartFit(start, None, str(result)))
     return fits
@@ -941,16 +944,34 @@ class MleEnsemble:
         return float(r.min()), float(r.max())
 
 
-def _best_fits(specs: list[LikelihoodSpec], starts: list[list[SirParams]]) -> list:
-    """``fit_mle(specs[k], starts[k])`` for every k from one lockstep fit
-    (``_fit_rows``): its MleResult, or the OptimizationFailureError it raises."""
-    out = []
-    for fits in _fit_rows(specs, starts):
-        try:
-            out.append(best_fit(fits))
-        except OptimizationFailureError as exc:
-            out.append(exc)
-    return out
+def _best_or_error(fits: list[StartFit]):
+    """``best_fit(fits)``, or the OptimizationFailureError it raises."""
+    try:
+        return best_fit(fits)
+    except OptimizationFailureError as exc:
+        return exc
+
+
+def _best_fits(specs: list[LikelihoodSpec], starts: list[list[SirParams]],
+               n_starts: int) -> list:
+    """Per spec, the best fit from its own ``starts[k]``, falling back to
+    ``default_starts(specs[k], n_starts)``: its MleResult, or the
+    OptimizationFailureError of a spec that no start fits.
+
+    Every spec is fit from its own starts as the lanes of one lockstep fit
+    (``_fit_rows``). A spec whose best fit failed, ended unconverged or had
+    no start is fit again from its default starts, all of them as one more
+    lockstep fit, and ``_keep_better`` settles each pair: a guessed start
+    can stall short of the spec's own optimum, as on the delta -> 0 edge of
+    uninformative data. A spec with no starts thus gets exactly
+    ``fit_mle(specs[k], n_starts=n_starts)``'s outcome.
+    """
+    fits = [_best_or_error(own) for own in _fit_rows(specs, starts)]
+    redo = [k for k, fit in enumerate(fits) if not (isinstance(fit, MleResult) and fit.converged)]
+    if redo:
+        _keep_better(fits, redo, [_best_or_error(own) for own in _fit_rows(
+            [specs[k] for k in redo], [default_starts(specs[k], n_starts) for k in redo])])
+    return fits
 
 
 def _fit_replicates(job) -> list:
@@ -960,15 +981,8 @@ def _fit_replicates(job) -> list:
     specs, pooled, n_starts = job
     warm = [[pooled] + (default_starts(spec, n_starts - 1) if n_starts > 1 else [])
             for spec in specs]
-    fits = _best_fits(specs, warm)
-    # A warm start can stall short of the replicate's own optimum, as on the
-    # delta -> 0 edge of uninformative data; the replicate's own default
-    # starts then get their turn.
-    redo = [k for k, fit in enumerate(fits) if isinstance(fit, MleResult) and not fit.converged]
-    if redo:
-        _keep_better(fits, redo, _best_fits([specs[k] for k in redo],
-                                            [default_starts(specs[k], n_starts) for k in redo]))
-    return [(fit, None) if isinstance(fit, MleResult) else (None, str(fit)) for fit in fits]
+    return [(fit, None) if isinstance(fit, MleResult) else (None, str(fit))
+            for fit in _best_fits(specs, warm, n_starts)]
 
 
 def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseModel,
@@ -991,23 +1005,22 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
     Every replicate then starts at the pooled optimum, about one Cramer-Rao
     sd from its own, plus ``n_starts - 1`` starts of its own
     ``default_starts``, so ``n_starts`` counts the starts of each replicate.
-    A replicate whose warm-started fit ends unconverged is fit again from
-    its own ``default_starts(n_starts)`` and keeps the better result by
+    A replicate whose warm-started fit fails or ends unconverged is fit again
+    from its own ``default_starts(n_starts)`` and keeps the better result by
     fit_mle's rule (converged first, then log-likelihood); the refits of a
-    block run as one more lockstep fit.
+    block run as one more lockstep fit (``_best_fits``).
 
-    The pooled fit is paid once per study, so the saving grows with the
-    replicate count. On the benchmark design (T = 120, sd sqrt(100 N), 5
-    substeps per day) the whole study needs 11 sensitivity integrations
-    against 10 for fitting every replicate from its own starts at 1
-    replicate and 1 start, 60 against 49 at 1 replicate and 2 starts, 22
-    against 20 and 76 against 93 at 2 replicates, and 35 against 41 and 126
-    against 189 at 4. A replicate whose warm-started fit stops unconverged,
-    as can happen at very small noise, pays for both fits: at sd 1e-3 (T =
-    40, 3 replicates, 2 starts) the study needs 170 against 127, one
-    replicate being fit twice. These are lane-passes; the lanes of a block
-    share each batched pass. With 40 replicates, 1 start and 2 workers, the
-    two blocks' 274 lane-passes run as 8 batched passes each.
+    The pooled fit is paid once per study, and a replicate started near its
+    own optimum needs fewer steps than from its default starts alone, so the
+    saving grows with the replicate count. A replicate whose warm-started fit
+    fails or stops unconverged, as can happen at very small noise, pays for
+    both fits. Costs count lane-passes, one per lane of a sensitivity pass;
+    they do not depend on the worker count. The lanes of a block share each
+    batched pass, so a block takes as many batched passes as its slowest
+    lane, plus those of its refits. On the benchmark design (T = 120, sd
+    sqrt(100 N), 5 substeps per day, seed 1) with 4 replicates and 2 starts,
+    the study needs 134 lane-passes against 201 for fitting every replicate
+    from its own default starts.
 
     Fits default to 10 substeps per day, and the ensemble is fit-bound. At
     the acceptance design (N = 1e7, T = 120, sd sqrt(100 N)) halving the

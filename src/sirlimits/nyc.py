@@ -9,7 +9,9 @@ not jointly identifiable, p is fixed per fit and swept over a grid instead.
 
 Each p is fit from one start, the maximizer of the frozen-s closed form
 (``inference.closed_form_start``), and falls back to the default multi-start
-fit only when that start is missing or its fit fails or ends unconverged.
+fit only when that start is missing or its fit fails or ends unconverged,
+by the rule that every guessed start of the package follows
+(``inference._best_fits``).
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from scipy.special import ndtri
 
 from ._csv import fmt, write_csv
 from .data import CaseData
-from .errors import OptimizationFailureError
-from .inference import LikelihoodSpec, MleResult, _keep_better, closed_form_start, default_starts
-from .inference import fit_mle
+from .errors import InsufficientDataError, OptimizationFailureError
+from .inference import LikelihoodSpec, MleResult, _best_fits, closed_form_start
 from .simulate import NoiseModel, sigma_sequence
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, incidence, integrate_exact
 
@@ -33,7 +34,7 @@ def nyc_likelihood_spec(data: CaseData, p: float,
     """Likelihood specification for a case-count series at reporting rate p."""
     counts = np.asarray(data.counts, dtype=float)
     if len(counts) < 2:
-        raise ValueError("need at least two daily counts (day zero plus one observation)")
+        raise InsufficientDataError("need at least two daily counts (day zero plus one observation)")
     return LikelihoodSpec.from_values(counts[1:], p, NoiseModel(kind="case3", sigma=None),
                                       InitialCondition.from_population(data.population),
                                       steps_per_day)
@@ -49,14 +50,6 @@ class SweepRow:
     error: str | None = None
 
 
-def _fit_or_error(spec: LikelihoodSpec, starts) -> MleResult | OptimizationFailureError:
-    """``fit_mle(spec, starts=starts)``, or the OptimizationFailureError it raises."""
-    try:
-        return fit_mle(spec, starts=starts)
-    except OptimizationFailureError as exc:
-        return exc
-
-
 def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
                          steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> list[SweepRow]:
     """Fit the model once per reporting rate; failures are recorded in-table.
@@ -66,10 +59,10 @@ def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
     A = p * beta / delta, so every p's start lies on one curve, delta and A
     fixed and r0 = A / (A - p), and the early-outbreak RK4 optimum lies close
     to it. Where there is no closed-form start, or its fit fails or ends
-    unconverged, the p is also fit from ``default_starts(spec, n_starts)``
-    and the better fit stays (``inference._keep_better``): the row is then
-    what ``fit_mle(spec, n_starts=n_starts)`` gives when the closed-form fit
-    does no better. ``n_starts`` sizes that fallback alone. Every p and
+    unconverged, the p is also fit from its default starts and the better
+    fit stays (``inference._best_fits``): the row is then what
+    ``fit_mle(spec, n_starts=n_starts)`` gives when the closed-form fit does
+    no better. ``n_starts`` sizes that fallback alone. Every p and
     ``n_starts`` are checked before the first fit.
     """
     p_values = [float(p) for p in p_values]
@@ -82,10 +75,7 @@ def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
     for p in p_values:
         spec = nyc_likelihood_spec(data, p, steps_per_day)
         start = closed_form_start(spec)
-        fits = [None if start is None else _fit_or_error(spec, [start])]
-        if not (isinstance(fits[0], MleResult) and fits[0].converged):
-            _keep_better(fits, [0], [_fit_or_error(spec, default_starts(spec, n_starts))])
-        fit = fits[0]
+        fit = _best_fits([spec], [[] if start is None else [start]], n_starts)[0]
         rows.append(SweepRow(p, fit) if isinstance(fit, MleResult) else SweepRow(p, None, str(fit)))
     return rows
 

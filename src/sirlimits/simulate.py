@@ -147,7 +147,6 @@ class ObservationSeries:
     reporting_rate: float
     noise: NoiseModel
     seed: int
-    sigma_t: np.ndarray
     population: int
 
     def __len__(self) -> int:
@@ -166,7 +165,6 @@ def observe(traj: Trajectory, noise: NoiseModel, p: float, T: int, seed: int) ->
         reporting_rate=p,
         noise=noise,
         seed=int(seed),
-        sigma_t=sig,
         population=traj.init.population,
     )
 

@@ -137,7 +137,7 @@ def _cramer_rao_covariance(params, init, sigma_t, p, T, steps_per_day):
     """
     noise = NoiseModel.known(sigma_t)
     obs = ObservationSeries(values=np.zeros(T), reporting_rate=p, noise=noise, seed=0,
-                            sigma_t=sigma_t, population=init.population)
+                            population=init.population)
     spec = LikelihoodSpec(obs=obs, init=init, steps_per_day=steps_per_day)
     return np.linalg.inv(fisher_information(params, None, spec))
 
@@ -433,7 +433,7 @@ class TestAcceptance10Properties:
         spec_case2 = LikelihoodSpec(obs=obs_case2, init=INIT7, steps_per_day=20)
         obs_inf = ObservationSeries(values=obs_case2.values, reporting_rate=1.0,
                                     noise=NoiseModel(kind="case3", sigma=None), seed=2,
-                                    sigma_t=obs_case2.sigma_t, population=10**7)
+                                    population=10**7)
         spec_inf = LikelihoodSpec(obs=obs_inf, init=INIT7, steps_per_day=20)
         from conftest import fd_gradient
 

@@ -383,9 +383,11 @@ class TestMain:
          "ConfigError", "o.csv: line 3"),
         ("fit", lambda d: {"observations": write_text(d / "o.csv", "t,y\n1,3\n2.5,4\n")},
          "ConfigError", "o.csv: line 3"),
+        ("nyc-table", lambda d: {"data": write_text(d / "d.csv", "date,count\n2020-03-01,1\n")},
+         "InsufficientDataError", "two daily counts"),
         ("power", lambda d: {"T": 200}, "HorizonPastPeakError", "T = 200"),
     ], ids=["observations-absent", "data-absent", "y-not-a-number", "three-fields", "t-skips-a-day",
-            "t-repeats-a-day", "t-not-an-integer", "T-past-peak"])
+            "t-repeats-a-day", "t-not-an-integer", "data-one-row", "T-past-peak"])
     def test_cli_error_json_for_unusable_inputs(self, tmp_path, capsys, experiment, change, error, text):
         fit = {"population": 10**7, "p": 1.0, "noise": {"kind": "case1", "sigma": 0.01}}
         base = fit if experiment == "fit" else SMALL_CONFIGS[experiment]

@@ -50,7 +50,7 @@ def ensemble_design_spec(seed, replicate):
     truth = integrate_exact(BASE, INIT7, T)
     y = observe_batch(truth, noise, 1.0, T, seed, replicate + 1)[replicate]
     obs = ObservationSeries(values=y, reporting_rate=1.0, noise=noise, seed=seed,
-                            sigma_t=noise.sigma_t, population=10**7)
+                            population=10**7)
     return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=5)
 
 
@@ -59,7 +59,7 @@ def sigma_inferred_spec(raw, kind="case3"):
     10 substeps per day."""
     obs = ObservationSeries(values=raw.values, reporting_rate=1.0,
                             noise=NoiseModel(kind=kind, sigma=None), seed=raw.seed,
-                            sigma_t=raw.sigma_t, population=10**7)
+                            population=10**7)
     return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=10)
 
 
@@ -234,7 +234,6 @@ class TestLogLikelihood:
             reporting_rate=0.8,
             noise=noise,
             seed=0,
-            sigma_t=sig,
             population=10**7,
         )
         spec = LikelihoodSpec(obs=obs, init=INIT7)
@@ -266,7 +265,7 @@ class TestLogLikelihood:
         clean = 1.0 * incidence(traj)[:60]
         rng = np.random.default_rng(2)
         shuffled = rng.permutation(clean)
-        base_kwargs = dict(reporting_rate=1.0, noise=noise, seed=0, sigma_t=sig, population=10**7)
+        base_kwargs = dict(reporting_rate=1.0, noise=noise, seed=0, population=10**7)
         ll_clean = log_likelihood(BASE, None, LikelihoodSpec(
             obs=ObservationSeries(values=clean, **base_kwargs), init=INIT7))
         ll_shuffled = log_likelihood(BASE, None, LikelihoodSpec(
@@ -310,7 +309,7 @@ class TestGradient:
         noise = NoiseModel(kind="case3", sigma=None)
         raw = make_obs(BASE, INIT7, NoiseModel.case2(0.3), p=1.0, T=25, seed=seed)
         obs = ObservationSeries(values=raw.values, reporting_rate=1.0, noise=noise,
-                                seed=seed, sigma_t=raw.sigma_t, population=10**7)
+                                seed=seed, population=10**7)
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=20)
         sigma = float(rng.uniform(0.5, 2.0))
         grad = log_likelihood_gradient(params, sigma, spec)
@@ -329,7 +328,7 @@ class TestFisherInformation:
 
         def spec(y):
             obs = ObservationSeries(values=y, reporting_rate=1.0, noise=noise, seed=17,
-                                    sigma_t=sigma_t, population=10**7)
+                                    population=10**7)
             return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
 
         ys = observe_batch(truth, noise, 1.0, T, 17, replicates)
@@ -361,7 +360,7 @@ class TestFit:
         traj = integrate_exact(BASE, INIT7, 60)
         obs = ObservationSeries(
             values=1.0 * incidence(traj)[:60],
-            reporting_rate=1.0, noise=noise, seed=0, sigma_t=sig, population=10**7,
+            reporting_rate=1.0, noise=noise, seed=0, population=10**7,
         )
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=20)
         fit = fit_mle(spec, n_starts=4)
@@ -556,7 +555,7 @@ class TestFit:
         traj = integrate_exact(BASE, INIT7, 60)
         obs = ObservationSeries(
             values=incidence(traj)[:60], reporting_rate=1.0,
-            noise=noise, seed=0, sigma_t=np.full(60, 1.0), population=10**7,
+            noise=noise, seed=0, population=10**7,
         )
         start = moment_start(obs)
         assert start.delta() == pytest.approx(0.14, rel=0.05)
@@ -846,6 +845,66 @@ class TestLockstep:
         assert failed.result is None and "cannot be evaluated" in failed.error
 
 
+def replicate_specs(replicates=3, T=40, seed=5):
+    """Replicate rows at sd 10 against 53 cases on day 40, an informative
+    design, as fit at 5 substeps per day."""
+    noise = NoiseModel.known(np.full(T, 10.0))
+    ys = observe_batch(integrate_exact(BASE, INIT7, T), noise, 1.0, T, seed, replicates)
+    return [LikelihoodSpec.from_values(y, 1.0, noise, INIT7, 5) for y in ys]
+
+
+def failing_fits(monkeypatch, fails):
+    """From now on, fail every start of spec k in the c-th call of
+    ``_fit_rows`` (both counted from 0), with the message "forced failure c",
+    whenever ``fails(c, k)`` is true. Returns the starts of every call."""
+    fit_rows = inference._fit_rows
+    calls = []
+
+    def forced(specs, starts):
+        rows = fit_rows(specs, starts)
+        c = len(calls)
+        calls.append(starts)
+        return [[inference.StartFit(fit.start, None, f"forced failure {c}") for fit in own]
+                if fails(c, k) else own for k, own in enumerate(rows)]
+
+    monkeypatch.setattr(inference, "_fit_rows", forced)
+    return calls
+
+
+class TestBestFits:
+    # the one fallback rule: a guessed start that fails, ends unconverged or
+    # is missing gets a second try from the spec's default starts
+
+    @pytest.mark.parametrize("n_starts", [1, 3])
+    def test_a_spec_without_starts_gets_the_default_start_fit(self, n_starts):
+        specs = replicate_specs()[:2]
+        fits = inference._best_fits(specs, [[], [BASE]], n_starts)
+        assert fits[0] == fit_mle(specs[0], n_starts=n_starts)
+        assert fits[1] == fit_mle(specs[1], starts=[BASE]) and fits[1].converged
+
+    def test_specs_without_starts_add_no_lanes(self, monkeypatch):
+        monkeypatch.setattr(inference, "_fit_start", lambda *args: pytest.fail("no lanes"))
+        assert inference._fit_rows(replicate_specs()[:2], [[], []]) == [[], []]
+
+    def test_a_failed_warm_fit_gets_its_default_start_refit(self, monkeypatch):
+        specs = replicate_specs()
+        job = (specs, BASE, 2)
+        clean = inference._fit_replicates(job)
+        calls = failing_fits(monkeypatch, lambda c, k: c == 0 and k == 1)
+        forced = inference._fit_replicates(job)
+        monkeypatch.undo()
+        assert calls[1:] == [[inference.default_starts(specs[1], 2)]]
+        assert forced[:1] + forced[2:] == clean[:1] + clean[2:]
+        assert forced[1] == (fit_mle(specs[1], n_starts=2), None)
+
+    def test_a_failed_refit_is_the_outcome(self, monkeypatch):
+        failing_fits(monkeypatch, lambda c, k: True)
+        [outcome] = inference._best_fits(replicate_specs()[:1], [[BASE]], 2)
+        assert isinstance(outcome, OptimizationFailureError)
+        assert len(outcome.diagnostics) == 2
+        assert all(d.endswith("forced failure 1") for d in outcome.diagnostics)
+
+
 class TestEnsemble:
     def test_low_noise_replicates_recover_truth(self):
         # sd 1e-5 against daily counts of 0.2 to 50: every replicate's rates
@@ -887,7 +946,7 @@ class TestEnsemble:
         ys = observe_batch(truth, noise, 1.0, T, 5, 4)
         for index, fit in zip(ensemble.indices, ensemble.replicates):
             obs = ObservationSeries(values=ys[index], reporting_rate=1.0, noise=noise, seed=5,
-                                    sigma_t=sigma_sequence(noise, truth, T), population=10**7)
+                                    population=10**7)
             own = fit_mle(LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=5),
                           n_starts=n_starts)
             assert fit.loglik >= own.loglik - 1e-8 * max(1.0, abs(own.loglik))
@@ -929,22 +988,21 @@ class TestEnsemble:
                                 fit_steps_per_day=steps_per_day, n_starts=n_starts)
         truth = integrate_exact(BASE, INIT7, T)
         ys = observe_batch(truth, noise, 1.0, T, seed, R)
-        sigma_t = sigma_sequence(noise, truth, T)
 
-        def spec_of(values, noise_, sigma_t_):
+        def spec_of(values, noise_):
             obs = ObservationSeries(values=values, reporting_rate=1.0, noise=noise_, seed=seed,
-                                    sigma_t=sigma_t_, population=10**7)
+                                    population=10**7)
             return LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
 
         root = math.sqrt(R)
         pooled_noise = (NoiseModel.known(noise.sigma_t / root) if noise.kind == "known_sequence"
                         else NoiseModel(kind=noise.kind, sigma=noise.sigma / root))
-        pooled = fit_mle(spec_of(ys.mean(axis=0), pooled_noise, sigma_t / root),
+        pooled = fit_mle(spec_of(ys.mean(axis=0), pooled_noise),
                          n_starts=n_starts).params()
         refits = 0
         alone = []
         for y in ys:
-            spec = spec_of(y, noise, sigma_t)
+            spec = spec_of(y, noise)
             fit = fit_mle(spec, [pooled] + inference.default_starts(spec, n_starts - 1)
                           if n_starts > 1 else [pooled])
             if not fit.converged:

@@ -56,7 +56,6 @@ def noiseless_obs(params, spec):
         reporting_rate=spec.p,
         noise=spec.noise,
         seed=0,
-        sigma_t=np.zeros(spec.T),
         population=spec.init.population,
     )
 

@@ -7,11 +7,11 @@ import pytest
 from scipy.special import ndtri
 
 from sirlimits._csv import fmt
-from sirlimits import inference, nyc
+from sirlimits import inference
 from sirlimits.data import CaseData, load_nyc_fixture
-from sirlimits.errors import OptimizationFailureError
-from sirlimits.inference import (MleResult, closed_form_start, default_starts, fit_mle,
-                                 log_likelihood)
+from sirlimits.errors import InsufficientDataError, OptimizationFailureError
+from sirlimits.inference import (MleResult, best_fit, closed_form_start, default_starts,
+                                 fit_mle, log_likelihood)
 from sirlimits.nyc import (SweepRow, fitted_band, nyc_likelihood_spec, reporting_rate_sweep,
                            write_nyc_table_csv)
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
@@ -105,14 +105,15 @@ class TestSweep:
     def test_one_start_per_fit_when_it_converges(self, data, monkeypatch):
         # no fallback runs on the fixture: each p is one fit of one start
         calls = []
+        fit_rows = inference._fit_rows
 
-        def recorded(spec, starts=None, n_starts=8):
+        def recorded(specs, starts):
             calls.append(starts)
-            return fit_mle(spec, starts=starts, n_starts=n_starts)
+            return fit_rows(specs, starts)
 
-        monkeypatch.setattr(nyc, "fit_mle", recorded)
+        monkeypatch.setattr(inference, "_fit_rows", recorded)
         rows = reporting_rate_sweep(data, [0.1, 0.25])
-        assert calls == [[closed_form_start(nyc_likelihood_spec(data, row.p))] for row in rows]
+        assert calls == [[[closed_form_start(nyc_likelihood_spec(data, row.p))]] for row in rows]
 
     @pytest.mark.parametrize("counts", [[1] + [0] * 14, [1] + [5] * 14], ids=["zero", "flat"])
     def test_no_closed_form_start_gives_the_fallback_row(self, data, counts):
@@ -134,20 +135,24 @@ class TestSweep:
                                                                    fallback_converges):
         # the closed-form fit is forced unconverged; the default-start fit
         # runs and the better of the two by (converged, loglik) is the row
+        expected = replace(fit_mle(nyc_likelihood_spec(data, 0.25), n_starts=3),
+                           converged=fallback_converges)
         fits = []
+        fit_rows = inference._fit_rows
 
-        def forced(spec, starts=None, n_starts=8):
-            fit = fit_mle(spec, starts=starts, n_starts=n_starts)
+        def forced(specs, starts):
+            rows = fit_rows(specs, starts)
             if not fits or not fallback_converges:
-                fit = replace(fit, converged=False)
-            fits.append(fit)
-            return fit
+                # the fit's best result, unconverged, stands for all its starts
+                rows = [[own[0]._replace(result=replace(best_fit(own), converged=False))]
+                        for own in rows]
+            fits.append(best_fit(rows[0]))
+            return rows
 
-        monkeypatch.setattr(nyc, "fit_mle", forced)
+        monkeypatch.setattr(inference, "_fit_rows", forced)
         [row] = reporting_rate_sweep(data, [0.25], n_starts=3)
         closed, fallback = fits
-        assert fallback == replace(fit_mle(nyc_likelihood_spec(data, 0.25), n_starts=3),
-                                   converged=fallback_converges)
+        assert fallback == expected
         # _keep_better: a converged fit wins, then the higher ll, the first on a tie
         assert row.fit == (fallback if fallback_converges or fallback.loglik > closed.loglik
                            else closed)
@@ -241,5 +246,5 @@ def test_spec_requires_two_counts():
     from sirlimits.data import CaseData
 
     tiny = CaseData(dates=(dt.date(2020, 3, 1),), counts=np.array([1]), population=100)
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientDataError):
         nyc_likelihood_spec(tiny, 0.05)
