@@ -47,7 +47,7 @@ from .perturb import (
     ApproximationErrorSeries,
     ErrorFit,
     Perturbation,
-    SeparationCurve,
+    Separations,
     approximation_error,
     error_fit,
     lower_bound,

@@ -81,10 +81,10 @@ def _run_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
 
 def _run_sweep(config: ExperimentConfig, out: Path) -> list[Path]:
     omegas = np.linspace(0.0, 2.0 * math.pi, config["n_angles"], endpoint=False)
-    curves = separation_sweep(config["params"], config["population"], config["epsilon"], omegas,
-                              config["horizon"], config["steps_per_day"])
+    sweep = separation_sweep(config["params"], config["population"], config["epsilon"], omegas,
+                             config["horizon"], config["steps_per_day"])
     path = out / "sweep.csv"
-    write_sweep_csv(curves, path)
+    write_sweep_csv(sweep, path)
     return [path]
 
 

@@ -39,8 +39,14 @@ from .errors import (
     NoDetectablePerturbationError,
     PerturbationTooLargeError,
 )
-from .perturb import Perturbation, _check_anchor
-from .simulate import NoiseModel, ObservationSeries, replicate_normals, sigma_sequence
+from .perturb import Perturbation
+from .simulate import (
+    NoiseModel,
+    ObservationSeries,
+    check_reporting_rate,
+    replicate_normals,
+    sigma_sequence,
+)
 from .sir import (
     DEFAULT_STEPS_PER_DAY,
     InitialCondition,
@@ -53,18 +59,32 @@ from .sir import (
 _WORST_CASE_ANGLES = 150  # equally spaced directions on worst_case_direction's grid
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_design(alpha: float, p: float, T: int, **scales: float) -> None:
+    """The rule every test design follows: alpha in (0, 1), the reporting
+    rate p in (0, 1], T >= 1 and each named scale finite and positive."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_reporting_rate(p)
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if not all(0.0 < scale < math.inf for scale in scales.values()):
+        raise ValueError(f"{' and '.join(scales)} must be finite and > 0, "
+                         f"got {' and '.join(map(str, scales.values()))}")
+
+
+def _type2(alpha: float, root_v: float) -> float:
+    """1 - Phi(Phi^{-1}(alpha) + sqrt(V_T)): the type II error of the
+    level-alpha test whose signal-to-noise root sqrt(V_T) is ``root_v``."""
+    return float(1.0 - ndtr(ndtri(alpha) + root_v))
 
 
 @dataclass(frozen=True)
 class TestSpec:
-    """A fully specified simple hypothesis test on daily observations."""
+    """A fully specified simple hypothesis test on daily observations: the
+    null is the perturbation's base, the alternative its perturbed rates."""
 
     __test__ = False  # not a pytest class, despite the name
 
-    null_params: SirParams
     pert: Perturbation
     alpha: float
     T: int
@@ -74,18 +94,17 @@ class TestSpec:
     steps_per_day: int = DEFAULT_STEPS_PER_DAY
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"reporting rate must lie in (0, 1], got {self.p}")
-        _check_anchor(self.null_params, self.pert)
+        _check_design(self.alpha, self.p, self.T)
         t_star = peak_time_for(self.null_params, self.init, self.steps_per_day)
         if self.T >= t_star:
             raise HorizonPastPeakError(
                 f"T = {self.T} must precede the null peak time {t_star:.2f}"
             )
         object.__setattr__(self, "_t_star", t_star)
+
+    @property
+    def null_params(self) -> SirParams:
+        return self.pert.base
 
     @property
     def t_star(self) -> float:
@@ -119,16 +138,17 @@ class LrtDecision:
     reject: bool
 
 
-def _check_v(v: float) -> float:
+def _root_v(v: float) -> float:
+    """sqrt(V_T); IndistinguishableHypothesesError unless V_T > 0."""
     if v <= 0.0:
         raise IndistinguishableHypothesesError(
             "V_T = 0: the hypotheses produce identical observation distributions"
         )
-    return v
+    return math.sqrt(v)
 
 
 def _threshold(spec: TestSpec, v: float) -> float:
-    return -float(ndtri(spec.alpha)) * math.sqrt(_check_v(v)) - 0.5 * v
+    return -float(ndtri(spec.alpha)) * _root_v(v) - 0.5 * v
 
 
 def lrt_threshold(spec: TestSpec) -> float:
@@ -154,11 +174,7 @@ def lrt_decide(obs: ObservationSeries, spec: TestSpec) -> LrtDecision:
 
 def type2_exact(spec: TestSpec) -> float:
     """Exact Gaussian type II error of the level-alpha LRT."""
-    return _type2_from_v(spec, v_statistic(spec))
-
-
-def _type2_from_v(spec: TestSpec, v: float) -> float:
-    return float(1.0 - ndtr(ndtri(spec.alpha) + math.sqrt(_check_v(v))))
+    return _type2(spec.alpha, _root_v(v_statistic(spec)))
 
 
 def _approx_weights(spec: TestSpec, days: np.ndarray) -> tuple[np.ndarray, float]:
@@ -212,15 +228,14 @@ def type2_approx(spec: TestSpec, variant: str = "first") -> float:
     days = np.arange(1.0, spec.T + 1.0)
     weights, prefactor = _approx_weights(spec, days)
     bracket = _approx_bracket(spec, days, variant)
-    arg = ndtri(spec.alpha) + prefactor * math.sqrt(float(np.sum(weights * bracket**2)))
-    return float(1.0 - ndtr(arg))
+    return _type2(spec.alpha, prefactor * math.sqrt(float(np.sum(weights * bracket**2))))
 
 
 def case2_pi4_type2(alpha: float, epsilon: float, sigma: float, p: float, T: int) -> float:
     """Fully explicit slope-one-direction type II error under
     infection-proportional noise: free of N, beta, and gamma."""
-    _check_alpha(alpha)
-    return float(1.0 - ndtr(ndtri(alpha) + p * epsilon * math.sqrt(T) / (sigma * math.sqrt(2.0))))
+    _check_design(alpha, p, T, sigma=sigma)
+    return _type2(alpha, p * epsilon * math.sqrt(T) / (sigma * math.sqrt(2.0)))
 
 
 def worst_case_direction(null_params: SirParams, init: InitialCondition,
@@ -235,11 +250,8 @@ def worst_case_direction(null_params: SirParams, init: InitialCondition,
     best_value = -math.inf
     for omega in np.linspace(0.0, 2.0 * math.pi, _WORST_CASE_ANGLES, endpoint=False):
         try:
-            spec = TestSpec(
-                null_params=null_params,
-                pert=Perturbation(null_params, epsilon, float(omega)),
-                alpha=alpha, T=T, p=p, noise=noise, init=init,
-            )
+            spec = TestSpec(pert=Perturbation(null_params, epsilon, float(omega)),
+                            alpha=alpha, T=T, p=p, noise=noise, init=init)
             value = type2_approx(spec)
         except PerturbationTooLargeError:
             continue
@@ -259,12 +271,9 @@ def epsilon_for_power(target_type2: float, alpha: float, sigma: float,
     noise. Targets at or above 1 - alpha are unattainable (any valid test
     already achieves that much), so they are rejected.
     """
-    if not 0.0 < target_type2 < 1.0 or not 0.0 < alpha < 1.0:
-        raise ValueError("target_type2 and alpha must lie in (0, 1)")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not (0.0 < sigma < math.inf and 0.0 < delta < math.inf):
-        raise ValueError(f"sigma and delta must be finite and > 0, got {sigma} and {delta}")
+    if not 0.0 < target_type2 < 1.0:
+        raise ValueError(f"target_type2 must lie in (0, 1), got {target_type2}")
+    _check_design(alpha, p, T, sigma=sigma, delta=delta)
     if target_type2 >= 1.0 - alpha:
         raise NoDetectablePerturbationError(
             f"target type II {target_type2} >= 1 - alpha = {1.0 - alpha}: implied epsilon <= 0"
@@ -290,12 +299,14 @@ class GammaTestResult:
 
 def gamma_test_power(epsilon_hat: float, alpha: float, sigma: float,
                      p: float, T: int) -> GammaTestResult:
+    """``case2_pi4_type2`` at epsilon = |eps_hat| * sqrt(2), the test of gamma_0
+    against gamma_0 + eps_hat at known delta (see ``GammaTestResult``)."""
     if epsilon_hat == 0.0:
         raise IndistinguishableHypothesesError("epsilon_hat = 0 leaves nothing to test")
-    _check_alpha(alpha)
-    type2 = float(1.0 - ndtr(ndtri(alpha) + p * abs(epsilon_hat) * math.sqrt(T) / sigma))
+    epsilon = abs(epsilon_hat) * math.sqrt(2.0)
     omega = math.pi / 4.0 if epsilon_hat > 0.0 else 5.0 * math.pi / 4.0
-    return GammaTestResult(type2=type2, epsilon=abs(epsilon_hat) * math.sqrt(2.0), omega=omega)
+    return GammaTestResult(type2=case2_pi4_type2(alpha, epsilon, sigma, p, T), epsilon=epsilon,
+                           omega=omega)
 
 
 @dataclass(frozen=True)
@@ -370,7 +381,7 @@ def _power_point(spec: TestSpec, d0, de, sigma, xi) -> PowerResult:
         emp, stderr = rate.value, rate.stderr
     v = _v(spec, d0, de, sigma)
     return PowerResult(
-        type2_exact=_type2_from_v(spec, v),
+        type2_exact=_type2(spec.alpha, _root_v(v)),
         type2_approx1=type2_approx(spec, "first"),
         type2_approx2=type2_approx(spec, "second"),
         v_T=v,
@@ -401,8 +412,8 @@ def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, e
     numbers), exactly as separate ``power_summary`` calls would.
     """
     specs = [
-        TestSpec(null_params=null_params, pert=Perturbation(null_params, eps, omega),
-                 alpha=alpha, T=T, p=p, noise=noise, init=init, steps_per_day=steps_per_day)
+        TestSpec(pert=Perturbation(null_params, eps, omega), alpha=alpha, T=T, p=p, noise=noise,
+                 init=init, steps_per_day=steps_per_day)
         for noise in noises for omega in omegas for eps in epsilons
     ]
     if not specs:

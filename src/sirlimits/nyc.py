@@ -65,18 +65,15 @@ def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
     no better. ``n_starts`` sizes that fallback alone. Every p and
     ``n_starts`` are checked before the first fit.
     """
-    p_values = [float(p) for p in p_values]
-    bad = [p for p in p_values if not 0.0 < p <= 1.0]
-    if bad:
-        raise ValueError(f"reporting rate must lie in (0, 1], got {bad[0]}")
+    specs = [nyc_likelihood_spec(data, float(p), steps_per_day) for p in p_values]
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     rows: list[SweepRow] = []
-    for p in p_values:
-        spec = nyc_likelihood_spec(data, p, steps_per_day)
+    for spec in specs:
         start = closed_form_start(spec)
         fit = _best_fits([spec], [[] if start is None else [start]], n_starts)[0]
-        rows.append(SweepRow(p, fit) if isinstance(fit, MleResult) else SweepRow(p, None, str(fit)))
+        rows.append(SweepRow(spec.p, fit) if isinstance(fit, MleResult)
+                    else SweepRow(spec.p, None, str(fit)))
     return rows
 
 

@@ -29,6 +29,11 @@ slope-one as t grows. The numeric machinery here sweeps directions, measures
 separations, and quantifies how accurate the frozen-s closed form is, both
 empirically via log relative error fits and through an a-priori exponential
 bound.
+
+A sweep is one ``Separations`` result of (direction, day) arrays. A
+``Perturbation`` carries its base rates, so the error measures take the
+perturbation alone. Sweeps and bounds allow 0 <= eps < delta; a
+``Perturbation`` itself needs 0 < eps.
 """
 
 from __future__ import annotations
@@ -112,9 +117,12 @@ class Perturbation:
         return SirParams(self.beta_eps(), self.gamma_eps())
 
 
-def _check_anchor(base: SirParams, pert: Perturbation) -> None:
-    if pert.base != base:
-        raise ValueError(f"perturbation is anchored at {pert.base}, not at the base {base}")
+def _check_epsilon(base: SirParams, epsilon: float) -> None:
+    """The sweeps' and bounds' rule: 0 <= epsilon < delta, zero allowed."""
+    if not 0.0 <= epsilon < base.delta():
+        raise PerturbationTooLargeError(
+            f"need 0 <= epsilon < delta = {base.delta():.6g}, got {epsilon}"
+        )
 
 
 def lower_bound(base: SirParams, init: InitialCondition, epsilon: float, t) -> float:
@@ -126,13 +134,8 @@ def lower_bound(base: SirParams, init: InitialCondition, epsilon: float, t) -> f
     floor over all directions: that minimum is eps * i0 * sigma_min(M(t)),
     see the module docstring.
     """
+    _check_epsilon(base, epsilon)
     delta = base.delta()
-    if epsilon >= delta:
-        raise PerturbationTooLargeError(
-            f"need epsilon < delta = {delta:.6g}, got {epsilon}"
-        )
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     return (epsilon / (delta * math.sqrt(2.0))) * (np.exp(delta * np.asarray(t, dtype=float)) - 1.0) * init.i0
 
 
@@ -155,47 +158,44 @@ def linearized_difference(base: SirParams, init: InitialCondition,
 
 
 @dataclass(frozen=True)
-class SeparationCurve:
-    """Per-day distance between a perturbed and the base exact trajectory."""
+class Separations:
+    """Per-day distances between each perturbed and the base exact trajectory.
+
+    ``distance`` and ``s_distance`` are (direction, day) arrays: row k holds
+    direction ``omegas[k]`` on the day grid ``times``, and each row is
+    contiguous. ``distance[:, day]`` is every direction's separation on one day.
+    """
 
     times: np.ndarray
+    omegas: np.ndarray
     distance: np.ndarray
     s_distance: np.ndarray
-    omega: float
 
 
 def separation_sweep(base: SirParams, init: InitialCondition, epsilon: float,
                      omegas, horizon: int,
-                     steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> list[SeparationCurve]:
+                     steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> Separations:
     """Exact-trajectory separations for each direction, on one day grid.
 
     All perturbed systems are integrated in one vectorized batch together
-    with the base system. epsilon = 0 is allowed and yields zero curves.
+    with the base system; each row of the result has the bits of the
+    one-direction sweep. epsilon = 0 is allowed and yields zero rows.
     """
     omegas = np.asarray(list(omegas), dtype=float)
     if np.any((omegas < 0.0) | (omegas >= 2.0 * math.pi)):
         raise ValueError("all omegas must lie in [0, 2*pi)")
-    if not 0.0 <= epsilon < base.delta():
-        raise PerturbationTooLargeError(
-            f"need 0 <= epsilon < delta = {base.delta():.6g}, got {epsilon}"
-        )
+    _check_epsilon(base, epsilon)
     betas = np.concatenate([[base.beta], base.beta + epsilon * np.cos(omegas)])
     gammas = np.concatenate([[base.gamma], base.gamma + epsilon * np.sin(omegas)])
     s, i = integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
-    times = np.arange(int(horizon) + 1, dtype=float)
-    curves = []
-    for k, omega in enumerate(omegas, start=1):
-        ds = s[:, k] - s[:, 0]
-        di = i[:, k] - i[:, 0]
-        curves.append(
-            SeparationCurve(
-                times=times,
-                distance=np.hypot(ds, di),
-                s_distance=np.abs(ds),
-                omega=float(omega),
-            )
-        )
-    return curves
+    ds = np.ascontiguousarray((s[:, 1:] - s[:, :1]).T)
+    di = np.ascontiguousarray((i[:, 1:] - i[:, :1]).T)
+    return Separations(
+        times=np.arange(int(horizon) + 1, dtype=float),
+        omegas=omegas,
+        distance=np.hypot(ds, di),
+        s_distance=np.abs(ds),
+    )
 
 
 @dataclass(frozen=True)
@@ -226,10 +226,10 @@ def _closed_form_error(base: SirParams, init: InitialCondition, epsilon: float, 
     return linearized, err, np.where((exact == 0.0) | (err == 0.0), np.nan, rel)
 
 
-def approximation_error(base: SirParams, init: InitialCondition, pert: Perturbation,
-                        horizon: int,
+def approximation_error(init: InitialCondition, pert: Perturbation, horizon: int,
                         steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> ApproximationErrorSeries:
-    """Measure how well the closed form tracks the exact separation.
+    """Measure how well the closed form tracks the exact separation of
+    ``pert`` from its base.
 
     The base and the perturbed rates are integrated one at a time, which at
     two parameter sets is faster than an array batch; the exact separation
@@ -237,13 +237,13 @@ def approximation_error(base: SirParams, init: InitialCondition, pert: Perturbat
     raised unless the perturbed growth rate is positive, and a perturbed
     recovery rate that is not positive raises DegenerateParameterError.
     """
-    _check_anchor(base, pert)
     pert.delta_eps()
-    reference = integrate_exact(base, init, horizon, steps_per_day)
+    reference = integrate_exact(pert.base, init, horizon, steps_per_day)
     moved = integrate_exact(pert.perturbed(), init, horizon, steps_per_day)
     times = reference.times
     exact = np.hypot(moved.s - reference.s, moved.i - reference.i)
-    linearized, err, rel = _closed_form_error(base, init, pert.epsilon, pert.omega, times, exact)
+    linearized, err, rel = _closed_form_error(pert.base, init, pert.epsilon, pert.omega, times,
+                                              exact)
     return ApproximationErrorSeries(
         times=times,
         exact_distance=exact,
@@ -290,8 +290,8 @@ def error_fit(base: SirParams, init: InitialCondition, epsilon: float, horizon: 
     base_traj = integrate_exact(base, init, horizon, steps_per_day)
     t_star = peak_time(base_traj)  # raises HorizonTooShortError pre-peak
     omegas = fit_angles()
-    curves = separation_sweep(base, init, epsilon, omegas, horizon, steps_per_day)
-    days = curves[0].times
+    sweep = separation_sweep(base, init, epsilon, omegas, horizon, steps_per_day)
+    days = sweep.times
     t_hi = 0.95 * t_star
     window = (days >= 1.0) & (days <= t_hi)
     if not np.any(window):
@@ -299,12 +299,12 @@ def error_fit(base: SirParams, init: InitialCondition, epsilon: float, horizon: 
 
     slopes = np.empty(len(omegas))
     intercepts = np.empty(len(omegas))
-    for k, curve in enumerate(curves):
-        _, _, rel = _closed_form_error(base, init, epsilon, curve.omega, days, curve.distance)
+    for k, (omega, distance) in enumerate(zip(omegas, sweep.distance)):
+        _, _, rel = _closed_form_error(base, init, epsilon, omega, days, distance)
         mask = window & np.isfinite(rel)
         if mask.sum() < _MIN_FIT_POINTS:
             raise FitDegenerateError(
-                f"only {int(mask.sum())} usable fit points at omega = {curve.omega:.4f}"
+                f"only {int(mask.sum())} usable fit points at omega = {omega:.4f}"
             )
         slope, intercept = np.polyfit(days[mask], rel[mask], 1)
         slopes[k] = slope
@@ -327,16 +327,16 @@ def error_fit(base: SirParams, init: InitialCondition, epsilon: float, horizon: 
     )
 
 
-def theoretical_error_bound(base: SirParams, init: InitialCondition,
-                            pert: Perturbation, t) -> float:
-    """A-priori ceiling on |error| between exact and closed-form separations.
+def theoretical_error_bound(init: InitialCondition, pert: Perturbation, t) -> float:
+    """A-priori ceiling on |error| between the exact and the closed-form
+    separations of ``pert`` from its base.
 
     Grows exponentially in t, so it is loose late in the epidemic, but it
     holds for every initial condition, direction, and time, and it vanishes
     proportionally to i0.
     """
-    _check_anchor(base, pert)
     t = np.asarray(t, dtype=float)
+    base = pert.base
     beta, gamma, delta = base.beta, base.gamma, base.delta()
     beta_e = pert.beta_eps()
     gamma_e = pert.gamma_eps()
@@ -346,21 +346,18 @@ def theoretical_error_bound(base: SirParams, init: InitialCondition,
     return (term_pert + term_base) * init.i0
 
 
-def write_sweep_csv(curves: list[SeparationCurve], path) -> None:
-    """One row (omega, t, distance, s_distance) per day of each curve.
+def write_sweep_csv(sweep: Separations, path) -> None:
+    """One row (omega, t, distance, s_distance) per day of each direction.
 
-    The days' t cells are formatted once for each day grid (the curves of one
-    sweep share theirs), and each curve's rows are one ``%`` over a row
-    template of its omega and those days.
+    The days' t cells are formatted once, and each direction's rows are one
+    ``%`` over a row template of its omega and those days.
     """
+    days = [f",{fmt(t)},{CELL},{CELL}" for t in sweep.times]
+
     def lines():
-        times = None
-        for curve in curves:
-            if curve.times is not times:
-                times = curve.times
-                days = [f",{fmt(t)},{CELL},{CELL}" for t in times]
-            omega = fmt(curve.omega)
-            cells = np.column_stack((curve.distance, curve.s_distance)).ravel().tolist()
+        for omega, distance, s_distance in zip(sweep.omegas, sweep.distance, sweep.s_distance):
+            omega = fmt(omega)
+            cells = np.column_stack((distance, s_distance)).ravel().tolist()
             yield (omega + f"\n{omega}".join(days)) % tuple(cells)
 
     write_csv(path, "omega,t,distance,s_distance", lines())

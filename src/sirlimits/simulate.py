@@ -90,6 +90,12 @@ def variance_law(kind: str, sigma, n: int, i):
     raise ValueError(f"{kind} noise has no variance law")
 
 
+def check_reporting_rate(p: float) -> None:
+    """Raise ValueError unless the reporting rate p lies in (0, 1]."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"reporting rate must lie in (0, 1], got {p}")
+
+
 def check_variance(v) -> None:
     """Raise DegenerateVarianceError unless every day's variance is positive and finite."""
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
@@ -149,14 +155,15 @@ class ObservationSeries:
     seed: int
     population: int
 
+    def __post_init__(self):
+        check_reporting_rate(self.reporting_rate)
+
     def __len__(self) -> int:
         return len(self.values)
 
 
 def observe(traj: Trajectory, noise: NoiseModel, p: float, T: int, seed: int) -> ObservationSeries:
     """Draw one noisy series of daily observations from a trajectory."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"reporting rate must lie in (0, 1], got {p}")
     sig = sigma_sequence(noise, traj, T)
     mean = p * incidence(traj)[:T]
     z = _generator(int(seed)).standard_normal(T)

@@ -91,8 +91,8 @@ def grid_sweeps():
     for params, init, eps in reference_grid():
         t_star = peak_time_for(params, init)
         horizon = int(0.8 * t_star) + 1
-        curves = separation_sweep(params, init, eps, omegas, horizon=horizon)
-        out.append((params, init, eps, t_star, omegas, curves))
+        out.append((params, init, eps, t_star,
+                    separation_sweep(params, init, eps, omegas, horizon=horizon)))
     return out
 
 
@@ -206,19 +206,18 @@ def test_acceptance_03_lower_bound_floor(grid_sweeps):
     start = time.perf_counter()
     worst = math.inf
     worst_where = None
-    for params, init, eps, t_star, omegas, curves in grid_sweeps:
+    for params, init, eps, t_star, sweep in grid_sweeps:
         days = np.arange(5, int(0.8 * t_star) + 1)
         jac = _frozen_s_jacobian(params, days)
         tiny = 1e-6 * params.delta()
-        for omega in omegas:
+        for omega in sweep.omegas:
             ds, di = linearized_difference(params, init, tiny, float(omega), days)
             first = tiny * init.i0 * (jac @ np.array([math.cos(omega), math.sin(omega)]))
             gap = np.hypot(ds - first[:, 0], di - first[:, 1])
             assert np.all(gap <= 1e-4 * np.hypot(first[:, 0], first[:, 1]))
         floor = eps * init.i0 * np.linalg.svd(jac, compute_uv=False)[:, -1]
         assert np.all(floor <= lower_bound(params, init, eps, days) * (1.0 + 1e-12))
-        dist = np.array([c.distance[days.astype(int)] for c in curves])
-        ratio = dist.min(axis=0) / floor
+        ratio = sweep.distance[:, days].min(axis=0) / floor
         k = int(np.argmin(ratio))
         if ratio[k] < worst:
             worst = float(ratio[k])
@@ -237,10 +236,9 @@ def test_acceptance_03_lower_bound_floor(grid_sweeps):
 
 def test_acceptance_03_minimizing_angle(grid_sweeps):
     gaps = []
-    for params, init, eps, t_star, omegas, curves in grid_sweeps:
+    for params, init, eps, t_star, sweep in grid_sweeps:
         day = int(round(0.6 * t_star))
-        distances = np.array([c.distance[day] for c in curves])
-        best = omegas[int(np.argmin(distances))]
+        best = sweep.omegas[int(np.argmin(sweep.distance[:, day]))]
         gaps.append(min(abs(best - PI4), abs(best - 5 * PI4)))
     ok = max(gaps) <= math.pi / 12.0
     report("3b", ok, f"minimizing angle at 0.6*peak within {math.degrees(max(gaps)):.1f} deg "
@@ -277,13 +275,13 @@ def test_acceptance_04_error_fit_reproduction():
 def test_acceptance_05_error_bound_never_violated(grid_sweeps):
     violations = 0
     checked = 0
-    for params, init, eps, t_star, omegas, curves in grid_sweeps:
+    for params, init, eps, t_star, sweep in grid_sweeps:
         days = np.arange(5, int(0.8 * t_star) + 1)
-        for omega, curve in zip(omegas, curves):
+        for omega, distance in zip(sweep.omegas, sweep.distance):
             pert = Perturbation(params, eps, float(omega))
             ds, di = linearized_difference(params, init, eps, float(omega), days)
-            err = curve.distance[days.astype(int)] - np.hypot(ds, di)
-            bound = theoretical_error_bound(params, init, pert, days)
+            err = distance[days] - np.hypot(ds, di)
+            bound = theoretical_error_bound(init, pert, days)
             violations += int(np.sum(np.abs(err) > bound * (1.0 + 1e-9) + 1e-15))
             checked += len(days)
     ok = violations == 0
@@ -304,23 +302,23 @@ def test_acceptance_06_type2_agreement():
     worst1 = worst2 = 0.0
     for oi, omega in enumerate(omega_list):
         for eps in eps_grid:
-            spec = TestSpec(BASE, Perturbation(BASE, eps, omega), 0.05, 60, 1.0,
+            spec = TestSpec(Perturbation(BASE, eps, omega), 0.05, 60, 1.0,
                             NoiseModel.case2(0.3), INIT7)
             emp = empirical_type2(spec, 1000, seed=_point_seed(1, oi, eps)).value
             worst1 = max(worst1, abs(type2_approx(spec, "first") - emp))
             worst2 = max(worst2, abs(type2_approx(spec, "second") - emp))
         for sig in sig_grid:
-            spec = TestSpec(BASE, Perturbation(BASE, 0.03, omega), 0.05, 60, 1.0,
+            spec = TestSpec(Perturbation(BASE, 0.03, omega), 0.05, 60, 1.0,
                             NoiseModel.case2(sig), INIT7)
             emp = empirical_type2(spec, 1000, seed=_point_seed(2, oi, sig)).value
             worst1 = max(worst1, abs(type2_approx(spec, "first") - emp))
             worst2 = max(worst2, abs(type2_approx(spec, "second") - emp))
     # limit behaviour at the grid extremes, along the slope-one direction
     lim_eps = empirical_type2(
-        TestSpec(BASE, Perturbation(BASE, 0.004, PI4), 0.05, 60, 1.0,
+        TestSpec(Perturbation(BASE, 0.004, PI4), 0.05, 60, 1.0,
                  NoiseModel.case2(0.3), INIT7), 4000, seed=31).value
     lim_sig = empirical_type2(
-        TestSpec(BASE, Perturbation(BASE, 0.03, PI4), 0.05, 60, 1.0,
+        TestSpec(Perturbation(BASE, 0.03, PI4), 0.05, 60, 1.0,
                  NoiseModel.case2(1.0), INIT7), 4000, seed=32).value
     elapsed = time.perf_counter() - start
     checks = [worst1 <= 0.05, worst2 <= 0.07,
@@ -463,7 +461,7 @@ class TestAcceptance10Properties:
     def test_type1_calibration(self):
         for alpha, sigma, eps, seed in [(0.05, 0.3, 0.03, 101), (0.1, 0.5, 0.02, 101),
                                         (0.05, 0.2, 0.05, 101)]:
-            spec = TestSpec(BASE, Perturbation(BASE, eps, PI4), alpha, 60, 1.0,
+            spec = TestSpec(Perturbation(BASE, eps, PI4), alpha, 60, 1.0,
                             NoiseModel.case2(sigma), INIT7)
             rate = empirical_type1(spec, replicates=2000, seed=seed)
             band = 3.0 * math.sqrt(alpha * (1 - alpha) / 2000)
@@ -491,7 +489,7 @@ class TestAcceptance10Properties:
         for n in (10**4, 10**5, 10**6, 10**7):
             for beta, gamma in ((0.21, 0.14), (0.21, 0.07), (0.42, 0.07), (1.68, 0.14)):
                 params = SirParams(beta, gamma)
-                spec = TestSpec(params, Perturbation(params, 0.03, PI4), 0.05, 6, 1.0,
+                spec = TestSpec(Perturbation(params, 0.03, PI4), 0.05, 6, 1.0,
                                 NoiseModel.case2(0.3),
                                 InitialCondition.from_population(n))
                 value = type2_approx(spec, "second")

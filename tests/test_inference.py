@@ -352,6 +352,21 @@ class TestLikelihoodSpec:
         with pytest.raises(InsufficientDataError, match="provides 30 days, need 40"):
             LikelihoodSpec(obs=obs, init=INIT7, noise=NoiseModel.known(np.full(30, 3e4)))
 
+    @pytest.mark.parametrize("p", [0.0, 1.5])
+    def test_reporting_rate_outside_unit_interval_rejected(self, p):
+        # both used to be fit and reported converged, p = 0 with a mean of zero
+        # whatever the rates
+        noise = NoiseModel.known(np.full(40, 3e4))
+        values = incidence(integrate_exact(BASE, INIT7, 40))
+        with pytest.raises(ValueError, match="reporting rate"):
+            fit_mle(LikelihoodSpec(obs=ObservationSeries(values=values, reporting_rate=p,
+                                                         noise=noise, seed=0,
+                                                         population=10**7),
+                                   init=INIT7))
+        with pytest.raises(ValueError, match="reporting rate"):
+            mle_ensemble(BASE, INIT7, NoiseModel.known(np.full(30, 3e4)), p=p, T=30,
+                         replicates=3, seed=1, fit_steps_per_day=5, n_starts=1)
+
 
 class TestFit:
     def test_recovers_truth_from_noiseless_data(self):

@@ -39,7 +39,6 @@ PI4 = math.pi / 4.0
 
 def make_spec(epsilon=0.03, omega=PI4, alpha=0.05, T=60, p=1.0, noise=None):
     return TestSpec(
-        null_params=BASE,
         pert=Perturbation(BASE, epsilon, omega),
         alpha=alpha,
         T=T,
@@ -155,7 +154,6 @@ class TestType2:
         reference = None
         for n in (10**4, 10**5, 10**6, 10**7):
             spec = TestSpec(
-                null_params=BASE,
                 pert=Perturbation(BASE, 0.03, PI4),
                 alpha=0.05, T=30, p=1.0,
                 noise=NoiseModel.case2(0.3),
@@ -172,7 +170,6 @@ class TestType2:
         for beta, gamma in ((0.21, 0.14), (0.21, 0.07), (0.42, 0.07), (1.68, 0.14)):
             params = SirParams(beta, gamma)
             spec = TestSpec(
-                null_params=params,
                 pert=Perturbation(params, 0.03, PI4),
                 alpha=0.05, T=8, p=1.0,
                 noise=NoiseModel.case2(0.3),
@@ -259,6 +256,21 @@ def test_closed_forms_reject_alpha_outside_unit_interval(alpha):
         gamma_test_power(0.02, alpha, 0.3, 1.0, 60)
     with pytest.raises(ValueError, match="alpha"):
         case2_pi4_type2(alpha, 0.03, 0.3, 1.0, 60)
+
+
+@pytest.mark.parametrize("closed_form, args, message", [
+    (epsilon_for_power, (0.5, 0.05, 0.2, 0.0, 60, 0.14), "reporting rate"),  # ZeroDivisionError
+    (epsilon_for_power, (0.5, 0.05, 0.2, -1.0, 60, 0.14), "reporting rate"),  # gave -0.064
+    (gamma_test_power, (0.01, 0.05, 0.0, 1.0, 60), "sigma"),  # ZeroDivisionError
+    (case2_pi4_type2, (0.05, 0.01, 0.0, 1.0, 60), "sigma"),  # ZeroDivisionError
+    (gamma_test_power, (0.01, 0.05, 0.3, 1.0, -1), "T must"),  # math domain error
+    (gamma_test_power, (0.01, 0.05, 0.3, 2.0, 60), "reporting rate"),  # gave a value
+    (case2_pi4_type2, (0.05, 0.01, 0.3, 1.0, 0), "T must"),  # gave 1 - alpha
+], ids=["eps-p0", "eps-p-neg", "gamma-sigma0", "case2-sigma0", "gamma-T-neg", "gamma-p2",
+        "case2-T0"])
+def test_closed_forms_reject_invalid_designs(closed_form, args, message):
+    with pytest.raises(ValueError, match=message):
+        closed_form(*args)
 
 
 def test_closed_forms_return_python_floats():

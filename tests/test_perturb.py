@@ -72,30 +72,49 @@ class TestLowerBound:
         with pytest.raises(PerturbationTooLargeError):
             lower_bound(BASE, INIT7, 0.14, 10)
 
+    def test_negative_epsilon_is_the_sweep_error(self):
+        # one rule, 0 <= epsilon < delta, and one error for the bound and the sweep
+        with pytest.raises(PerturbationTooLargeError) as bound:
+            lower_bound(BASE, INIT7, -0.01, 10)
+        with pytest.raises(PerturbationTooLargeError) as sweep:
+            separation_sweep(BASE, INIT7, -0.01, [0.0], horizon=10)
+        assert str(bound.value) == str(sweep.value)
+
 
 class TestSeparationSweep:
     def test_zero_epsilon_gives_zero_curves(self):
-        curves = separation_sweep(BASE, INIT7, 0.0, [0.0, 1.0, 4.0], horizon=30, steps_per_day=10)
-        for curve in curves:
-            assert np.all(curve.distance == 0.0)
+        sweep = separation_sweep(BASE, INIT7, 0.0, [0.0, 1.0, 4.0], horizon=30, steps_per_day=10)
+        assert sweep.distance.shape == (3, 31)
+        assert np.all(sweep.distance == 0.0)
 
     def test_curve_invariants(self):
         omegas = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
-        curves = separation_sweep(BASE, INIT7, 0.03, omegas, horizon=60, steps_per_day=20)
-        assert len(curves) == 12
-        for curve in curves:
-            assert curve.distance[0] == 0.0
-            assert np.all(curve.distance >= 0.0)
-            assert np.all(curve.distance >= curve.s_distance - 1e-15)
+        sweep = separation_sweep(BASE, INIT7, 0.03, omegas, horizon=60, steps_per_day=20)
+        assert len(sweep.distance) == 12
+        for distance, s_distance in zip(sweep.distance, sweep.s_distance):
+            assert distance[0] == 0.0
+            assert np.all(distance >= 0.0)
+            assert np.all(distance >= s_distance - 1e-15)
+
+    def test_each_row_is_its_one_direction_sweep(self):
+        omegas = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
+        sweep = separation_sweep(BASE, INIT7, 0.03, omegas, horizon=40, steps_per_day=5)
+        assert sweep.omegas.tobytes() == omegas.tobytes()
+        for k, omega in enumerate(omegas):
+            one = separation_sweep(BASE, INIT7, 0.03, [omega], horizon=40, steps_per_day=5)
+            for rows, row in ((sweep.distance, one.distance[0]),
+                              (sweep.s_distance, one.s_distance[0])):
+                assert rows[k].flags.c_contiguous
+                assert rows[k].tobytes() == row.tobytes()
+            assert sweep.times.tobytes() == one.times.tobytes()
 
     def test_minimizing_angle_near_slope_one(self):
         traj = integrate_exact(BASE, INIT7, 130)
         t_star = peak_time(traj)
         omegas = np.linspace(0.0, 2 * math.pi, 90, endpoint=False)
         day = int(round(0.6 * t_star))
-        curves = separation_sweep(BASE, INIT7, 0.03, omegas, horizon=day)
-        distances = np.array([c.distance[day] for c in curves])
-        best = omegas[int(np.argmin(distances))]
+        sweep = separation_sweep(BASE, INIT7, 0.03, omegas, horizon=day)
+        best = omegas[int(np.argmin(sweep.distance[:, day]))]
         gap = min(abs(best - math.pi / 4), abs(best - 5 * math.pi / 4))
         assert gap <= math.pi / 12
 
@@ -107,20 +126,19 @@ class TestSeparationSweep:
         traj = integrate_exact(BASE, INIT7, 130)
         t_star = peak_time(traj)
         horizon = int(0.7 * t_star) + 1
-        curves = separation_sweep(
+        sweep = separation_sweep(
             BASE, INIT7, 0.03, [math.pi / 4, 5 * math.pi / 4], horizon=horizon
         )
         days = np.arange(5, horizon + 1)
         floor = lower_bound(BASE, INIT7, 0.03, days)
-        for curve in curves:
-            assert np.all(curve.distance[5:] >= 0.75 * floor)
-            assert np.all(curve.distance[5:] <= floor * (1.0 + 1e-9))
-            assert np.all(curve.s_distance[5:] >= 0.75 * floor)
+        assert np.all(sweep.distance[:, 5:] >= 0.75 * floor)
+        assert np.all(sweep.distance[:, 5:] <= floor * (1.0 + 1e-9))
+        assert np.all(sweep.s_distance[:, 5:] >= 0.75 * floor)
 
     def test_sweep_csv(self, tmp_path):
-        curves = separation_sweep(BASE, INIT7, 0.03, [0.0, math.pi], horizon=5, steps_per_day=5)
+        sweep = separation_sweep(BASE, INIT7, 0.03, [0.0, math.pi], horizon=5, steps_per_day=5)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(curves, path)
+        write_sweep_csv(sweep, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "omega,t,distance,s_distance"
         assert len(lines) == 1 + 2 * 6
@@ -133,12 +151,13 @@ class TestSeparationSweep:
     ])
     def test_sweep_csv_bytes_match_a_cell_by_cell_reference(self, tmp_path, epsilon, omegas,
                                                             horizon):
-        curves = separation_sweep(BASE, INIT7, epsilon, omegas, horizon=horizon, steps_per_day=5)
+        sweep = separation_sweep(BASE, INIT7, epsilon, omegas, horizon=horizon, steps_per_day=5)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(curves, path)
+        write_sweep_csv(sweep, path)
         expected = "omega,t,distance,s_distance\n" + "".join(
-            f"{fmt(c.omega)},{fmt(t)},{fmt(d)},{fmt(sd)}\n"
-            for c in curves for t, d, sd in zip(c.times, c.distance, c.s_distance)
+            f"{fmt(omega)},{fmt(t)},{fmt(d)},{fmt(sd)}\n"
+            for omega, distance, s_distance in zip(sweep.omegas, sweep.distance, sweep.s_distance)
+            for t, d, sd in zip(sweep.times, distance, s_distance)
         )
         assert path.read_bytes() == expected.encode()
 
@@ -146,13 +165,13 @@ class TestSeparationSweep:
 class TestApproximationError:
     def test_day_zero_flagged_absent(self):
         pert = Perturbation(BASE, 0.03, math.pi / 4)
-        series = approximation_error(BASE, INIT7, pert, horizon=40)
+        series = approximation_error(INIT7, pert, horizon=40)
         assert math.isnan(series.rel_log_error[0])
         assert np.all(np.isfinite(series.rel_log_error[1:]))
 
     def test_norm_identity_reassembles(self):
         pert = Perturbation(BASE, 0.03, 1.1)
-        series = approximation_error(BASE, INIT7, pert, horizon=50)
+        series = approximation_error(INIT7, pert, horizon=50)
         np.testing.assert_allclose(
             series.linearized_distance + series.error,
             series.exact_distance,
@@ -173,32 +192,27 @@ class TestApproximationError:
         traj = integrate_exact(BASE, INIT7, 130)
         t_star = peak_time(traj)
         pert = Perturbation(BASE, 0.03, math.pi / 4 + 0.05)
-        series = approximation_error(BASE, INIT7, pert, horizon=int(0.8 * t_star))
+        series = approximation_error(INIT7, pert, horizon=int(0.8 * t_star))
         assert np.all(series.rel_log_error[1:] < 0.0)
 
     def test_exact_distance_is_the_sweep_distance(self):
         # the second input is 96 days at 50 substeps per day, past the peak
         for omega, horizon in [(1.1, 50), (math.pi / 4 + 0.05, 96)]:
             pert = Perturbation(BASE, 0.03, omega)
-            series = approximation_error(BASE, INIT7, pert, horizon=horizon)
-            [curve] = separation_sweep(BASE, INIT7, 0.03, [omega], horizon)
-            assert series.exact_distance.tobytes() == curve.distance.tobytes()
-            assert series.times.tobytes() == curve.times.tobytes()
+            series = approximation_error(INIT7, pert, horizon=horizon)
+            sweep = separation_sweep(BASE, INIT7, 0.03, [omega], horizon)
+            assert series.exact_distance.tobytes() == sweep.distance[0].tobytes()
+            assert series.times.tobytes() == sweep.times.tobytes()
 
     def test_rejects_a_flipped_perturbed_growth_rate(self):
         tight = SirParams(0.21, 0.18)  # delta = 0.03
         with pytest.raises(PerturbationTooLargeError):
-            approximation_error(tight, INIT7, Perturbation(tight, 0.025, 3 * math.pi / 4), 10)
+            approximation_error(INIT7, Perturbation(tight, 0.025, 3 * math.pi / 4), 10)
 
     def test_rejects_a_perturbed_recovery_rate_that_is_not_positive(self):
         pert = Perturbation(BASE, 0.1, 3 * math.pi / 2)
         with pytest.raises(DegenerateParameterError, match="gamma"):
-            approximation_error(BASE, INIT7, pert, horizon=40)
-
-    def test_rejects_perturbation_of_another_base(self):
-        pert = Perturbation(SirParams(0.42, 0.07), 0.03, 0.3)
-        with pytest.raises(ValueError, match="anchored"):
-            approximation_error(BASE, INIT7, pert, horizon=40)
+            approximation_error(INIT7, pert, horizon=40)
 
     def test_linearized_difference_rejects_flipped_delta(self):
         tight = SirParams(0.21, 0.18)  # delta = 0.03
@@ -226,12 +240,12 @@ class TestErrorFit:
         fit = error_fit(BASE, INIT7, 0.03, horizon)
         days = np.arange(horizon + 1, dtype=float)
         window = (days >= 1.0) & (days <= 0.95 * fit.t_star)
-        curves = separation_sweep(BASE, INIT7, 0.03, fit_angles(), horizon)
-        for k, curve in enumerate(curves):
-            ds, di = linearized_difference(BASE, INIT7, 0.03, curve.omega, days)
-            err = curve.distance - np.hypot(ds, di)
+        sweep = separation_sweep(BASE, INIT7, 0.03, fit_angles(), horizon)
+        for k, (omega, distance) in enumerate(zip(sweep.omegas, sweep.distance)):
+            ds, di = linearized_difference(BASE, INIT7, 0.03, omega, days)
+            err = distance - np.hypot(ds, di)
             with np.errstate(divide="ignore", invalid="ignore"):
-                rel = np.log(np.abs(err)) - np.log(curve.distance)
+                rel = np.log(np.abs(err)) - np.log(distance)
             mask = window & np.isfinite(rel)
             slope, intercept = np.polyfit(days[mask], rel[mask], 1)
             assert (fit.angle_slopes[k], fit.angle_intercepts[k]) == (slope, intercept)
@@ -246,25 +260,20 @@ class TestErrorFit:
 class TestTheoreticalBound:
     def test_zero_at_time_zero(self):
         pert = Perturbation(BASE, 0.03, 0.3)
-        assert theoretical_error_bound(BASE, INIT7, pert, 0) == 0.0
+        assert theoretical_error_bound(INIT7, pert, 0) == 0.0
 
     def test_scales_linearly_with_seed_proportion(self):
         pert = Perturbation(BASE, 0.03, 0.3)
-        small = theoretical_error_bound(BASE, InitialCondition.from_population(10**4), pert, 30)
-        large = theoretical_error_bound(BASE, InitialCondition.from_population(10**8), pert, 30)
+        small = theoretical_error_bound(InitialCondition.from_population(10**4), pert, 30)
+        large = theoretical_error_bound(InitialCondition.from_population(10**8), pert, 30)
         assert large / small == pytest.approx(1e-4, rel=1e-9)
-
-    def test_rejects_perturbation_of_another_base(self):
-        pert = Perturbation(SirParams(0.42, 0.07), 0.03, 0.3)
-        with pytest.raises(ValueError, match="anchored"):
-            theoretical_error_bound(BASE, INIT7, pert, 30)
 
     def test_bounds_measured_error_on_two_configurations(self):
         for params, init, eps in [reference_grid()[5], reference_grid()[10]]:
             for omega in (0.3, math.pi / 4, 2.5, 4.1):
                 pert = Perturbation(params, eps, omega)
-                series = approximation_error(params, init, pert, horizon=60, steps_per_day=20)
-                bound = theoretical_error_bound(params, init, pert, series.times)
+                series = approximation_error(init, pert, horizon=60, steps_per_day=20)
+                bound = theoretical_error_bound(init, pert, series.times)
                 assert np.all(np.abs(series.error) <= bound * (1.0 + 1e-9) + 1e-15)
 
 
