@@ -8,7 +8,8 @@ Usage:
 Each run writes its CSV/JSON artifacts plus a ``manifest.json`` recording the
 configuration hash, effective seed, library versions, and a content hash for
 every output, so a rerun can be verified byte-for-byte. Failures exit nonzero
-after printing a machine-readable error JSON.
+after printing a machine-readable error JSON; that of a fit whose every start
+failed lists each start's reason under ``diagnostics``.
 
 ``fit`` reads its observations from a ``t,y`` file, the format ``simulate``
 writes: one row per day, t running 1, 2, ..., T in order. A skipped,
@@ -260,7 +261,10 @@ def main(argv=None) -> int:
         outputs = run_experiment(load_config(args.config, args.experiment, **overrides), args.out)
     # OSError: a path the OS refuses to read or write; UnicodeDecodeError: an input that is not text
     except (SirLimitsError, OSError, UnicodeDecodeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "diagnostics", None):
+            error["diagnostics"] = exc.diagnostics
+        print(json.dumps(error))
         return 1
     for path in outputs:
         print(path)

@@ -2,9 +2,8 @@
 
 Input files are plain CSV with header ``date,count``, ISO-8601 dates, one row
 per day, in any order. Validation is strict: dates must be unique, the rows
-are sorted by date and must then be daily-spaced, covering the requested
-range exactly, and counts must be nonnegative integers. Missing days are a
-hard error; nothing is imputed.
+are sorted by date and must then be daily-spaced, and counts must be
+nonnegative integers. Missing days are a hard error; nothing is imputed.
 
 A fixture with New York City's reported daily cases for the first two weeks
 of the 2020 outbreak (2020-02-29 through 2020-03-14) ships with the package
@@ -54,13 +53,11 @@ def _parse_date(raw: str, line: int) -> dt.date:
         raise CaseDataError(f"line {line}: bad date {raw!r}: {exc}", code="bad-date") from exc
 
 
-def load_cases(path, population: int, date_range=None) -> CaseData:
+def load_cases(path, population: int) -> CaseData:
     """Load and validate a daily case-count CSV, its rows sorted by date.
 
-    ``date_range`` is an inclusive (start, end) pair of ``datetime.date``;
-    omit it to keep every row. Raises CaseDataError with a machine-readable
-    ``code`` on any defect: a duplicate date, or a gap between consecutive
-    dates once sorted.
+    Raises CaseDataError with a machine-readable ``code`` on any defect: a
+    duplicate date, or a gap between consecutive dates once sorted.
     """
     path = Path(path)
     rows: list[tuple[dt.date, int]] = []
@@ -94,14 +91,6 @@ def load_cases(path, population: int, date_range=None) -> CaseData:
                 )
             rows.append((date, count))
 
-    if date_range is not None:
-        start, end = date_range
-        if end < start:
-            raise CaseDataError(f"empty date range {start}..{end}", code="empty-series")
-        rows = [(d, c) for d, c in rows if start <= d <= end]
-        if not rows:
-            raise CaseDataError(f"no rows inside {start}..{end}", code="empty-series")
-
     if not rows:
         raise CaseDataError(f"{path}: no data rows", code="empty-series")
 
@@ -116,14 +105,6 @@ def load_cases(path, population: int, date_range=None) -> CaseData:
         if gap != 1:
             raise CaseDataError(
                 f"missing day(s) between {d_prev} and {d_next}", code="missing-date"
-            )
-
-    if date_range is not None:
-        start, end = date_range
-        if rows[0][0] != start or rows[-1][0] != end:
-            raise CaseDataError(
-                f"range {start}..{end} not fully covered (have {rows[0][0]}..{rows[-1][0]})",
-                code="missing-date",
             )
 
     return CaseData(

@@ -44,7 +44,8 @@ carries its own observed row, so a replicate study (``mle_ensemble``) fits
 each worker's block of replicates as the lanes of one lockstep fit, every
 replicate started at the optimum of their pooled series. A fit from such a
 guessed start, this one or ``closed_form_start``, falls back to the default
-starts where it fails or ends unconverged, by one rule (``_best_fits``).
+starts where none of its starts converged (``_fit_specs``): a spec's fit is
+one list of every start's outcome, and one rule (``_best``) chooses.
 A sensitivity pass runs its lanes in chunks of bounded size, so the batch's
 arrays stay small however many replicates it holds.
 """
@@ -782,19 +783,17 @@ def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list
     return results
 
 
-def _rank(result: MleResult):
-    return result.converged, result.loglik
+def _best(outcomes: list):
+    """The first MleResult of highest (converged, loglik) in ``outcomes``, each
+    an MleResult or the error of a fit that failed; the last outcome when none
+    is an MleResult.
 
-
-def _keep_better(results: list, redo: list[int], refits: list) -> None:
-    """Set each ``results[k]``, k in ``redo``, against its refit, in place: a
-    failed result takes its refit, and otherwise the better of the two by
-    ``_rank`` stays, the result itself on a tie or when the refit failed."""
-    for k, refit in zip(redo, refits):
-        if not isinstance(results[k], MleResult):
-            results[k] = refit
-        elif isinstance(refit, MleResult):
-            results[k] = max(results[k], refit, key=_rank)
+    A fit that passed the first-order test beats one that did not, whatever
+    their log-likelihoods, so a fit stopped a rounding error above the
+    optimum cannot displace a converged one.
+    """
+    results = [outcome for outcome in outcomes if isinstance(outcome, MleResult)]
+    return max(results, key=lambda r: (r.converged, r.loglik)) if results else outcomes[-1]
 
 
 def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
@@ -811,7 +810,7 @@ def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
     is the start's fit on spec's grid alone. A searched start's
     ``iterations`` count the accepted steps of both. A searched start whose
     polish fails or ends unconverged is then fit on spec's grid alone, and
-    ``_keep_better`` settles between the two.
+    its result is the better of the two by ``_best``, the polish on a tie.
     """
     ys = _observed(spec, len(starts)) if ys is None else np.asarray(ys, dtype=float)
     if spec.steps_per_day <= _SEARCH_STEPS_PER_DAY:
@@ -827,7 +826,8 @@ def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
     redo = [k for k in searched
             if not (isinstance(results[k], MleResult) and results[k].converged)]
     if redo:
-        _keep_better(results, redo, _fit_scoring(spec, [starts[k] for k in redo], ys[redo]))
+        for k, refit in zip(redo, _fit_scoring(spec, [starts[k] for k in redo], ys[redo])):
+            results[k] = _best([results[k], refit])
     return results
 
 
@@ -874,24 +874,40 @@ def _fit_rows(specs: list[LikelihoodSpec], starts: list[list[SirParams]]) -> lis
 
 
 def best_fit(fits: list[StartFit]) -> MleResult:
-    """The best result of ``fits`` by (converged, loglik); the earliest start wins a tie.
-
-    A start that passed the first-order test beats one that did not,
-    whatever their log-likelihoods, so a start stopped a rounding error above
-    the optimum cannot displace a converged one. Raises
-    OptimizationFailureError, with every start's failure, when all failed.
+    """The best result of ``fits`` by ``_best``: converged first, then
+    loglik, the earliest start on a tie. Raises OptimizationFailureError,
+    with every start's failure, when all failed.
     """
-    best = None
-    diagnostics = []
-    for idx, fit in enumerate(fits):
-        if fit.result is None:
-            diagnostics.append(f"start {idx} ({fit.start.beta:.4g}, {fit.start.gamma:.4g}): "
-                               f"{fit.error}")
-        elif best is None or _rank(fit.result) > _rank(best):
-            best = fit.result
+    best = _best([fit.result for fit in fits]) if fits else None
     if best is None:
-        raise OptimizationFailureError("all optimizer starts failed", diagnostics=diagnostics)
+        raise OptimizationFailureError("all optimizer starts failed", diagnostics=[
+            f"start {idx} ({fit.start.beta:.4g}, {fit.start.gamma:.4g}): {fit.error}"
+            for idx, fit in enumerate(fits) if fit.result is None])
     return best
+
+
+def _fit_specs(specs: list[LikelihoodSpec], starts: list[list[SirParams]],
+               n_starts: int) -> list:
+    """Per spec, every start's StartFit: those of its own ``starts[k]``, then,
+    where none of them converged, those of ``default_starts(specs[k], n_starts)``.
+
+    A guessed start can stall short of the spec's own optimum, as on the
+    delta -> 0 edge of uninformative data, so a spec whose own starts all
+    fail, end unconverged or are missing is fit again from its default
+    starts. Each round is one lockstep fit over its specs (``_fit_rows``),
+    which must differ in their observed rows alone. ``best_fit`` over a
+    spec's list chooses its fit; a spec with no starts thus gets exactly
+    ``fit_mle(specs[k], n_starts=n_starts)``'s outcome.
+    """
+    fits = _fit_rows(specs, starts)
+    redo = [k for k, own in enumerate(fits)
+            if not any(fit.result is not None and fit.result.converged for fit in own)]
+    if redo:
+        refits = _fit_rows([specs[k] for k in redo], [default_starts(specs[k], n_starts)
+                                                       for k in redo])
+        for k, more in zip(redo, refits):
+            fits[k] += more
+    return fits
 
 
 def fit_mle(spec: LikelihoodSpec, starts: list[SirParams] | None = None,
@@ -944,36 +960,6 @@ class MleEnsemble:
         return float(r.min()), float(r.max())
 
 
-def _best_or_error(fits: list[StartFit]):
-    """``best_fit(fits)``, or the OptimizationFailureError it raises."""
-    try:
-        return best_fit(fits)
-    except OptimizationFailureError as exc:
-        return exc
-
-
-def _best_fits(specs: list[LikelihoodSpec], starts: list[list[SirParams]],
-               n_starts: int) -> list:
-    """Per spec, the best fit from its own ``starts[k]``, falling back to
-    ``default_starts(specs[k], n_starts)``: its MleResult, or the
-    OptimizationFailureError of a spec that no start fits.
-
-    Every spec is fit from its own starts as the lanes of one lockstep fit
-    (``_fit_rows``). A spec whose best fit failed, ended unconverged or had
-    no start is fit again from its default starts, all of them as one more
-    lockstep fit, and ``_keep_better`` settles each pair: a guessed start
-    can stall short of the spec's own optimum, as on the delta -> 0 edge of
-    uninformative data. A spec with no starts thus gets exactly
-    ``fit_mle(specs[k], n_starts=n_starts)``'s outcome.
-    """
-    fits = [_best_or_error(own) for own in _fit_rows(specs, starts)]
-    redo = [k for k, fit in enumerate(fits) if not (isinstance(fit, MleResult) and fit.converged)]
-    if redo:
-        _keep_better(fits, redo, [_best_or_error(own) for own in _fit_rows(
-            [specs[k] for k in redo], [default_starts(specs[k], n_starts) for k in redo])])
-    return fits
-
-
 def _fit_replicates(job) -> list:
     """Each replicate of a block fit as ``mle_ensemble`` describes, as the lanes
     of one lockstep fit: per replicate, (its MleResult, None) or (None, the
@@ -981,8 +967,13 @@ def _fit_replicates(job) -> list:
     specs, pooled, n_starts = job
     warm = [[pooled] + (default_starts(spec, n_starts - 1) if n_starts > 1 else [])
             for spec in specs]
-    return [(fit, None) if isinstance(fit, MleResult) else (None, str(fit))
-            for fit in _best_fits(specs, warm, n_starts)]
+    outcomes = []
+    for fits in _fit_specs(specs, warm, n_starts):
+        try:
+            outcomes.append((best_fit(fits), None))
+        except OptimizationFailureError as exc:
+            outcomes.append((None, str(exc)))
+    return outcomes
 
 
 def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseModel,
@@ -1005,10 +996,11 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
     Every replicate then starts at the pooled optimum, about one Cramer-Rao
     sd from its own, plus ``n_starts - 1`` starts of its own
     ``default_starts``, so ``n_starts`` counts the starts of each replicate.
-    A replicate whose warm-started fit fails or ends unconverged is fit again
-    from its own ``default_starts(n_starts)`` and keeps the better result by
-    fit_mle's rule (converged first, then log-likelihood); the refits of a
-    block run as one more lockstep fit (``_best_fits``).
+    A replicate none of whose warm starts converged is fit again from its own
+    ``default_starts(n_starts)``, and its result is the best of all its
+    starts by fit_mle's rule (converged first, then log-likelihood, the
+    earliest start on a tie); the refits of a block run as one more lockstep
+    fit (``_fit_specs``).
 
     The pooled fit is paid once per study, and a replicate started near its
     own optimum needs fewer steps than from its default starts alone, so the

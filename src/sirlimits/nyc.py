@@ -11,7 +11,7 @@ Each p is fit from one start, the maximizer of the frozen-s closed form
 (``inference.closed_form_start``), and falls back to the default multi-start
 fit only when that start is missing or its fit fails or ends unconverged,
 by the rule that every guessed start of the package follows
-(``inference._best_fits``).
+(``inference._fit_specs``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.special import ndtri
 from ._csv import fmt, write_csv
 from .data import CaseData
 from .errors import InsufficientDataError, OptimizationFailureError
-from .inference import LikelihoodSpec, MleResult, _best_fits, closed_form_start
+from .inference import LikelihoodSpec, MleResult, _fit_specs, best_fit, closed_form_start
 from .simulate import NoiseModel, sigma_sequence
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, incidence, integrate_exact
 
@@ -59,11 +59,11 @@ def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
     A = p * beta / delta, so every p's start lies on one curve, delta and A
     fixed and r0 = A / (A - p), and the early-outbreak RK4 optimum lies close
     to it. Where there is no closed-form start, or its fit fails or ends
-    unconverged, the p is also fit from its default starts and the better
-    fit stays (``inference._best_fits``): the row is then what
-    ``fit_mle(spec, n_starts=n_starts)`` gives when the closed-form fit does
-    no better. ``n_starts`` sizes that fallback alone. Every p and
-    ``n_starts`` are checked before the first fit.
+    unconverged, the p is also fit from its default starts
+    (``inference._fit_specs``) and the row holds the best of every start's
+    fit (``best_fit``): what ``fit_mle(spec, n_starts=n_starts)`` gives when
+    the closed-form fit does no better. ``n_starts`` sizes that fallback
+    alone. Every p and ``n_starts`` are checked before the first fit.
     """
     specs = [nyc_likelihood_spec(data, float(p), steps_per_day) for p in p_values]
     if n_starts < 1:
@@ -71,9 +71,11 @@ def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
     rows: list[SweepRow] = []
     for spec in specs:
         start = closed_form_start(spec)
-        fit = _best_fits([spec], [[] if start is None else [start]], n_starts)[0]
-        rows.append(SweepRow(spec.p, fit) if isinstance(fit, MleResult)
-                    else SweepRow(spec.p, None, str(fit)))
+        [fits] = _fit_specs([spec], [[] if start is None else [start]], n_starts)
+        try:
+            rows.append(SweepRow(spec.p, best_fit(fits)))
+        except OptimizationFailureError as exc:
+            rows.append(SweepRow(spec.p, None, str(exc)))
     return rows
 
 

@@ -398,6 +398,28 @@ class TestMain:
         assert payload["error"] == error
         assert text in payload["message"]
 
+    def test_a_fit_whose_starts_all_fail_lists_why(self, tmp_path, capsys):
+        # a zero sd on day 6 leaves no start a likelihood to evaluate; the
+        # error JSON carries each start's reason, not the bare message alone
+        run_experiment(validate_config({
+            "experiment": "simulate", "params": PARAMS, "population": 10**7, "horizon": 60,
+            "noise": {"kind": "case3", "sigma": 5.0}, "p": 1.0, "T": 60, "seed": 1,
+        }), tmp_path / "sim")
+        sd = [2e4] * 60
+        sd[5] = 0.0
+        config = write_config(tmp_path, {
+            "experiment": "fit", "observations": str(tmp_path / "sim" / "observations.csv"),
+            "population": 10**7, "p": 1.0, "noise": {"kind": "known_sequence", "sigma_t": sd},
+            "n_starts": 3,
+        })
+        code = main(["fit", "--config", str(config), "--out", str(tmp_path / "fit")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == "OptimizationFailureError"
+        assert payload["message"] == "all optimizer starts failed"
+        assert len(payload["diagnostics"]) == 3
+        assert all("day 6" in reason for reason in payload["diagnostics"])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_one_replicate_ensemble_writes_strict_json(self, tmp_path):
         # one replicate has no gamma spread to regress on: the slope is null, not NaN

@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from sirlimits.data import NYC_POPULATION, CaseData, load_cases, load_nyc_fixture, nyc_fixture_path
+from sirlimits.data import NYC_POPULATION, CaseData, load_cases, load_nyc_fixture
 from sirlimits.errors import CaseDataError
 
 
@@ -22,25 +22,6 @@ class TestLoadCases:
         assert data.population == NYC_POPULATION
         # 14 observation intervals follow day zero
         assert len(data.counts[1:]) == 14
-
-    def test_date_range_restriction(self):
-        data = load_cases(
-            nyc_fixture_path(), 1000,
-            date_range=(dt.date(2020, 3, 1), dt.date(2020, 3, 5)),
-        )
-        assert len(data) == 5
-
-    def test_empty_range(self):
-        with pytest.raises(CaseDataError) as err:
-            load_cases(nyc_fixture_path(), 1000,
-                       date_range=(dt.date(2021, 1, 1), dt.date(2021, 1, 5)))
-        assert err.value.code == "empty-series"
-
-    def test_reversed_range(self):
-        with pytest.raises(CaseDataError) as err:
-            load_cases(nyc_fixture_path(), 1000,
-                       date_range=(dt.date(2020, 3, 5), dt.date(2020, 3, 1)))
-        assert err.value.code == "empty-series"
 
     def test_duplicate_date(self, tmp_path):
         path = write_csv(tmp_path / "dup.csv",
@@ -78,13 +59,6 @@ class TestLoadCases:
         with pytest.raises(CaseDataError) as err:
             load_cases(path, 1000)
         assert err.value.code == "malformed-csv"
-
-    def test_partial_range_coverage(self, tmp_path):
-        path = write_csv(tmp_path / "part.csv", ["2020-03-02,5", "2020-03-03,6"])
-        with pytest.raises(CaseDataError) as err:
-            load_cases(path, 1000,
-                       date_range=(dt.date(2020, 3, 1), dt.date(2020, 3, 3)))
-        assert err.value.code == "missing-date"
 
 
 def test_roundtrip_is_identity(tmp_path):

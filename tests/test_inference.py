@@ -25,7 +25,7 @@ from sirlimits.inference import (
     moment_start,
     write_ensemble_csv,
 )
-from sirlimits.nyc import nyc_likelihood_spec
+from sirlimits.nyc import nyc_likelihood_spec, reporting_rate_sweep
 from sirlimits.simulate import NoiseModel, ObservationSeries, observe, observe_batch, sigma_sequence
 from sirlimits.sir import InitialCondition, SirParams, incidence, integrate_exact
 from sirlimits.sir import integrate_linearized
@@ -893,7 +893,8 @@ class TestBestFits:
     @pytest.mark.parametrize("n_starts", [1, 3])
     def test_a_spec_without_starts_gets_the_default_start_fit(self, n_starts):
         specs = replicate_specs()[:2]
-        fits = inference._best_fits(specs, [[], [BASE]], n_starts)
+        fits = [inference.best_fit(own)
+                for own in inference._fit_specs(specs, [[], [BASE]], n_starts)]
         assert fits[0] == fit_mle(specs[0], n_starts=n_starts)
         assert fits[1] == fit_mle(specs[1], starts=[BASE]) and fits[1].converged
 
@@ -913,11 +914,49 @@ class TestBestFits:
         assert forced[1] == (fit_mle(specs[1], n_starts=2), None)
 
     def test_a_failed_refit_is_the_outcome(self, monkeypatch):
+        # the error lists every start of both rounds: the warm start, then
+        # the two default starts
         failing_fits(monkeypatch, lambda c, k: True)
-        [outcome] = inference._best_fits(replicate_specs()[:1], [[BASE]], 2)
-        assert isinstance(outcome, OptimizationFailureError)
-        assert len(outcome.diagnostics) == 2
-        assert all(d.endswith("forced failure 1") for d in outcome.diagnostics)
+        [fits] = inference._fit_specs(replicate_specs()[:1], [[BASE]], 2)
+        with pytest.raises(OptimizationFailureError) as info:
+            inference.best_fit(fits)
+        outcome = info.value
+        assert len(outcome.diagnostics) == 3
+        assert outcome.diagnostics[0].endswith("forced failure 0")
+        assert all(d.endswith("forced failure 1") for d in outcome.diagnostics[1:])
+
+
+class TestFitCost:
+    # lane-passes, one per lane of a sensitivity pass, by substeps per day:
+    # the work a fit path does, which no refactor of it may change
+
+    def test_nyc_pass_is_one_lane_per_batch(self, monkeypatch):
+        # each p is one fit of its closed-form start: a 10-substep search and
+        # a 50-substep polish, every batch of one lane
+        counts = counting_passes(monkeypatch)
+        batches = Counter()
+
+        def count_batches(steps_per_day, lanes):
+            batches[steps_per_day] += 1
+            return False
+
+        failing_lane(monkeypatch, count_batches)
+        reporting_rate_sweep(load_nyc_fixture(), [0.1, 0.25])
+        assert counts == {10: 26, 50: 4}
+        assert batches == counts
+
+    def test_ensemble_design_costs_less_than_its_default_start_fits(self, monkeypatch):
+        # the design of mle_ensemble's docstring
+        T = 120
+        noise = NoiseModel.known(np.full(T, math.sqrt(100 * 1e7)))
+        counts = counting_passes(monkeypatch)
+        mle_ensemble(BASE, INIT7, noise, p=1.0, T=T, replicates=4, seed=1,
+                     fit_steps_per_day=5, n_starts=2)
+        assert counts == {5: 134}
+        counts.clear()
+        for y in observe_batch(integrate_exact(BASE, INIT7, T), noise, 1.0, T, 1, 4):
+            fit_mle(LikelihoodSpec.from_values(y, 1.0, noise, INIT7, 5), n_starts=2)
+        assert counts == {5: 201}
 
 
 class TestEnsemble:
@@ -1022,7 +1061,7 @@ class TestEnsemble:
                           if n_starts > 1 else [pooled])
             if not fit.converged:
                 refits += 1
-                fit = max(fit, fit_mle(spec, n_starts=n_starts), key=inference._rank)
+                fit = inference._best([fit, fit_mle(spec, n_starts=n_starts)])
             alone.append(fit)
         assert (refits > 0) == refit
         assert ensemble.failures == []

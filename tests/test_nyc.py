@@ -153,7 +153,8 @@ class TestSweep:
         [row] = reporting_rate_sweep(data, [0.25], n_starts=3)
         closed, fallback = fits
         assert fallback == expected
-        # _keep_better: a converged fit wins, then the higher ll, the first on a tie
+        # best_fit over both fits' starts: a converged fit wins, then the
+        # higher ll, the closed-form fit on a tie
         assert row.fit == (fallback if fallback_converges or fallback.loglik > closed.loglik
                            else closed)
 
