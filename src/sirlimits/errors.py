@@ -60,6 +60,11 @@ class OptimizationFailureError(SirLimitsError):
         super().__init__(message)
         self.diagnostics = diagnostics or []
 
+    def detail(self) -> str:
+        """The message, then every diagnostic: what a failed table row or
+        replicate records."""
+        return f"{self}: {'; '.join(self.diagnostics)}" if self.diagnostics else str(self)
+
 
 class IndistinguishableHypothesesError(SirLimitsError):
     """Null and alternative produce identical observation distributions."""

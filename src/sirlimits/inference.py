@@ -11,7 +11,7 @@ parameters, c being the outflow from s that the sensitivity pass
 accumulates. It equals N*(s_{k-1} - s_k) in exact arithmetic, but with s near
 1 that difference carries a rounding floor of N*eps per count, which the
 optimizer would otherwise wander on. The variance v_k follows the noise
-model's law (``simulate.variance_law``) with i_k taken from the candidate
+model's law (``NoiseModel.variance``) with i_k taken from the candidate
 model's own trajectory; a model without sigma makes sigma a free parameter.
 
 Gradients come from forward sensitivities: d(s, i)/d(beta, gamma) is the
@@ -65,12 +65,10 @@ from ._csv import fmt, write_csv
 from .errors import (
     DegenerateParameterError,
     DegenerateVarianceError,
-    InsufficientDataError,
     IntegrationError,
     OptimizationFailureError,
 )
-from .simulate import NoiseModel, ObservationSeries, observe_batch
-from .simulate import check_variance, variance_law
+from .simulate import NoiseModel, ObservationSeries, check_variance, observe_batch
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _check_guard, _rk4
 from .sir import _STATE_GUARD, integrate_exact
 
@@ -208,10 +206,8 @@ class LikelihoodSpec:
     def __post_init__(self):
         if self.noise is None:
             object.__setattr__(self, "noise", self.obs.noise)
-        if self.noise.kind == "known_sequence" and len(self.noise.sigma_t) < self.T:
-            raise InsufficientDataError(
-                f"known_sequence provides {len(self.noise.sigma_t)} days, need {self.T}"
-            )
+        if self.noise.kind == "known_sequence":
+            self.noise.sd(self.T)  # raises unless the sequence covers every observed day
 
     @classmethod
     def from_values(cls, values, p: float, noise: NoiseModel, init: InitialCondition,
@@ -235,25 +231,25 @@ def _variance_terms(spec: LikelihoodSpec, sigmas, i, ib, ig):
     """Per-day variances v_k and their Jacobians J_v over (beta, gamma[, sigma]),
     one row per lane of the day-sampled i, ib and ig.
 
-    J_v is None for known_sequence noise; ``sigmas``, one per lane, are read
-    only when the noise leaves sigma free. The law takes every lane at once,
-    sigma being a (lanes, 1) column; it is made of elementwise products and
-    squares alone, so each row keeps the bits of its one-lane law.
+    Where v does not depend on i (``known_sequence`` and ``case1``), dv/di
+    is 0 and the (beta, gamma) rows of J_v are zeros, so fixed variance has
+    J_v = 0. ``sigmas``, one per lane, are read only when the noise leaves
+    sigma free. The law (``NoiseModel.variance``) takes every lane at once,
+    sigma being a (lanes, 1) column, and each row keeps the bits of its
+    one-lane law.
     """
     T = spec.T
     noise = spec.noise
-    if noise.kind == "known_sequence":
-        return np.tile(np.asarray(noise.sigma_t[:T], dtype=float) ** 2, (len(i), 1)), None
     free = noise.sigma_free
     if free and None in sigmas:
         raise ValueError(f"sigma is required: the {noise.kind} noise leaves it to inference")
     n, ik = spec.init.population, i[:, 1 : T + 1]
-    sigma = np.array(sigmas, dtype=float)[:, None] if free else noise.sigma
-    v, dv_di = variance_law(noise.kind, sigma, n, ik)
+    sigma = np.array(sigmas, dtype=float)[:, None] if free else None
+    v, dv_di = noise.variance(n, ik, sigma)
     rows = [dv_di * ib[:, 1 : T + 1], dv_di * ig[:, 1 : T + 1]]
     if free:
         # v = sigma^2 u, u being the law at sigma = 1: dv/dsigma = 2 v / sigma = 2 u sigma
-        rows.append(2.0 * variance_law(noise.kind, 1.0, n, ik)[0] * sigma)
+        rows.append(2.0 * noise.variance(n, ik, 1.0)[0] * sigma)
     return v, np.stack(rows, axis=1)
 
 
@@ -304,9 +300,9 @@ def _evaluate_passes(passes, sigmas, ys, spec: LikelihoodSpec) -> list:
     With mu = p*delta, r = y - mu, W = 1/v, J_mu the Jacobian of mu (zero in
     sigma) and J_v that of v, the gradient is J_mu'Wr + J_v'(r^2 W^2 - W) / 2
     and the information is J_mu'W J_mu + J_v'W^2 J_v / 2. Fixed variance has
-    no J_v. The lanes are stacked on a leading axis; stacked products and
-    sums over the last axis give each lane the bits of its one-lane
-    evaluation.
+    J_v = 0, whose terms are exact zeros, so the J_mu terms keep their bits.
+    The lanes are stacked on a leading axis; stacked products and sums over
+    the last axis give each lane the bits of its one-lane evaluation.
     """
     T = spec.T
     lanes = [k for k, states in enumerate(passes) if not isinstance(states, Exception)]
@@ -325,19 +321,15 @@ def _evaluate_passes(passes, sigmas, ys, spec: LikelihoodSpec) -> list:
         lanes = [k for k, ok in zip(lanes, positive) if ok]
         if not lanes:
             return outcomes
-        sb, sg, c, v = sb[positive], sg[positive], c[positive], v[positive]
-        jv = None if jv is None else jv[positive]
+        sb, sg, c, v, jv = sb[positive], sg[positive], c[positive], v[positive], jv[positive]
     r = _residuals(c, ys[lanes], spec)
     jac = (spec.p * spec.init.population) * np.stack((sb[:, :T] - sb[:, 1 : T + 1],
                                                       sg[:, :T] - sg[:, 1 : T + 1]), axis=1)
     wjac = jac / v[:, None]
-    grad, info = (wjac @ r[..., None])[..., 0], wjac @ jac.transpose(0, 2, 1)
-    if jv is not None:
-        mean_grad, mean_info = grad, info  # J_mu has a zero sigma column
-        grad = 0.5 * (jv @ ((r * r / v - 1.0) / v)[..., None])[..., 0]
-        info = 0.5 * ((jv / (v**2)[:, None]) @ jv.transpose(0, 2, 1))
-        grad[:, :2] += mean_grad
-        info[:, :2, :2] += mean_info
+    grad = 0.5 * (jv @ ((r * r / v - 1.0) / v)[..., None])[..., 0]
+    info = 0.5 * ((jv / (v**2)[:, None]) @ jv.transpose(0, 2, 1))
+    grad[:, :2] += (wjac @ r[..., None])[..., 0]  # J_mu has a zero sigma column
+    info[:, :2, :2] += wjac @ jac.transpose(0, 2, 1)
     ll = np.sum(-0.5 * r * r / v - 0.5 * np.log(2.0 * math.pi * v), axis=-1)
     wrss = (r[:, None, :] @ (r / v)[..., None])[:, 0, 0]
     logdet = np.sum(np.log(v), axis=-1)
@@ -362,7 +354,7 @@ def fisher_information(params: SirParams, sigma: float | None,
     """Expected information over (beta, gamma[, sigma]): the matrix fits step with.
 
     J = sum_k grad(mu_k) grad(mu_k)' / v_k + sum_k grad(v_k) grad(v_k)' / (2 v_k^2),
-    the second sum present only when v_k depends on the parameters. It does
+    the second sum zero when v_k does not depend on the parameters. It does
     not depend on the observed values.
     """
     return _evaluate(params, sigma, spec).info
@@ -409,7 +401,7 @@ def _profile_sigma_start(states, y, spec: LikelihoodSpec) -> float:
     """Closed-form sigma maximizer at the rates of the sensitivity pass
     ``states`` against the observed row y, used to seed starts:
     sigma^2 = mean(r^2 / u), u being the variance law at sigma = 1."""
-    u, _ = variance_law(spec.noise.kind, 1.0, spec.init.population, states[1][1 : spec.T + 1])
+    u, _ = spec.noise.variance(spec.init.population, states[1][1 : spec.T + 1], 1.0)
     if np.any(u <= 0.0):
         return 1.0
     r = _residuals(states[6], y, spec)
@@ -456,10 +448,7 @@ def _frozen_profile(spec: LikelihoodSpec, log_delta):
     delta = np.exp(np.asarray(log_delta, dtype=float))[..., None]
     i = spec.init.i0 * np.exp(delta * np.arange(1.0, T + 1.0))
     m = n * i * -np.expm1(-delta)
-    if noise.kind == "known_sequence":
-        u = np.asarray(noise.sigma_t[:T], dtype=float) ** 2
-    else:
-        u = variance_law(noise.kind, 1.0 if noise.sigma_free else noise.sigma, n, i)[0]
+    u, _ = noise.variance(n, i, 1.0 if noise.sigma_free else None)
     y = np.asarray(spec.obs.values, dtype=float)
     amp = np.sum(m * y / u, axis=-1) / np.sum(m * m / u, axis=-1)
     q = np.sum((y - amp[..., None] * m) ** 2 / u, axis=-1)
@@ -962,8 +951,8 @@ class MleEnsemble:
 
 def _fit_replicates(job) -> list:
     """Each replicate of a block fit as ``mle_ensemble`` describes, as the lanes
-    of one lockstep fit: per replicate, (its MleResult, None) or (None, the
-    message of its failure), in the order of the block."""
+    of one lockstep fit: per replicate, (its MleResult, None) or (None, its
+    failure's message and every start's reason), in the order of the block."""
     specs, pooled, n_starts = job
     warm = [[pooled] + (default_starts(spec, n_starts - 1) if n_starts > 1 else [])
             for spec in specs]
@@ -972,7 +961,7 @@ def _fit_replicates(job) -> list:
         try:
             outcomes.append((best_fit(fits), None))
         except OptimizationFailureError as exc:
-            outcomes.append((None, str(exc)))
+            outcomes.append((None, exc.detail()))
     return outcomes
 
 

@@ -43,7 +43,7 @@ def nyc_likelihood_spec(data: CaseData, p: float,
 @dataclass(frozen=True)
 class SweepRow:
     """One reporting rate's fit: its MleResult, or None and the ``error`` that
-    prevented it."""
+    prevented it, with every start's reason when all of them failed."""
 
     p: float
     fit: MleResult | None
@@ -75,7 +75,7 @@ def reporting_rate_sweep(data: CaseData, p_values, n_starts: int = 8,
         try:
             rows.append(SweepRow(spec.p, best_fit(fits)))
         except OptimizationFailureError as exc:
-            rows.append(SweepRow(spec.p, None, str(exc)))
+            rows.append(SweepRow(spec.p, None, exc.detail()))
     return rows
 
 
@@ -104,7 +104,7 @@ def fitted_band(data: CaseData, fit: MleResult, p: float, level: float = 0.95,
     traj = integrate_exact(fit.params(), InitialCondition.from_population(n), T, steps_per_day)
     mean = p * incidence(traj)
     z = ndtri(0.5 * (1.0 + level))
-    half = z * sigma_sequence(NoiseModel(kind="case3", sigma=fit.sigma_hat), traj)
+    half = z * sigma_sequence(NoiseModel(kind="case3", sigma=fit.sigma_hat), traj, T)
     return FittedBand(
         days=np.arange(1.0, T + 1.0),
         mean=mean,

@@ -46,20 +46,48 @@ class NoiseModel:
         if self.kind == "known_sequence":
             if self.sigma_t is None:
                 raise ValueError("known_sequence noise needs an explicit sigma_t array")
-            arr = np.asarray(self.sigma_t, dtype=float)
-            if np.any(arr < 0.0):
-                raise ValueError("known_sequence standard deviations must be >= 0")
+            arr = np.array(self.sigma_t, dtype=float)  # a copy, so the checks below keep holding
+            if not np.all((arr >= 0.0) & (arr < np.inf)):
+                raise ValueError("known_sequence standard deviations must be finite and >= 0")
+            arr.setflags(write=False)
             object.__setattr__(self, "sigma_t", arr)
         elif self.kind == "case1":
             if self.sigma is not None and not 0.0 < self.sigma < 1.0:
                 raise ValueError(f"case1 needs sigma in (0, 1), got {self.sigma}")
-        elif self.sigma is not None and not self.sigma > 0.0:
-            raise ValueError(f"{self.kind} needs sigma > 0, got {self.sigma}")
+        elif self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"{self.kind} needs a finite sigma > 0, got {self.sigma}")
 
     @property
     def sigma_free(self) -> bool:
         """Whether sigma is left to inference: a case1, case2 or case3 model without sigma."""
         return self.kind != "known_sequence" and self.sigma is None
+
+    def variance(self, n: int, i, sigma=None):
+        """Per-day variance v and dv/di over the days of i, its last axis, for
+        population n and infected fractions i.
+
+        ``sigma`` defaults to the model's own and may be a (lanes, 1) column
+        against (lanes, days) rows of i: every operation is an elementwise
+        product or square, so each row has the bits of its one-lane law. A
+        known sequence gives its sds squared, broadcast to i's shape, and
+        dv/di = 0.
+        """
+        if self.kind == "known_sequence":
+            return np.broadcast_to(self.sd(np.shape(i)[-1]) ** 2, np.shape(i)), 0.0
+        if sigma is None:
+            sigma = self.sigma
+        if self.kind == "case1":
+            return np.full(np.shape(i), (n * sigma) ** 2), 0.0
+        if self.kind == "case2":
+            return (n * sigma * i) ** 2, 2.0 * (n * sigma) ** 2 * i
+        return n * i * sigma**2, n * sigma**2
+
+    def sd(self, T: int) -> np.ndarray:
+        """A known sequence's first T standard deviations; InsufficientDataError
+        when it has fewer."""
+        if len(self.sigma_t) < T:
+            raise InsufficientDataError(f"known_sequence provides {len(self.sigma_t)} days, need {T}")
+        return self.sigma_t[:T]
 
     @classmethod
     def known(cls, sigma_t) -> "NoiseModel":
@@ -72,22 +100,6 @@ class NoiseModel:
     @classmethod
     def case2(cls, sigma: float) -> "NoiseModel":
         return cls(kind="case2", sigma=float(sigma))
-
-
-def variance_law(kind: str, sigma, n: int, i):
-    """Per-day variance v of a case1, case2 or case3 law at scale sigma, and
-    dv/di, for population n and infected fractions i.
-
-    sigma may be a (lanes, 1) column against (lanes, days) rows of i: every
-    operation is an elementwise product or square, so each row has the bits
-    of its one-lane law."""
-    if kind == "case1":
-        return np.full(np.shape(i), (n * sigma) ** 2), 0.0
-    if kind == "case2":
-        return (n * sigma * i) ** 2, 2.0 * (n * sigma) ** 2 * i
-    if kind == "case3":
-        return n * i * sigma**2, n * sigma**2
-    raise ValueError(f"{kind} noise has no variance law")
 
 
 def check_reporting_rate(p: float) -> None:
@@ -103,27 +115,22 @@ def check_variance(v) -> None:
         raise DegenerateVarianceError(f"variance must be positive; day {bad} has v = {v[bad - 1]}")
 
 
-def sigma_sequence(noise: NoiseModel, traj: Trajectory, T: int | None = None) -> np.ndarray:
-    """Per-day standard deviations sigma_1..sigma_T for the given trajectory.
+def sigma_sequence(noise: NoiseModel, traj: Trajectory, T: int) -> np.ndarray:
+    """Per-day standard deviations sigma_1..sigma_T for the given trajectory:
+    a known sequence's own first T sds, else the square root of the noise
+    model's variance (``NoiseModel.variance``) along the trajectory.
 
     Raises InsufficientDataError unless 1 <= T <= the trajectory's horizon:
     the one check of T that ``observe`` and ``observe_batch`` rely on.
     """
     horizon = traj.horizon
-    if T is None:
-        T = horizon
     if T < 1 or T > horizon:
         raise InsufficientDataError(f"T must lie in [1, {horizon}], got {T}")
-    n = traj.init.population
     if noise.kind == "known_sequence":
-        if len(noise.sigma_t) < T:
-            raise InsufficientDataError(
-                f"known_sequence provides {len(noise.sigma_t)} days, need {T}"
-            )
-        return np.asarray(noise.sigma_t[:T], dtype=float)
+        return noise.sd(T)
     if noise.sigma is None:
         raise DegenerateVarianceError(f"{noise.kind} noise has no sigma; it was left to inference")
-    v, _ = variance_law(noise.kind, noise.sigma, n, traj.i[1 : T + 1])
+    v, _ = noise.variance(traj.init.population, traj.i[1 : T + 1])
     check_variance(v)
     return np.sqrt(v)
 

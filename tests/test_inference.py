@@ -345,6 +345,26 @@ class TestFisherInformation:
         assert np.any(np.abs(mean_part - mean) > 5.0 * stderr)
 
 
+class TestFixedVariance:
+    # known_sequence noise, and case1 with sigma given, have J_v = 0: the
+    # gradient and information are J_mu'V^-1 r and J_mu'V^-1 J_mu alone
+    @pytest.mark.parametrize("noise", [NoiseModel.known(np.full(40, 2e4)), NoiseModel.case1(2e-3)],
+                             ids=["known", "case1"])
+    def test_gradient_and_information_are_the_mean_terms(self, noise):
+        T, p, steps_per_day = 40, 0.8, 10
+        obs = make_obs(BASE, INIT7, noise, p, T, seed=3)
+        spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
+        params = SirParams(0.25, 0.1)
+        _, _, sb, _, sg, _, c = integrate_with_sensitivities(params, INIT7, T, steps_per_day)
+        jac = p * 10**7 * np.stack([sb[:T] - sb[1:], sg[:T] - sg[1:]])
+        r = obs.values - p * 10**7 * np.diff(c)
+        v = np.full(T, 2e4**2)
+        np.testing.assert_allclose(log_likelihood_gradient(params, None, spec), jac @ (r / v),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(fisher_information(params, None, spec), (jac / v) @ jac.T,
+                                   rtol=1e-12)
+
+
 class TestLikelihoodSpec:
     def test_known_sequence_shorter_than_observations_rejected(self):
         noise = NoiseModel.known(np.full(40, 3e4))
@@ -924,6 +944,23 @@ class TestBestFits:
         assert len(outcome.diagnostics) == 3
         assert outcome.diagnostics[0].endswith("forced failure 0")
         assert all(d.endswith("forced failure 1") for d in outcome.diagnostics[1:])
+
+    def test_a_failed_replicate_keeps_every_start_reason(self, monkeypatch):
+        # every start of every replicate fails in both rounds: the warm start
+        # (call 1) and the default start (call 2); call 0 is the pooled fit
+        monkeypatch.setattr(inference, "_MAX_FAILURE_FRACTION", 0.0)
+        failing_fits(monkeypatch, lambda c, k: c >= 1)
+        noise = NoiseModel.known(np.full(30, 3e4))
+        with pytest.raises(OptimizationFailureError, match="3 of 3") as info:
+            mle_ensemble(BASE, INIT7, noise, p=1.0, T=30, replicates=3, seed=13,
+                         fit_steps_per_day=5, n_starts=1)
+        assert len(info.value.diagnostics) == 3
+        for r, diagnostic in enumerate(info.value.diagnostics):
+            head, reasons = diagnostic.split(": all optimizer starts failed: ")
+            assert head == f"replicate {r}"
+            reasons = [reason.split(": ") for reason in reasons.split("; ")]
+            assert [(start.split(" (")[0], why) for start, why in reasons] == [
+                ("start 0", "forced failure 1"), ("start 1", "forced failure 2")]
 
 
 class TestFitCost:

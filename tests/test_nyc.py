@@ -190,6 +190,30 @@ class TestSweep:
                                             fmt(rows[0].fit.sigma_hat), fmt(rows[0].fit.r0_hat),
                                             fmt(rows[0].fit.loglik), "1"]
 
+    def test_a_failed_row_keeps_every_start_reason(self, data, monkeypatch, tmp_path):
+        # the closed-form start fails (call 0), then both default starts (call 1)
+        fit_rows = inference._fit_rows
+
+        def forced(specs, starts):
+            c = len(calls)
+            calls.append(starts)
+            return [[fit._replace(result=None, error=f"forced failure {c}") for fit in own]
+                    for own in fit_rows(specs, starts)]
+
+        calls = []
+        monkeypatch.setattr(inference, "_fit_rows", forced)
+        [row] = reporting_rate_sweep(data, [0.25], n_starts=2)
+        [[[closed]], [defaults]] = calls
+        assert row.fit is None
+        assert row.error == "all optimizer starts failed: " + "; ".join(
+            f"start {idx} ({start.beta:.4g}, {start.gamma:.4g}): forced failure {c}"
+            for idx, (c, start) in enumerate([(0, closed)] + [(1, start) for start in defaults]))
+        # the starts' "(beta, gamma)" carry the commas
+        path = tmp_path / "table.csv"
+        write_nyc_table_csv([row], path)
+        cell = path.read_text().splitlines()[1].split(",")[7]
+        assert cell == row.error.replace(",", ";")
+
     def test_table_csv_failed_row(self, tmp_path):
         # a failed fit leaves every fit cell empty and converged 0; its error
         # keeps to one cell of one line

@@ -40,13 +40,36 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel.known([1.0, -2.0])
 
+    @pytest.mark.parametrize("build", [
+        lambda: NoiseModel.known([3e4] * 29 + [math.nan]),
+        lambda: NoiseModel.known([3e4] * 29 + [math.inf]),
+        lambda: NoiseModel.case2(math.inf),
+        lambda: NoiseModel(kind="case3", sigma=math.inf),
+        lambda: NoiseModel(kind="case3", sigma=math.nan),
+    ], ids=["known-nan", "known-inf", "case2-inf", "case3-inf", "case3-nan"])
+    def test_rejects_non_finite_scales(self, build):
+        # a NaN or inf sd used to build and then draw NaN or inf observations,
+        # and an inf sigma failed only when a variance was formed
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+    def test_known_sds_are_the_models_own(self):
+        # the model keeps a read-only copy: the caller's array used to be the
+        # model's, so a NaN written into it later reached every draw
+        sd = np.full(30, 3e4)
+        noise = NoiseModel.known(sd)
+        sd[29] = math.nan
+        assert np.all(np.isfinite(noise.sigma_t))
+        with pytest.raises(ValueError):
+            noise.sigma_t[0] = math.nan
+
     def test_case1_constant_sequence(self, traj):
         sig = sigma_sequence(NoiseModel.case1(0.3), traj, T=10)
         np.testing.assert_array_equal(sig, np.full(10, 3e6))
 
     def test_known_sequence_scale(self, traj):
         # variance 100 * N corresponds to sigma ~= 31622.8 per day
-        sig = sigma_sequence(NoiseModel.known(np.full(80, math.sqrt(100 * 1e7))), traj)
+        sig = sigma_sequence(NoiseModel.known(np.full(80, math.sqrt(100 * 1e7))), traj, T=80)
         assert sig[0] == pytest.approx(31622.776601683792, rel=1e-12)
 
     def test_case2_tracks_infections(self, traj):
@@ -75,6 +98,59 @@ class TestNoiseModel:
     def test_without_sigma_is_inference_only(self, traj, kind):
         with pytest.raises(DegenerateVarianceError):
             sigma_sequence(NoiseModel(kind=kind, sigma=None), traj, T=5)
+
+
+class TestVariance:
+    # NoiseModel.variance, the one law that the simulator, the likelihood
+    # and the closed-form start read, against each kind written out
+    N = 10**7
+    I = np.array([[1e-6, 2e-6, 5e-6, 1e-5], [3e-5, 1e-4, 3e-4, 1e-3]])
+
+    @staticmethod
+    def written_out(kind, n, sigma, i):
+        return {"case1": (np.full(i.shape, n * n * sigma * sigma), np.zeros(i.shape)),
+                "case2": (n * n * sigma * sigma * i * i, 2.0 * n * n * sigma * sigma * i),
+                "case3": (n * sigma * sigma * i, np.full(i.shape, n * sigma * sigma))}[kind]
+
+    @pytest.mark.parametrize("kind", ["case1", "case2", "case3"])
+    def test_each_kind_at_its_own_sigma(self, kind):
+        v, dv = NoiseModel(kind=kind, sigma=0.3).variance(self.N, self.I)
+        expected_v, expected_dv = self.written_out(kind, self.N, 0.3, self.I)
+        np.testing.assert_allclose(v, expected_v, rtol=1e-15)
+        np.testing.assert_allclose(np.broadcast_to(dv, self.I.shape), expected_dv, rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["case1", "case2", "case3"])
+    def test_a_sigma_column_gives_each_row_its_one_lane_bits(self, kind):
+        noise = NoiseModel(kind=kind, sigma=None)
+        column = np.array([[0.1], [0.7]])
+        v, dv = noise.variance(self.N, self.I, column)
+        for row, (sigma,) in enumerate(column):
+            expected_v, expected_dv = self.written_out(kind, self.N, sigma, self.I[row])
+            np.testing.assert_allclose(v[row], expected_v, rtol=1e-15)
+            np.testing.assert_allclose(np.broadcast_to(dv, self.I.shape)[row], expected_dv,
+                                       rtol=1e-15)
+            one_v, one_dv = noise.variance(self.N, self.I[row], sigma)
+            assert v[row].tobytes() == one_v.tobytes()
+            assert np.array_equal(np.broadcast_to(dv, self.I.shape)[row],
+                                  np.broadcast_to(one_dv, self.I[row].shape))
+
+    def test_known_sequence_is_its_sds_squared(self):
+        noise = NoiseModel.known([1.0, 2.0, 3.0, 4.0, 5.0])
+        v, dv = noise.variance(self.N, self.I)
+        np.testing.assert_array_equal(v, np.tile([1.0, 4.0, 9.0, 16.0], (2, 1)))
+        assert dv == 0.0
+        np.testing.assert_array_equal(noise.sd(4), [1.0, 2.0, 3.0, 4.0])
+
+    def test_a_short_known_sequence_is_one_error(self, traj):
+        # the simulator, the likelihood spec and the law share one check
+        noise = NoiseModel.known(np.full(30, 3e4))
+        message = "known_sequence provides 30 days, need 40"
+        with pytest.raises(InsufficientDataError, match=message):
+            noise.sd(40)
+        with pytest.raises(InsufficientDataError, match=message):
+            noise.variance(self.N, np.full(40, 1e-6))
+        with pytest.raises(InsufficientDataError, match=message):
+            sigma_sequence(noise, traj, T=40)
 
 
 class TestObserve:
