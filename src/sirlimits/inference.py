@@ -38,8 +38,8 @@ in one batched sensitivity pass, and each start keeps its own damping,
 accept/reject, bounds, stopping rule and failure, so its result is the one
 it reaches fit alone. Above 10 substeps per day the starts are fit in two
 levels (``_fit_start``): the walk along the ridge runs on a 10-substep grid
-and a few passes on the requested grid polish its optimum; a start whose
-walk fails is polished from where it started. Each lane
+and a few passes on the requested grid polish its optimum; a start that
+does not converge that way is also fit on the requested grid alone. Each lane
 carries its own observed row, so a replicate study (``mle_ensemble``) fits
 each worker's block of replicates as the lanes of one lockstep fit, every
 replicate started at the optimum of their pooled series. A fit from such a
@@ -70,7 +70,7 @@ from .errors import (
 )
 from .simulate import NoiseModel, ObservationSeries, check_variance, observe_batch
 from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _check_guard, _rk4
-from .sir import _STATE_GUARD, integrate_exact
+from .sir import _STATE_GUARD, _day_grid, integrate_exact
 
 _MAX_ITERATIONS = 500  # cap on Levenberg-Marquardt trials
 _FIRST_ORDER_TOL = 1e-6  # converged: |projected gradient| <= this * max(1, |ll|)
@@ -195,7 +195,8 @@ class LikelihoodSpec:
 
     ``noise`` defaults to the observation series' own model. A case1, case2
     or case3 model without sigma (``noise.sigma_free``) makes the scale sigma
-    a free parameter of the likelihood.
+    a free parameter of the likelihood. The day grid (T days at
+    ``steps_per_day``) is checked as every integration checks it (``sir._day_grid``).
     """
 
     obs: ObservationSeries
@@ -206,6 +207,7 @@ class LikelihoodSpec:
     def __post_init__(self):
         if self.noise is None:
             object.__setattr__(self, "noise", self.obs.noise)
+        _day_grid(self.T, self.steps_per_day)
         if self.noise.kind == "known_sequence":
             self.noise.sd(self.T)  # raises unless the sequence covers every observed day
 
@@ -657,21 +659,21 @@ def _scoring_steps(lanes: list[_Lane], grad, info, free):
     return np.where(free, sol, 0.0), np.array(stop) | ~solved
 
 
-def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
+def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams], ys) -> list:
     """Levenberg-Marquardt Fisher scoring in x = (log delta, log gamma[, log sigma]),
     every start a lane of one lockstep fit.
 
-    Start k fits the observed row ``ys[k]``, spec's own row for every start
-    when ``ys`` is None; the lanes share everything else of spec. It fits on
-    spec's substep grid alone and returns, per start, its MleResult or the
-    OptimizationFailureError of a start that cannot be evaluated;
-    ``_fit_start`` runs it once, or as its search and polish phases above
-    _SEARCH_STEPS_PER_DAY. Each iteration evaluates the trial steps of all
-    active lanes in one batch (``_sensitivity_passes``, ``_evaluate_passes``,
-    ``_iterates``), whose lanes keep the bits of one-lane evaluations. Every
-    lane keeps its own damping, growth, scale, accept/reject, bounds,
-    stopping rule and failure, and leaves the batch when it stops, so a
-    start's result does not depend on the other lanes.
+    Start k fits the observed row ``ys[k]`` of the array ``ys``; the lanes
+    share everything else of spec. It fits on spec's substep grid alone and
+    returns, per start, its MleResult or the OptimizationFailureError of a
+    start that cannot be evaluated; ``_fit_start`` runs it once, or as its
+    search, polish and fallback phases above _SEARCH_STEPS_PER_DAY. Each
+    iteration evaluates the trial steps of all active lanes in one batch
+    (``_sensitivity_passes``, ``_evaluate_passes``, ``_iterates``), whose
+    lanes keep the bits of one-lane evaluations. Every lane keeps its own
+    damping, growth, scale, accept/reject, bounds, stopping rule and
+    failure, and leaves the batch when it stops, so a start's result does
+    not depend on the other lanes.
 
     The data pin down the growth rate delta = beta - gamma and leave gamma
     on a flat slope-one ridge. In these coordinates the ridge runs along the
@@ -707,7 +709,6 @@ def _fit_scoring(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list
     """
     lo, hi = _LOG_BOUNDS
     infer_sigma = spec.noise.sigma_free
-    ys = _observed(spec, len(starts)) if ys is None else np.asarray(ys, dtype=float)
     xs = np.clip([[math.log(start.delta()), math.log(start.gamma)] for start in starts], lo, hi)
     passes = _sensitivity_passes(_rates_at(xs), spec.init, spec.T, spec.steps_per_day)
     if infer_sigma:
@@ -785,7 +786,13 @@ def _best(outcomes: list):
     return max(results, key=lambda r: (r.converged, r.loglik)) if results else outcomes[-1]
 
 
-def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
+def _converged(outcome) -> bool:
+    """Whether a fit's outcome is an MleResult that passed the first-order
+    test: the one rule by which a fit falls back (``_fit_start``, ``_fit_specs``)."""
+    return isinstance(outcome, MleResult) and outcome.converged
+
+
+def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys) -> list:
     """Every start's fit on spec's grid, searched on the _SEARCH_STEPS_PER_DAY
     grid: per start, its MleResult or the OptimizationFailureError it ended in.
     Start k fits the observed row ``ys[k]`` as ``_fit_scoring`` does.
@@ -793,27 +800,25 @@ def _fit_start(spec: LikelihoodSpec, starts: list[SirParams], ys=None) -> list:
     A fit at no more substeps than that is one lockstep ``_fit_scoring``. A
     finer one runs each start in two levels, as lockstep phases over the
     starts: the search fits every start on the coarse grid, and the polish
-    fits every start on spec's grid, with the same stopping rule, so a
-    result is always an optimum of spec's grid. The polish starts from the
-    search optimum, or from the start itself where the search failed, which
-    is the start's fit on spec's grid alone. A searched start's
-    ``iterations`` count the accepted steps of both. A searched start whose
-    polish fails or ends unconverged is then fit on spec's grid alone, and
-    its result is the better of the two by ``_best``, the polish on a tie.
+    fits every searched start on spec's grid from its search optimum, with
+    the same stopping rule, so a result is always an optimum of spec's grid.
+    A polished start's ``iterations`` count the accepted steps of both. The
+    fallback then fits every start that did not converge (``_converged``:
+    its search or polish failed, or its polish ended unconverged) on spec's
+    grid from the start itself, and its result is the better of the two by
+    ``_best``, the polish on a tie. After a failed search that is the
+    full-grid fit, or that fit's own error.
     """
-    ys = _observed(spec, len(starts)) if ys is None else np.asarray(ys, dtype=float)
     if spec.steps_per_day <= _SEARCH_STEPS_PER_DAY:
         return _fit_scoring(spec, starts, ys)
-    searches = _fit_scoring(replace(spec, steps_per_day=_SEARCH_STEPS_PER_DAY), starts, ys)
-    searched = [k for k, search in enumerate(searches) if isinstance(search, MleResult)]
-    results = _fit_scoring(spec, [search.params() if isinstance(search, MleResult) else start
-                                  for start, search in zip(starts, searches)], ys)
-    for k in searched:
-        if isinstance(results[k], MleResult):
-            results[k] = replace(results[k],
-                                 iterations=searches[k].iterations + results[k].iterations)
-    redo = [k for k in searched
-            if not (isinstance(results[k], MleResult) and results[k].converged)]
+    results = _fit_scoring(replace(spec, steps_per_day=_SEARCH_STEPS_PER_DAY), starts, ys)
+    searched = [k for k, search in enumerate(results) if isinstance(search, MleResult)]
+    if searched:
+        polishes = _fit_scoring(spec, [results[k].params() for k in searched], ys[searched])
+        for k, polish in zip(searched, polishes):
+            results[k] = (replace(polish, iterations=results[k].iterations + polish.iterations)
+                          if isinstance(polish, MleResult) else polish)
+    redo = [k for k, result in enumerate(results) if not _converged(result)]
     if redo:
         for k, refit in zip(redo, _fit_scoring(spec, [starts[k] for k in redo], ys[redo])):
             results[k] = _best([results[k], refit])
@@ -878,7 +883,8 @@ def best_fit(fits: list[StartFit]) -> MleResult:
 def _fit_specs(specs: list[LikelihoodSpec], starts: list[list[SirParams]],
                n_starts: int) -> list:
     """Per spec, every start's StartFit: those of its own ``starts[k]``, then,
-    where none of them converged, those of ``default_starts(specs[k], n_starts)``.
+    where none of them converged (``_converged``, the rule ``_fit_start``
+    falls back by), those of ``default_starts(specs[k], n_starts)``.
 
     A guessed start can stall short of the spec's own optimum, as on the
     delta -> 0 edge of uninformative data, so a spec whose own starts all
@@ -889,8 +895,7 @@ def _fit_specs(specs: list[LikelihoodSpec], starts: list[list[SirParams]],
     ``fit_mle(specs[k], n_starts=n_starts)``'s outcome.
     """
     fits = _fit_rows(specs, starts)
-    redo = [k for k, own in enumerate(fits)
-            if not any(fit.result is not None and fit.result.converged for fit in own)]
+    redo = [k for k, own in enumerate(fits) if not any(_converged(fit.result) for fit in own)]
     if redo:
         refits = _fit_rows([specs[k] for k in redo], [default_starts(specs[k], n_starts)
                                                        for k in redo])

@@ -191,15 +191,12 @@ def _approx_weights(spec: TestSpec, days: np.ndarray) -> tuple[np.ndarray, float
     noise = spec.noise
     delta = spec.null_params.delta()
     if noise.kind == "known_sequence":
-        sigma = np.asarray(noise.sigma_t[: spec.T], dtype=float)
-        return np.exp(2.0 * delta * days) / sigma**2, spec.p * n * spec.init.i0
+        return np.exp(2.0 * delta * days) / noise.sd(spec.T) ** 2, spec.p * n * spec.init.i0
     if noise.kind == "case1":
         return np.exp(2.0 * delta * days), spec.p * spec.init.i0 / noise.sigma
     if noise.kind == "case2":
         return np.ones_like(days), spec.p / noise.sigma
-    if noise.kind == "case3":
-        return np.exp(delta * days), spec.p * math.sqrt(n * spec.init.i0) / noise.sigma
-    raise ValueError(f"no closed form for {noise.kind} noise")
+    return np.exp(delta * days), spec.p * math.sqrt(n * spec.init.i0) / noise.sigma
 
 
 def _approx_bracket(spec: TestSpec, days: np.ndarray, variant: str) -> np.ndarray:

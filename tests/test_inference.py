@@ -10,6 +10,7 @@ from sirlimits import inference
 from sirlimits.data import load_nyc_fixture
 from sirlimits.errors import (
     DegenerateParameterError,
+    DegenerateVarianceError,
     InsufficientDataError,
     IntegrationError,
     OptimizationFailureError,
@@ -388,6 +389,20 @@ class TestLikelihoodSpec:
                          replicates=3, seed=1, fit_steps_per_day=5, n_starts=1)
 
 
+    @pytest.mark.parametrize("steps_per_day", [0, -1])
+    def test_day_grid_without_substeps_rejected(self, steps_per_day):
+        # both used to build, then fail in the first evaluation with a
+        # ZeroDivisionError or an islice() error
+        noise = NoiseModel.known(np.full(40, 3e4))
+        obs = make_obs(BASE, INIT7, noise, 1.0, 40, seed=4)
+        message = f"steps_per_day must be >= 1, got {steps_per_day}"
+        with pytest.raises(ValueError, match=message):
+            LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
+        with pytest.raises(ValueError, match=message):
+            mle_ensemble(BASE, INIT7, noise, p=1.0, T=40, replicates=2, seed=1,
+                         fit_steps_per_day=steps_per_day, n_starts=1)
+
+
 class TestFit:
     def test_recovers_truth_from_noiseless_data(self):
         sig = np.full(60, 1e3)
@@ -698,6 +713,11 @@ def counting_passes(monkeypatch):
     return counts
 
 
+def rows(spec, starts):
+    """spec's own observed row for each of ``starts``, the rows a fit of them reads."""
+    return inference._observed(spec, len(starts))
+
+
 def failing_lane(monkeypatch, fails, lane=0):
     """Make lane ``lane`` of a batched pass raise IntegrationError whenever
     ``fails(steps_per_day, lanes)`` is true, from now on."""
@@ -721,7 +741,7 @@ class TestTwoLevelFit:
         spec = LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
         start = moment_start(obs)
         counts = counting_passes(monkeypatch)
-        [single] = inference._fit_scoring(spec, [start])
+        [single] = inference._fit_scoring(spec, [start], rows(spec, [start]))
         passes = counts[steps_per_day]
         assert fit_mle(spec, starts=[start]) == single
         assert counts == {steps_per_day: 2 * passes}
@@ -733,7 +753,7 @@ class TestTwoLevelFit:
         spec = nyc_likelihood_spec(load_nyc_fixture(), p)
         assert spec.steps_per_day == 50
         for start in inference.default_starts(spec):
-            [single] = inference._fit_scoring(spec, [start])
+            [single] = inference._fit_scoring(spec, [start], rows(spec, [start]))
             counts = counting_passes(monkeypatch)
             fit = fit_mle(spec, starts=[start])
             monkeypatch.undo()
@@ -745,8 +765,9 @@ class TestTwoLevelFit:
     def test_iterations_count_the_search_and_the_polish(self):
         spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
         start = inference.default_starts(spec)[-1]
-        [search] = inference._fit_scoring(replace(spec, steps_per_day=10), [start])
-        [polish] = inference._fit_scoring(spec, [search.params()])
+        coarse = replace(spec, steps_per_day=10)
+        [search] = inference._fit_scoring(coarse, [start], rows(spec, [start]))
+        [polish] = inference._fit_scoring(spec, [search.params()], rows(spec, [start]))
         fit = fit_mle(spec, starts=[start])
         assert (fit.beta_hat, fit.gamma_hat, fit.loglik) == (
             polish.beta_hat, polish.gamma_hat, polish.loglik)
@@ -756,18 +777,18 @@ class TestTwoLevelFit:
     def test_failed_search_falls_back_to_the_full_grid(self, monkeypatch):
         spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
         start = inference.default_starts(spec)[0]
-        [single] = inference._fit_scoring(spec, [start])
+        [single] = inference._fit_scoring(spec, [start], rows(spec, [start]))
         failing_lane(monkeypatch, lambda steps_per_day, lanes: steps_per_day == 10)
         assert fit_mle(spec, starts=[start]) == single
 
     def test_unconverged_polish_falls_back_to_the_full_grid(self, monkeypatch):
         spec = nyc_likelihood_spec(load_nyc_fixture(), 0.25)
         start = inference.default_starts(spec)[0]
-        [single] = inference._fit_scoring(spec, [start])
+        [single] = inference._fit_scoring(spec, [start], rows(spec, [start]))
         fit_scoring = inference._fit_scoring
         calls = []
 
-        def unconverged_polish(spec_, starts_, ys_=None):
+        def unconverged_polish(spec_, starts_, ys_):
             [start_] = starts_
             calls.append((spec_.steps_per_day, start_ == start))
             [result] = fit_scoring(spec_, starts_, ys_)
@@ -796,8 +817,8 @@ class TestLockstep:
     def test_every_start_fits_as_it_does_alone(self, name):
         spec = lockstep_spec(name)
         starts = inference.default_starts(spec)
-        lockstep = inference._fit_start(spec, starts)
-        alone = [inference._fit_start(spec, [start])[0] for start in starts]
+        lockstep = inference._fit_start(spec, starts, rows(spec, starts))
+        alone = [inference._fit_start(spec, [start], rows(spec, [start]))[0] for start in starts]
         assert all(isinstance(result, inference.MleResult) for result in lockstep)
         assert lockstep == alone
 
@@ -807,7 +828,7 @@ class TestLockstep:
         alone = []
         for start in starts:
             counts = counting_passes(monkeypatch)
-            inference._fit_start(spec, [start])
+            inference._fit_start(spec, [start], rows(spec, [start]))
             monkeypatch.undo()
             alone.append(counts[10])
         batches = Counter()
@@ -817,13 +838,13 @@ class TestLockstep:
             return False
 
         failing_lane(monkeypatch, count_batches)
-        inference._fit_start(spec, starts)
+        inference._fit_start(spec, starts, rows(spec, starts))
         assert batches[10] == max(alone) < sum(alone)
 
     def test_a_failed_trial_leaves_the_other_lanes_alone(self, monkeypatch):
         spec = lockstep_spec("case2")
         starts = inference.default_starts(spec, 4)
-        clean = inference._fit_scoring(spec, starts)
+        clean = inference._fit_scoring(spec, starts, rows(spec, starts))
         batches = []
 
         def on_the_third_batch(steps_per_day, lanes):
@@ -831,7 +852,7 @@ class TestLockstep:
             return len(batches) == 3
 
         failing_lane(monkeypatch, on_the_third_batch, lane=1)
-        forced = inference._fit_scoring(spec, starts)
+        forced = inference._fit_scoring(spec, starts, rows(spec, starts))
         assert batches[2] == len(starts)  # every start still stepping, so lane 1 is start 1
         assert forced[:1] + forced[2:] == clean[:1] + clean[2:]
         assert forced[1].converged
@@ -840,8 +861,8 @@ class TestLockstep:
     def test_a_failed_first_search_pass_falls_back_for_that_start_only(self, monkeypatch):
         spec = lockstep_spec("nyc_p025")
         starts = inference.default_starts(spec, 4)
-        clean = inference._fit_start(spec, starts)
-        [direct] = inference._fit_scoring(spec, [starts[1]])
+        clean = inference._fit_start(spec, starts, rows(spec, starts))
+        [direct] = inference._fit_scoring(spec, [starts[1]], rows(spec, [starts[1]]))
         batches = []
 
         def on_the_first_batch(steps_per_day, lanes):
@@ -852,18 +873,86 @@ class TestLockstep:
         fit_scoring = inference._fit_scoring
         phases = []
 
-        def counted(spec_, starts_, ys_=None):
+        def counted(spec_, starts_, ys_):
             phases.append(spec_.steps_per_day)
             return fit_scoring(spec_, starts_, ys_)
 
         monkeypatch.setattr(inference, "_fit_scoring", counted)
-        forced = inference._fit_start(spec, starts)
+        forced = inference._fit_start(spec, starts, rows(spec, starts))
         assert batches[0] == 10
-        # start 1 is polished from itself, which is its fit on the full grid
-        # alone, so no third phase runs
-        assert phases == [10, 50]
+        # start 1 has no search optimum to polish, so the fallback phase fits
+        # it on the full grid alone
+        assert phases == [10, 50, 50]
         assert forced[1] == direct
         assert forced[:1] + forced[2:] == clean[:1] + clean[2:]
+
+    def test_a_failed_search_and_an_unconverged_polish_share_the_fallback(self, monkeypatch):
+        # start 1's search fails and start 2's polish reads unconverged: one
+        # fallback phase fits both on the full grid from the start itself
+        spec = lockstep_spec("nyc_p025")
+        starts = inference.default_starts(spec, 4)
+        clean = inference._fit_start(spec, starts, rows(spec, starts))
+        [search] = inference._fit_scoring(replace(spec, steps_per_day=10), starts[2:3],
+                                          rows(spec, starts[2:3]))
+        [polish] = inference._fit_scoring(spec, [search.params()], rows(spec, starts[2:3]))
+        full = [inference._fit_scoring(spec, [start], rows(spec, [start]))[0] for start in starts]
+        batches = []
+
+        def on_the_first_batch(steps_per_day, lanes):
+            batches.append(steps_per_day)
+            return len(batches) == 1
+
+        failing_lane(monkeypatch, on_the_first_batch, lane=1)
+        fit_scoring = inference._fit_scoring
+        phases = []
+
+        def unconverged_polish(spec_, starts_, ys_):
+            phases.append((spec_.steps_per_day, len(starts_)))
+            return [replace(result, converged=False)
+                    if spec_.steps_per_day == 50 and start_ == search.params() else result
+                    for start_, result in zip(starts_, fit_scoring(spec_, starts_, ys_))]
+
+        monkeypatch.setattr(inference, "_fit_scoring", unconverged_polish)
+        forced = inference._fit_start(spec, starts, rows(spec, starts))
+        assert batches[0] == 10
+        assert phases == [(10, 4), (50, 3), (50, 2)]
+        assert forced[1] == full[1]
+        polished = replace(polish, converged=False,
+                           iterations=search.iterations + polish.iterations)
+        assert forced[2] == inference._best([polished, full[2]])
+        assert forced[:1] + forced[3:] == clean[:1] + clean[3:]
+
+    def test_a_zero_variance_lane_fails_alone(self):
+        # case2 with one lane's i zero on day 7: that lane's variance is zero
+        # there, and every other lane is its one-lane evaluation bit for bit
+        noise = NoiseModel.case2(0.3)
+        spec = LikelihoodSpec(obs=make_obs(BASE, INIT7, noise, 1.0, 40, seed=8), init=INIT7,
+                              steps_per_day=5)
+        rates = [BASE, SirParams(0.3, 0.1), SirParams(0.25, 0.05)]
+        passes = [states.copy() for states in inference._sensitivity_passes(
+            rates, spec.init, spec.T, spec.steps_per_day)]
+        passes[1][1, 7] = 0.0
+        ys = rows(spec, rates)
+        batch = inference._evaluate_passes(passes, [None] * 3, ys, spec)
+        assert isinstance(batch[1], DegenerateVarianceError)
+        assert str(batch[1]) == "variance must be positive; day 7 has v = 0.0"
+        for k in (0, 2):
+            [alone] = inference._evaluate_passes(passes[k : k + 1], [None], ys[k : k + 1], spec)
+            assert (batch[k].ll, batch[k].wrss, batch[k].logdet) == (
+                alone.ll, alone.wrss, alone.logdet)
+            assert batch[k].grad.tobytes() == alone.grad.tobytes()
+            assert batch[k].info.tobytes() == alone.info.tobytes()
+
+    def test_a_singular_system_fails_alone(self):
+        a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 1.0], [0.5, 2.0]]])
+        b = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
+        x, ok = inference._solve(a, b)
+        assert ok.tolist() == [True, False, True]
+        assert x[1].tolist() == [0.0, 0.0]
+        for k in (0, 2):
+            alone, solved = inference._solve(a[k : k + 1], b[k : k + 1])
+            assert solved.tolist() == [True]
+            assert x[k].tobytes() == alone[0].tobytes()
 
     def test_fit_starts_reports_every_start(self):
         sig = np.full(40, 2e4)

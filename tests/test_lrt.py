@@ -177,6 +177,16 @@ class TestType2:
             )
             assert type2_approx(spec, "second") == pytest.approx(explicit, rel=1e-12)
 
+    def test_known_sequence_closed_form_reads_its_first_T_days(self):
+        # a one-day sequence used to broadcast over all 60 days in the closed form
+        sd = np.linspace(20.0, 400.0, 80)
+        assert type2_approx(make_spec(noise=NoiseModel.known(sd))) == type2_approx(
+            make_spec(noise=NoiseModel.known(sd[:60])))
+        short = make_spec(p=0.8, noise=NoiseModel.known([20.0]))
+        for form in (type2_exact, type2_approx, lambda spec: type2_approx(spec, "second")):
+            with pytest.raises(InsufficientDataError, match="provides 1 days, need 60"):
+                form(short)
+
     def test_vanishing_perturbation_all_directions(self):
         for omega in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
             spec = make_spec(epsilon=1e-12, omega=float(omega))
