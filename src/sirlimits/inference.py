@@ -46,8 +46,10 @@ replicate started at the optimum of their pooled series. A fit from such a
 guessed start, this one or ``closed_form_start``, falls back to the default
 starts where none of its starts converged (``_fit_specs``): a spec's fit is
 one list of every start's outcome, and one rule (``_best``) chooses.
-A sensitivity pass runs its lanes in chunks of bounded size, so the batch's
-arrays stay small however many replicates it holds.
+A sensitivity pass runs the state loop of all its lanes as one batch of the
+kernel's entry (``sir._state_paths``), which picks the scalar or the lane
+body by lane count, and then forms their tangents in chunks of bounded size,
+so the batch's arrays stay small however many replicates it holds.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ from .errors import (
     OptimizationFailureError,
 )
 from .simulate import NoiseModel, ObservationSeries, check_variance, observe_batch
-from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _check_guard, _rk4
-from .sir import _STATE_GUARD, _day_grid, integrate_exact
+from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _check_guard, _state_paths
+from .sir import _LANE_BODY_LANES, _STATE_GUARD, _day_grid, integrate_exact
 
 _MAX_ITERATIONS = 500  # cap on Levenberg-Marquardt trials
 _FIRST_ORDER_TOL = 1e-6  # converged: |projected gradient| <= this * max(1, |ll|)
@@ -81,6 +83,7 @@ _MOMENT_FLOOR = 0.02  # least growth rate the moment initializer starts from
 _MAX_FAILURE_FRACTION = 0.05  # mle_ensemble raises when more replicate fits than this fail
 _SEARCH_STEPS_PER_DAY = 10  # finer fits search on this grid, then polish on their own
 _CHUNK_LANE_SUBSTEPS = 4096  # lanes x substeps of one batch of a sensitivity pass
+_STATE_LANE_SUBSTEPS = 1 << 18  # lanes x substeps of one state-loop group of that pass
 
 
 def integrate_with_sensitivities(params: SirParams, init: InitialCondition,
@@ -102,23 +105,41 @@ def _sensitivity_passes(rates: list[SirParams], init: InitialCondition, horizon:
 
     Each lane's entry is the seven arrays of ``integrate_with_sensitivities``
     as the rows of one array, or the IntegrationError that lane raised; an
-    error in ``rates`` is passed through as that lane's entry. The lanes run
-    in chunks of at most _CHUNK_LANE_SUBSTEPS lanes x substeps (at least one
-    lane each), so the (lane, substep) arrays of a chunk stay cache-sized
-    however many lanes there are; ``_sensitivity_chunk`` describes the pass.
+    error in ``rates`` is passed through as that lane's entry. The state loop
+    of every valid lane runs first, as one batch of the kernel's entry
+    (``sir._state_paths``, stride 1), which picks the scalar or the lane body
+    by lane count; a lane that blows up there fails alone with its one-lane
+    message. A batch wider than _STATE_LANE_SUBSTEPS lanes x substeps runs
+    that loop in groups of that size (at least _LANE_BODY_LANES lanes each),
+    so the recorded paths stay bounded however many lanes there are. The
+    array half then runs in chunks of at most _CHUNK_LANE_SUBSTEPS lanes x
+    substeps (at least one lane each), so its (lane, substep) arrays stay
+    cache-sized; ``_sensitivity_chunk`` describes it.
     """
-    width = max(1, _CHUNK_LANE_SUBSTEPS // max(1, int(horizon) * int(steps_per_day)))
-    return [outcome for k in range(0, len(rates), width)
-            for outcome in _sensitivity_chunk(rates[k : k + width], init, horizon, steps_per_day)]
+    spd = int(steps_per_day)
+    n, h = int(horizon) * spd, 1.0 / spd
+    y0 = (float(init.s0), float(init.i0))
+    width = max(1, _CHUNK_LANE_SUBSTEPS // max(1, n))
+    group = max(_LANE_BODY_LANES, _STATE_LANE_SUBSTEPS // max(1, n))
+    outcomes = []
+    for g in range(0, len(rates), group):
+        block = rates[g : g + group]
+        valid = [params for params in block if not isinstance(params, Exception)]
+        paths = iter(_state_paths([params.beta for params in valid],
+                                  [params.gamma for params in valid], y0, n, h, 1))
+        states = [params if isinstance(params, Exception) else next(paths) for params in block]
+        for k in range(0, len(block), width):
+            outcomes += _sensitivity_chunk(block[k : k + width], states[k : k + width], h, spd)
+    return outcomes
 
 
-def _sensitivity_chunk(rates: list[SirParams], init: InitialCondition, horizon: int,
-                       steps_per_day: int) -> list:
-    """The lanes of ``_sensitivity_passes`` as one batch.
+def _sensitivity_chunk(rates: list[SirParams], states: list, h: float, spd: int) -> list:
+    """The array half of ``_sensitivity_passes`` for one chunk of its lanes.
 
-    Every lane's s and i come from its own run of the scalar state kernel
-    (``sir._rk4``) on the substep grid. The four RK4 stages of every substep
-    are then formed again as (lane, substep) arrays, with the kernel's
+    ``states`` holds each lane's state path from the kernel, (s, i) on the
+    substep grid of size ``h`` with ``spd`` substeps a day, or the error
+    that lane raised, which is passed through. The four RK4 stages of every
+    substep are formed again as (lane, substep) arrays, with the kernel's
     elementwise operations, so c, their accumulated increments, keeps the
     kernel's bits.
     RK4 commutes with linearization, so the sensitivities are the exact
@@ -135,25 +156,14 @@ def _sensitivity_chunk(rates: list[SirParams], init: InitialCondition, horizon: 
     operation is elementwise across lanes, and the zero coupling between
     blocks adds nothing while the tangents stay finite.
     """
-    spd = int(steps_per_day)
-    n, h = int(horizon) * spd, 1.0 / spd
-    y0 = (float(init.s0), float(init.i0))
-    outcomes, paths = [], []
-    for params in rates:
-        if isinstance(params, Exception):
-            outcomes.append(params)
-            continue
-        try:
-            paths.append(_rk4(float(params.beta), float(params.gamma), y0, n, h, 1))
-            outcomes.append(None)
-        except IntegrationError as exc:
-            outcomes.append(exc)
-    lanes = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    outcomes = list(states)
+    lanes = [k for k, state in enumerate(states) if not isinstance(state, Exception)]
     if not lanes:
         return outcomes
     beta = np.array([[float(rates[k].beta)] for k in lanes])
     gamma = np.array([[float(rates[k].gamma)] for k in lanes])
-    s, i = np.array(paths).swapaxes(0, 1)  # [lane, substep]
+    s, i = np.array([states[k] for k in lanes]).swapaxes(0, 1)  # [lane, substep]
+    n = s.shape[1] - 1
     s0, i0 = s[:, :-1], i[:, :-1]
     ds, di = np.eye(4)[:2, :, None, None]  # d(s, i) by the seeds (s, i, beta, gamma)
     stages, (ss, ii, dss, dii) = [], (s0, i0, ds, di)
@@ -1017,6 +1027,7 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _day_grid(T, fit_steps_per_day)
     truth = integrate_exact(true_params, init, T)
     ys = observe_batch(truth, noise, p, T, seed, replicates)
     root = math.sqrt(replicates)

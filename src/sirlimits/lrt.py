@@ -51,8 +51,8 @@ from .sir import (
     DEFAULT_STEPS_PER_DAY,
     InitialCondition,
     SirParams,
-    incidence,
-    integrate_exact,
+    Trajectory,
+    integrate_day_grid_batch,
     peak_time_for,
 )
 
@@ -114,12 +114,24 @@ class TestSpec:
         return self.pert.perturbed()
 
 
+def _hypotheses(null: SirParams, alternatives: list, init: InitialCondition, T: int,
+                steps_per_day: int):
+    """The null's day samples and the daily incidence N*(s_{t-1} - s_t) of the
+    null and of each alternative, rows in that order, from one
+    ``integrate_day_grid_batch`` call with a lane per hypothesis."""
+    rates = [null, *alternatives]
+    s, i = integrate_day_grid_batch([r.beta for r in rates], [r.gamma for r in rates], init, T,
+                                    steps_per_day)
+    null_days = Trajectory(times=np.arange(T + 1, dtype=float), s=s[:, 0], i=i[:, 0],
+                           params=null, init=init, kind="exact")
+    return null_days, (init.population * (s[:-1] - s[1:])).T
+
+
 def _materialize(spec: TestSpec):
     """Null/alternative incidences and the sigma_t sequence (from the null)."""
-    null_traj = integrate_exact(spec.null_params, spec.init, spec.T, spec.steps_per_day)
-    alt_traj = integrate_exact(spec.alternative_params(), spec.init, spec.T, spec.steps_per_day)
-    sigma = sigma_sequence(spec.noise, null_traj, spec.T)
-    return incidence(null_traj), incidence(alt_traj), sigma
+    null_days, (d0, de) = _hypotheses(spec.null_params, [spec.alternative_params()], spec.init,
+                                      spec.T, spec.steps_per_day)
+    return d0, de, sigma_sequence(spec.noise, null_days, spec.T)
 
 
 def _v(spec: TestSpec, d0, de, sigma) -> float:
@@ -403,8 +415,9 @@ def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, e
     PowerResult) rows in the same order.
 
     Every point's TestSpec is built before anything is integrated. The null
-    and each distinct alternative are integrated once, sigma_t once per noise
-    model, and the Monte Carlo normals are drawn once: every point uses
+    and each distinct alternative are integrated once, as the lanes of one
+    day-grid batch, sigma_t once per noise model, and the Monte Carlo
+    normals are drawn once: every point uses
     ``seed``, so all points share their replicate streams (common random
     numbers), exactly as separate ``power_summary`` calls would.
     """
@@ -416,16 +429,12 @@ def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, e
     if not specs:
         return []
     z = None if replicates is None else _standard_normals(replicates, seed, T)
-    null_traj = integrate_exact(null_params, init, T, steps_per_day)
-    d0 = incidence(null_traj)
-    alt = {}
-    for spec in specs:
-        key = spec.alternative_params()
-        if key not in alt:
-            alt[key] = incidence(integrate_exact(key, init, T, steps_per_day))
+    alternatives = list(dict.fromkeys(spec.alternative_params() for spec in specs))
+    null_days, (d0, *incidences) = _hypotheses(null_params, alternatives, init, T, steps_per_day)
+    alt = dict(zip(alternatives, incidences))
     rows = []
     for noise in noises:
-        sigma = sigma_sequence(noise, null_traj, T)
+        sigma = sigma_sequence(noise, null_days, T)
         xi = None if z is None else sigma * z
         for omega in omegas:
             for eps in epsilons:

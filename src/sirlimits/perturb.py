@@ -231,17 +231,19 @@ def approximation_error(init: InitialCondition, pert: Perturbation, horizon: int
     """Measure how well the closed form tracks the exact separation of
     ``pert`` from its base.
 
-    The base and the perturbed rates are integrated one at a time, which at
-    two parameter sets is faster than an array batch; the exact separation
-    has the bits of ``separation_sweep``'s. PerturbationTooLargeError is
-    raised unless the perturbed growth rate is positive, and a perturbed
-    recovery rate that is not positive raises DegenerateParameterError.
+    The base and the perturbed rates are the two lanes of one
+    ``integrate_day_grid_batch`` call, which runs them as scalar loops; the
+    exact separation has the bits of ``separation_sweep``'s.
+    PerturbationTooLargeError is raised unless the perturbed growth rate is
+    positive, and a perturbed recovery rate that is not positive raises
+    DegenerateParameterError.
     """
     pert.delta_eps()
-    reference = integrate_exact(pert.base, init, horizon, steps_per_day)
-    moved = integrate_exact(pert.perturbed(), init, horizon, steps_per_day)
-    times = reference.times
-    exact = np.hypot(moved.s - reference.s, moved.i - reference.i)
+    moved = pert.perturbed()
+    s, i = integrate_day_grid_batch([pert.base.beta, moved.beta], [pert.base.gamma, moved.gamma],
+                                    init, horizon, steps_per_day)
+    times = np.arange(int(horizon) + 1, dtype=float)
+    exact = np.hypot(s[:, 1] - s[:, 0], i[:, 1] - i[:, 0])
     linearized, err, rel = _closed_form_error(pert.base, init, pert.epsilon, pert.omega, times,
                                               exact)
     return ApproximationErrorSeries(

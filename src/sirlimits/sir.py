@@ -11,8 +11,10 @@ deterministic. The removed compartment is never stored: r = 1 - s - i by
 construction, so the conservation identity cannot drift. The RK4 kernel has
 two bodies: ``_rk4``, a scalar loop for one parameter pair, and
 ``_rk4_lanes``, an in-place array loop whose lanes are many parameter pairs
-on one day grid (``integrate_day_grid_batch``). Each lane has the bits of
-its scalar loop.
+on one grid. One entry, ``_state_paths``, picks the body by lane count: a
+scalar loop per lane for a narrow batch, one lane-body call for a wide one.
+Every batch goes through it (``integrate_day_grid_batch`` and the
+sensitivity passes), and each lane has the bits of its scalar loop either way.
 
 The companion closed form freezes s at 1 in the transmission term, giving
 exponential growth of infections; it is evaluated directly, with no stepping:
@@ -47,6 +49,11 @@ DEFAULT_STEPS_PER_DAY = 50
 _STATE_GUARD = 1e6
 
 _MAX_PEAK_HORIZON = 16384  # days; the doubling peak search gives up beyond it
+
+# Lanes from which one _rk4_lanes call beats a _rk4 loop per lane. Measured
+# crossover (best of 7, 2-vCPU x86_64 virtual machine): 16 lanes at 600
+# substeps and stride 1, 18 to 20 at 3000 substeps and day stride.
+_LANE_BODY_LANES = 18
 
 
 @dataclass(frozen=True)
@@ -106,8 +113,9 @@ class Trajectory:
     """A discretized (s, i) path sampled at whole days.
 
     ``kind`` is "exact" for RK4 solutions and "linearized" for the closed
-    form. Exact trajectories also carry the substep grid (``fine_times`` etc.)
-    so peak location can be resolved below day granularity.
+    form. Those of ``integrate_exact`` also carry the substep grid
+    (``fine_times`` etc.) so peak location can be resolved below day
+    granularity; one read off a day-grid batch has the day samples alone.
     """
 
     times: np.ndarray
@@ -143,7 +151,7 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
     ds/dt = -x with x = beta*i*s, so s subtracts h*x where the textbook
     scheme adds h*(-x); negation is exact, so the values are those of the
     textbook scheme bit for bit. ``_rk4_lanes`` is the lane body, and every
-    lane has the bits of this loop.
+    lane has the bits of this loop; ``_state_paths`` picks between them.
     """
     s, i = y0
     h2 = 0.5 * h
@@ -178,7 +186,8 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
 def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
     """The lane body of the RK4 kernel: ``_rk4`` for equal-length 1-d arrays
     ``beta`` and ``gamma``, one lane per parameter pair, returning (s, i) of
-    shape (n_steps // stride + 1, lanes) unguarded.
+    shape (n_steps // stride + 1, lanes) unguarded. ``_state_paths`` calls it
+    for a batch of at least _LANE_BODY_LANES lanes, where it is the faster body.
 
     Steps z = (u, i) with u = -s, so that both derivatives come from one
     product: with bi = beta*i, K = (bi*u, bi*u + gamma*i) = -(ds/dt, di/dt),
@@ -231,7 +240,39 @@ def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
                 mul(h6, acc, acc)
                 sub(z, acc, z)
             row[...] = z
-    return np.negative(rec[:, 0]), rec[:, 1]
+    return np.negative(rec[:, 0], out=rec[:, 0]), rec[:, 1]
+
+
+def _state_paths(betas, gammas, y0, n_steps, h, stride) -> list:
+    """The RK4 state paths of many rate pairs on one grid: the kernel's one batched entry.
+
+    Lane k steps (``betas[k]``, ``gammas[k]``) from ``y0`` = (s0, i0) on
+    ``_rk4``'s grid (``n_steps`` substeps of size ``h``, recorded every
+    ``stride``). Its entry is the (s, i) arrays of its scalar loop, or the
+    IntegrationError that loop raises, so a lane that blows up fails alone.
+    Below _LANE_BODY_LANES lanes each lane runs ``_rk4``; from there one
+    ``_rk4_lanes`` call steps them all and each lane's columns pass the
+    guard alone. Either way a lane has the bits of its scalar loop.
+    """
+    outcomes = []
+    if len(betas) < _LANE_BODY_LANES:
+        for beta, gamma in zip(betas, gammas):
+            try:
+                outcomes.append(_rk4(float(beta), float(gamma), y0, n_steps, h, stride))
+            except IntegrationError as exc:
+                outcomes.append(exc)
+        return outcomes
+    starts = tuple(np.full(len(betas), float(v)) for v in y0)
+    s, i = _rk4_lanes(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float), starts,
+                      n_steps, h, stride)
+    ok = ((np.abs(s) < _STATE_GUARD) & (np.abs(i) < _STATE_GUARD)).all(axis=0)
+    for k, lane_ok in enumerate(ok):
+        path = (s[:, k], i[:, k])
+        try:
+            outcomes.append(path if lane_ok else _check_guard(path, stride, h))
+        except IntegrationError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def _check_guard(out, stride, h):
@@ -289,22 +330,26 @@ def integrate_exact(
 
 def integrate_day_grid_batch(betas, gammas, init: InitialCondition, horizon: int,
                              steps_per_day: int = DEFAULT_STEPS_PER_DAY):
-    """Vectorized RK4 for many parameter pairs on a shared day grid.
+    """RK4 for many parameter pairs on a shared day grid, sampled at whole days.
 
-    Returns (s, i) arrays of shape (horizon + 1, len(betas)). Used by the
-    direction sweeps, where integrating ~90 perturbed parameter sets one by
-    one would dominate the runtime. The lane body ``_rk4_lanes`` steps them
-    at day stride, and the guard checks every lane's day samples; each lane
-    has the bits of ``integrate_exact``'s day samples.
+    Returns (s, i) arrays of shape (horizon + 1, len(betas)). The direction
+    sweeps and the LRT hypotheses integrate through it. ``_state_paths``
+    steps the lanes at day stride, and the guard checks every lane's day
+    samples; each lane has the bits of ``integrate_exact``'s day samples.
+    When lanes fail, the IntegrationError of the earliest failing substep
+    is raised.
     """
     horizon, spd = _day_grid(horizon, steps_per_day)
     betas = np.asarray(betas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     if betas.shape != gammas.shape or betas.ndim != 1 or betas.size == 0:
         raise ValueError("betas and gammas must be nonempty 1-d arrays of equal length")
-    y0 = (np.full(betas.shape, init.s0), np.full(betas.shape, init.i0))
-    h = 1.0 / spd
-    return _check_guard(_rk4_lanes(betas, gammas, y0, horizon * spd, h, spd), spd, h)
+    paths = _state_paths(betas, gammas, (float(init.s0), float(init.i0)), horizon * spd,
+                         1.0 / spd, spd)
+    errors = [path for path in paths if isinstance(path, IntegrationError)]
+    if errors:
+        raise min(errors, key=lambda exc: exc.step)
+    return np.column_stack([s for s, _ in paths]), np.column_stack([i for _, i in paths])
 
 
 def linearized_state(params: SirParams, init: InitialCondition, t):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from sirlimits import inference
+from sirlimits import inference, sir
 from sirlimits.data import load_nyc_fixture
 from sirlimits.errors import (
     DegenerateParameterError,
@@ -191,6 +191,35 @@ class TestSensitivities:
         for params, lane in zip(rates, batch):
             try:
                 alone = integrate_with_sensitivities(params, init, 50, 5)
+            except IntegrationError as exc:
+                assert str(lane) == str(exc)
+            else:
+                assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_wide_batch_is_one_lane_body_call_and_every_lane_its_one_lane_pass(
+            self, monkeypatch):
+        # 24 lanes on the ensemble design's grid (120 days, 5 substeps a day)
+        # run their state loop as one lane-body call; the blow-up lane in the
+        # middle fails alone, with its one-lane message
+        init = InitialCondition(s0=0.5, i0=0.5, population=100)
+        rates = [SirParams(0.21 + 0.01 * k, 0.07 + 0.002 * k) for k in range(23)]
+        rates.insert(11, SirParams(400.0, 0.1))
+        assert len(rates) > sir._LANE_BODY_LANES
+        widths = []
+        lane_body = sir._rk4_lanes
+
+        def counted(beta, *args):
+            widths.append(len(beta))
+            return lane_body(beta, *args)
+
+        monkeypatch.setattr(sir, "_rk4_lanes", counted)
+        batch = inference._sensitivity_passes(rates, init, 120, 5)
+        assert widths == [24]
+        assert [k for k, lane in enumerate(batch) if isinstance(lane, IntegrationError)] == [11]
+        for params, lane in zip(rates, batch):
+            try:
+                alone = integrate_with_sensitivities(params, init, 120, 5)
             except IntegrationError as exc:
                 assert str(lane) == str(exc)
             else:
@@ -401,6 +430,16 @@ class TestLikelihoodSpec:
         with pytest.raises(ValueError, match=message):
             mle_ensemble(BASE, INIT7, noise, p=1.0, T=40, replicates=2, seed=1,
                          fit_steps_per_day=steps_per_day, n_starts=1)
+
+    def test_ensemble_refuses_its_fit_grid_before_simulating(self, monkeypatch):
+        # the fit grid is checked with the other arguments, before any data is drawn
+        calls = []
+        for name in ("integrate_exact", "observe_batch"):
+            monkeypatch.setattr(inference, name, lambda *args, name=name, **kw: calls.append(name))
+        with pytest.raises(ValueError, match="steps_per_day must be >= 1, got 0"):
+            mle_ensemble(BASE, INIT7, NoiseModel.known(np.full(40, 3e4)), p=1.0, T=40,
+                         replicates=2, seed=1, fit_steps_per_day=0, n_starts=1)
+        assert calls == []
 
 
 class TestFit:

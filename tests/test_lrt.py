@@ -349,11 +349,12 @@ def count_calls(monkeypatch, module, name="integrate_exact"):
 
 
 def test_decide_integrates_each_hypothesis_once(monkeypatch):
+    # the null and the alternative are the two lanes of one day-grid batch
     spec = make_spec()
     obs = noiseless_obs(spec.alternative_params(), spec)
-    calls = count_calls(monkeypatch, lrt)
+    calls = count_calls(monkeypatch, lrt, "integrate_day_grid_batch")
     decision = lrt_decide(obs, spec)
-    assert len(calls) == 2
+    assert [len(betas) for betas, *_ in calls] == [2]
     assert decision.threshold == lrt_threshold(spec)
 
 
@@ -361,7 +362,7 @@ def test_worst_case_search_runs_one_peak_search(monkeypatch):
     # a null that no other test validates, so its peak search is not memoized
     null = SirParams(0.317, 0.113)
     sir_calls = count_calls(monkeypatch, sir)
-    lrt_calls = count_calls(monkeypatch, lrt)
+    lrt_calls = count_calls(monkeypatch, lrt, "integrate_day_grid_batch")
     omega, _ = worst_case_direction(null, INIT7, 0.02, 0.05, 40, 1.0, NoiseModel.case2(0.3))
     assert len(sir_calls) + len(lrt_calls) <= 2
     assert min(abs(omega - PI4), abs(omega - 5 * PI4)) < 0.3
@@ -397,20 +398,16 @@ def test_power_grid_integrates_each_distinct_hypothesis_once(monkeypatch):
     # epsilons, 21 distinct alternatives
     sigmas = (0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0)
     epsilons = (0.004, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
-    exact_calls = count_calls(monkeypatch, lrt)
-    lane_calls = []
-    rk4_lanes = sir._rk4_lanes
-
-    def counted_rk4_lanes(beta, *args):
-        lane_calls.append(len(beta))
-        return rk4_lanes(beta, *args)
-
-    monkeypatch.setattr(sir, "_rk4_lanes", counted_rk4_lanes)
-    rows = power_grid(BASE, INIT7, [NoiseModel.case2(s) for s in sigmas], GRID_OMEGAS, epsilons,
-                      alpha=0.05, T=60, p=1.0)
+    noises = [NoiseModel.case2(s) for s in sigmas]
+    first = power_grid(BASE, INIT7, noises, GRID_OMEGAS, epsilons, alpha=0.05, T=60, p=1.0)
+    # counted from the second call, once the TestSpecs' peak search is memoized
+    exact_calls = count_calls(monkeypatch, sir)
+    batch_calls = count_calls(monkeypatch, lrt, "integrate_day_grid_batch")
+    rows = power_grid(BASE, INIT7, noises, GRID_OMEGAS, epsilons, alpha=0.05, T=60, p=1.0)
     assert len(rows) == 168
-    assert len(exact_calls) == 1 + 21
-    assert lane_calls == []  # no batched integration
+    assert rows == first
+    assert exact_calls == []
+    assert [len(betas) for betas, *_ in batch_calls] == [1 + 21]  # one lane per hypothesis
 
 
 def reference_rate(spec, replicates, seed, under_alternative):

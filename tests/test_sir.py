@@ -160,7 +160,7 @@ class TestExactIntegration:
             np.testing.assert_array_equal(s[:, k], traj.s)
             np.testing.assert_array_equal(i[:, k], traj.i)
 
-    @pytest.mark.parametrize("lanes", [1, 2, 91])
+    @pytest.mark.parametrize("lanes", [1, 2, sir._LANE_BODY_LANES - 1, sir._LANE_BODY_LANES, 91])
     def test_batch_failure_names_the_earliest_substep_of_any_lane(self, lanes):
         init = InitialCondition(s0=0.999, i0=1e-3, population=1000)
         late, early = SirParams(6.0, 0.1), SirParams(12.0, 0.1)
