@@ -32,9 +32,9 @@ _SCHEMA = {
     "ensemble": ({"params", "population", "noise", "p", "T", "replicates"},
                  {"fit_steps_per_day": 10, "n_starts": 2, "threads": 1}),
     "power": ({"params", "population", "noise", "alpha", "T", "p", "omegas", "epsilons"},
-              {"sigmas": None, "steps_per_day": _SPD}),
+              {"sigmas": None, "steps_per_day": None}),
     "power-empirical": ({"params", "population", "noise", "alpha", "T", "p", "omegas", "epsilons",
-                         "replicates"}, {"sigmas": None, "steps_per_day": _SPD}),
+                         "replicates"}, {"sigmas": None, "steps_per_day": None}),
     "epsilon-invert": ({"targets"}, {}),
     "nyc-table": ({"p_values"}, {"data": nyc_fixture_path(), "n_starts": 8, "steps_per_day": _SPD,
                                  "population": InitialCondition.from_population(NYC_POPULATION)}),

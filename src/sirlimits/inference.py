@@ -7,10 +7,10 @@ scale itself is inferred):
     ll = sum_k [ -(y_k - p*delta_k)^2 / (2 v_k) - log(2*pi*v_k) / 2 ]
 
 with delta_k = N*(c_k - c_{k-1}) from exact integration of the candidate
-parameters, c being the outflow from s that the sensitivity pass
-accumulates. It equals N*(s_{k-1} - s_k) in exact arithmetic, but with s near
-1 that difference carries a rounding floor of N*eps per count, which the
-optimizer would otherwise wander on. The variance v_k follows the noise
+parameters, c being the outflow from s that the RK4 kernel accumulates
+(``sir.incidence``). It equals N*(s_{k-1} - s_k) in exact arithmetic, but
+with s near 1 that difference carries a rounding floor of N*eps per count,
+which the optimizer would otherwise wander on. The variance v_k follows the noise
 model's law (``NoiseModel.variance``) with i_k taken from the candidate
 model's own trajectory; a model without sigma makes sigma a free parameter.
 
@@ -136,12 +136,11 @@ def _sensitivity_passes(rates: list[SirParams], init: InitialCondition, horizon:
 def _sensitivity_chunk(rates: list[SirParams], states: list, h: float, spd: int) -> list:
     """The array half of ``_sensitivity_passes`` for one chunk of its lanes.
 
-    ``states`` holds each lane's state path from the kernel, (s, i) on the
-    substep grid of size ``h`` with ``spd`` substeps a day, or the error
-    that lane raised, which is passed through. The four RK4 stages of every
-    substep are formed again as (lane, substep) arrays, with the kernel's
-    elementwise operations, so c, their accumulated increments, keeps the
-    kernel's bits.
+    ``states`` holds each lane's state path from the kernel, (s, i, c) on
+    the substep grid of size ``h`` with ``spd`` substeps a day, or the error
+    that lane raised, which is passed through; c, the outflow, is the
+    kernel's own. The four RK4 stages of every substep are formed again as
+    (lane, substep) arrays, with the kernel's elementwise operations.
     RK4 commutes with linearization, so the sensitivities are the exact
     tangent of that discrete path: differentiating the stages gives each
     substep's z_{n+1} = M_n z_n + F_n, z = d(s, i)/d(beta, gamma), with M_n
@@ -162,7 +161,7 @@ def _sensitivity_chunk(rates: list[SirParams], states: list, h: float, spd: int)
         return outcomes
     beta = np.array([[float(rates[k].beta)] for k in lanes])
     gamma = np.array([[float(rates[k].gamma)] for k in lanes])
-    s, i = np.array([states[k] for k in lanes]).swapaxes(0, 1)  # [lane, substep]
+    s, i, c = np.array([states[k] for k in lanes]).swapaxes(0, 1)  # [lane, substep]
     n = s.shape[1] - 1
     s0, i0 = s[:, :-1], i[:, :-1]
     ds, di = np.eye(4)[:2, :, None, None]  # d(s, i) by the seeds (s, i, beta, gamma)
@@ -172,11 +171,10 @@ def _sensitivity_chunk(rates: list[SirParams], states: list, h: float, spd: int)
         dx[2] += ii * ss
         dk = dx - gamma * dii
         dk[3] -= ii
-        stages.append((x, dx, dk))
+        stages.append((dx, dk))
         if a is not None:
             ss, ii, dss, dii = s0 - a * x, i0 + a * (x - gamma * ii), ds - a * dx, di + a * dk
-    x, dx, dk = (h / 6.0 * (v1 + 2.0 * (v2 + v3) + v4) for v1, v2, v3, v4 in zip(*stages))
-    c = np.concatenate((np.zeros((len(lanes), 1)), np.cumsum(x, axis=1)), axis=1)
+    dx, dk = (h / 6.0 * (v1 + 2.0 * (v2 + v3) + v4) for v1, v2, v3, v4 in zip(*stages))
     step = np.stack((ds - dx, di + dk))  # [out, seed, lane, substep]: (M_n | F_n)
     # A in lower band storage, ab[d, j] = A[j + d, j]: in lane l's block,
     # -M_{m+1}[o, u] sits at row 2(m + 1) + o, column j = 2m + u, so on band

@@ -15,12 +15,18 @@ noise the pi/4 value collapses to a formula free of the population size and
 of the SIR rates, and inverts in closed form for the detectable perturbation
 size at a target power.
 
-Exact formulas use numerically integrated incidences; the closed-form
-approximations use the frozen-s incidences, including the pre-peak
-substitute i_t = exp(delta * t) * i0 inside infection-proportional noise.
-The noise sequence sigma_t is always materialized from the null-parameter
-trajectory, and the same sequence drives both hypotheses and the Monte Carlo
-simulations.
+Exact formulas use numerically integrated incidences N * (c_t - c_{t-1}),
+c being the outflow from s that the RK4 kernel accumulates; differences of s
+near 1 would put a rounding floor under V_T (2.6e-8 relative at 50 substeps a
+day, 1.7e-7 at 200 on the benchmark's power grid) that more substeps do not
+lower. Read from c, V_T converges at fourth order, and by default the
+hypotheses are integrated on ``lrt_steps_per_day(null)`` substeps a day: at
+least 10, and enough that beta * h <= 0.021 for the null's beta. The
+closed-form approximations use the frozen-s incidences, including the
+pre-peak substitute i_t = exp(delta * t) * i0 inside infection-proportional
+noise. The noise sequence sigma_t is always materialized from the
+null-parameter trajectory, and the same sequence drives both hypotheses and
+the Monte Carlo simulations.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from .simulate import (
     sigma_sequence,
 )
 from .sir import (
-    DEFAULT_STEPS_PER_DAY,
     InitialCondition,
     SirParams,
     Trajectory,
@@ -57,6 +62,22 @@ from .sir import (
 )
 
 _WORST_CASE_ANGLES = 150  # equally spaced directions on worst_case_direction's grid
+# Default RK4 grid of the hypotheses: at least LRT_STEPS_PER_DAY substeps a
+# day, and enough that the null's beta times the step is at most
+# _LRT_BETA_STEP. Measured against 400 substeps a day at the rates (0.21,
+# 0.07), (0.21, 0.14), (0.42, 0.07) and (1.68, 0.14), N 1e5 and 1e7, every
+# noise kind and perturbations up to 0.8 min(delta, gamma), V_T came within
+# 3e-8 relative at that grid; (0.42, 0.07) at a flat 10 substeps was 2.6e-7
+# off, and (1.68, 0.14) 5e-5.
+LRT_STEPS_PER_DAY = 10
+_LRT_BETA_STEP = 0.021
+
+
+def lrt_steps_per_day(null: SirParams) -> int:
+    """Default substeps a day of an LRT on ``null``: the fewest, and at least
+    LRT_STEPS_PER_DAY, whose step h keeps null.beta * h <= 0.021 (the
+    rounding of the division aside, so beta 0.21 gives 10)."""
+    return max(LRT_STEPS_PER_DAY, math.ceil(round(null.beta / _LRT_BETA_STEP, 9)))
 
 
 def _check_design(alpha: float, p: float, T: int, **scales: float) -> None:
@@ -91,10 +112,12 @@ class TestSpec:
     p: float
     noise: NoiseModel
     init: InitialCondition
-    steps_per_day: int = DEFAULT_STEPS_PER_DAY
+    steps_per_day: int | None = None  # None: lrt_steps_per_day(null_params)
 
     def __post_init__(self):
         _check_design(self.alpha, self.p, self.T)
+        if self.steps_per_day is None:
+            object.__setattr__(self, "steps_per_day", lrt_steps_per_day(self.null_params))
         t_star = peak_time_for(self.null_params, self.init, self.steps_per_day)
         if self.T >= t_star:
             raise HorizonPastPeakError(
@@ -116,15 +139,15 @@ class TestSpec:
 
 def _hypotheses(null: SirParams, alternatives: list, init: InitialCondition, T: int,
                 steps_per_day: int):
-    """The null's day samples and the daily incidence N*(s_{t-1} - s_t) of the
+    """The null's day samples and the daily incidence N*(c_t - c_{t-1}) of the
     null and of each alternative, rows in that order, from one
     ``integrate_day_grid_batch`` call with a lane per hypothesis."""
     rates = [null, *alternatives]
-    s, i = integrate_day_grid_batch([r.beta for r in rates], [r.gamma for r in rates], init, T,
-                                    steps_per_day)
+    s, i, c = integrate_day_grid_batch([r.beta for r in rates], [r.gamma for r in rates], init,
+                                       T, steps_per_day)
     null_days = Trajectory(times=np.arange(T + 1, dtype=float), s=s[:, 0], i=i[:, 0],
-                           params=null, init=init, kind="exact")
-    return null_days, (init.population * (s[:-1] - s[1:])).T
+                           c=c[:, 0], params=null, init=init, kind="exact")
+    return null_days, (init.population * np.diff(c, axis=0)).T
 
 
 def _materialize(spec: TestSpec):
@@ -334,11 +357,13 @@ def _standard_normals(replicates: int, seed: int, T: int) -> np.ndarray:
     return replicate_normals(seed, replicates, T)
 
 
-def _empirical_rate(spec: TestSpec, d0, de, sigma, xi, under_alternative: bool) -> EmpiricalRate:
+def _empirical_rate(spec: TestSpec, d0, de, sigma, v, xi,
+                    under_alternative: bool) -> EmpiricalRate:
     """Monte Carlo rate of the LRT's wrong decisions on data drawn under the
-    alternative (type II) or the null (type I); row r of ``xi`` is replicate
-    r's noise, sigma_t times its standard normals."""
-    threshold = _threshold(spec, _v(spec, d0, de, sigma))
+    alternative (type II) or the null (type I); ``v`` is the V_T of (d0, de,
+    sigma), and row r of ``xi`` is replicate r's noise, sigma_t times its
+    standard normals."""
+    threshold = _threshold(spec, v)
     mean = spec.p * (de if under_alternative else d0)
     w = spec.p * (de - d0) / sigma**2
     const = float(np.sum(((mean - spec.p * d0) ** 2 - (mean - spec.p * de) ** 2) / (2.0 * sigma**2)))
@@ -356,7 +381,8 @@ def _empirical_rate(spec: TestSpec, d0, de, sigma, xi, under_alternative: bool) 
 def _empirical(spec: TestSpec, replicates: int, seed: int, under_alternative: bool) -> EmpiricalRate:
     z = _standard_normals(replicates, seed, spec.T)
     d0, de, sigma = _materialize(spec)
-    return _empirical_rate(spec, d0, de, sigma, sigma * z, under_alternative)
+    return _empirical_rate(spec, d0, de, sigma, _v(spec, d0, de, sigma), sigma * z,
+                           under_alternative)
 
 
 def empirical_type2(spec: TestSpec, replicates: int, seed: int) -> EmpiricalRate:
@@ -384,11 +410,11 @@ class PowerResult:
 def _power_point(spec: TestSpec, d0, de, sigma, xi) -> PowerResult:
     """Every type II view of ``spec`` from its incidences, its sigma_t and,
     unless ``xi`` is None, the Monte Carlo noise rows."""
+    v = _v(spec, d0, de, sigma)
     emp = stderr = None
     if xi is not None:
-        rate = _empirical_rate(spec, d0, de, sigma, xi, under_alternative=True)
+        rate = _empirical_rate(spec, d0, de, sigma, v, xi, under_alternative=True)
         emp, stderr = rate.value, rate.stderr
-    v = _v(spec, d0, de, sigma)
     return PowerResult(
         type2_exact=_type2(spec.alpha, _root_v(v)),
         type2_approx1=type2_approx(spec, "first"),
@@ -408,11 +434,12 @@ def power_summary(spec: TestSpec, replicates: int | None = None,
 
 
 def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, epsilons,
-               alpha: float, T: int, p: float, steps_per_day: int = DEFAULT_STEPS_PER_DAY,
+               alpha: float, T: int, p: float, steps_per_day: int | None = None,
                replicates: int | None = None, seed: int = 0) -> list:
     """``power_summary`` at every point of the noises x omegas x epsilons grid
     (sequences, nested in that order); returns (omega, epsilon, noise.sigma,
-    PowerResult) rows in the same order.
+    PowerResult) rows in the same order. ``steps_per_day`` defaults to
+    ``lrt_steps_per_day(null_params)``, as each TestSpec's does.
 
     Every point's TestSpec is built before anything is integrated. The null
     and each distinct alternative are integrated once, as the lanes of one
@@ -430,7 +457,8 @@ def power_grid(null_params: SirParams, init: InitialCondition, noises, omegas, e
         return []
     z = None if replicates is None else _standard_normals(replicates, seed, T)
     alternatives = list(dict.fromkeys(spec.alternative_params() for spec in specs))
-    null_days, (d0, *incidences) = _hypotheses(null_params, alternatives, init, T, steps_per_day)
+    null_days, (d0, *incidences) = _hypotheses(null_params, alternatives, init, T,
+                                               specs[0].steps_per_day)
     alt = dict(zip(alternatives, incidences))
     rows = []
     for noise in noises:

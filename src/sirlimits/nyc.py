@@ -92,7 +92,8 @@ class FittedBand:
 
 def fitted_band(data: CaseData, fit: MleResult, p: float, level: float = 0.95,
                 steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> FittedBand:
-    """Per-day fitted mean p*N*(s_{k-1}-s_k) with mean +/- z * sigma * sqrt(N i_k)."""
+    """Per-day fitted mean p*N*(c_k - c_{k-1}) (``sir.incidence``) with
+    mean +/- z * sigma * sqrt(N i_k)."""
     if not fit.converged:
         raise OptimizationFailureError("refusing to draw a band from a non-converged fit")
     if fit.sigma_hat is None:

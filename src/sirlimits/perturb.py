@@ -187,7 +187,7 @@ def separation_sweep(base: SirParams, init: InitialCondition, epsilon: float,
     _check_epsilon(base, epsilon)
     betas = np.concatenate([[base.beta], base.beta + epsilon * np.cos(omegas)])
     gammas = np.concatenate([[base.gamma], base.gamma + epsilon * np.sin(omegas)])
-    s, i = integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
+    s, i, _ = integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
     ds = np.ascontiguousarray((s[:, 1:] - s[:, :1]).T)
     di = np.ascontiguousarray((i[:, 1:] - i[:, :1]).T)
     return Separations(
@@ -240,8 +240,9 @@ def approximation_error(init: InitialCondition, pert: Perturbation, horizon: int
     """
     pert.delta_eps()
     moved = pert.perturbed()
-    s, i = integrate_day_grid_batch([pert.base.beta, moved.beta], [pert.base.gamma, moved.gamma],
-                                    init, horizon, steps_per_day)
+    s, i, _ = integrate_day_grid_batch([pert.base.beta, moved.beta],
+                                       [pert.base.gamma, moved.gamma], init, horizon,
+                                       steps_per_day)
     times = np.arange(int(horizon) + 1, dtype=float)
     exact = np.hypot(s[:, 1] - s[:, 0], i[:, 1] - i[:, 0])
     linearized, err, rel = _closed_form_error(pert.base, init, pert.epsilon, pert.omega, times,

@@ -11,15 +11,19 @@ deterministic. The removed compartment is never stored: r = 1 - s - i by
 construction, so the conservation identity cannot drift. The RK4 kernel has
 two bodies: ``_rk4``, a scalar loop for one parameter pair, and
 ``_rk4_lanes``, an in-place array loop whose lanes are many parameter pairs
-on one grid. One entry, ``_state_paths``, picks the body by lane count: a
-scalar loop per lane for a narrow batch, one lane-body call for a wide one.
-Every batch goes through it (``integrate_day_grid_batch`` and the
-sensitivity passes), and each lane has the bits of its scalar loop either way.
+on one grid. Both return (s, i, c), c being the outflow from s: the running
+sum of every substep's decrement of s, which equals s0 - s in exact
+arithmetic without the rounding of s near 1. Daily incidence is read from c
+(``incidence``) by every caller. One entry, ``_state_paths``, picks the body
+by lane count: a scalar loop per lane for a narrow batch, one lane-body call
+for a wide one. Every batch goes through it (``integrate_day_grid_batch``
+and the sensitivity passes), and each lane has the bits of its scalar loop
+either way.
 
 The companion closed form freezes s at 1 in the transmission term, giving
 exponential growth of infections; it is evaluated directly, with no stepping:
 
-    s(t) = s0 - (beta/delta) * (exp(delta*t) - 1) * i0
+    s(t) = s0 - c(t),  c(t) = (beta/delta) * (exp(delta*t) - 1) * i0
     i(t) = exp(delta*t) * i0
 """
 
@@ -110,17 +114,20 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A discretized (s, i) path sampled at whole days.
+    """A discretized (s, i) path sampled at whole days, with its outflow c.
 
-    ``kind`` is "exact" for RK4 solutions and "linearized" for the closed
-    form. Those of ``integrate_exact`` also carry the substep grid
-    (``fine_times`` etc.) so peak location can be resolved below day
-    granularity; one read off a day-grid batch has the day samples alone.
+    c is the outflow from s since t = 0: s0 - s in exact arithmetic, without
+    the rounding of s near 1 (``incidence`` reads it). ``kind`` is "exact"
+    for RK4 solutions and "linearized" for the closed form. Those of
+    ``integrate_exact`` also carry the substep grid (``fine_times`` etc.) so
+    peak location can be resolved below day granularity; one read off a
+    day-grid batch has the day samples alone.
     """
 
     times: np.ndarray
     s: np.ndarray
     i: np.ndarray
+    c: np.ndarray
     params: SirParams
     init: InitialCondition
     kind: str
@@ -143,10 +150,13 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
     ``beta`` and ``gamma`` are floats and ``y0`` holds (s, i). The state is
     recorded at t = 0 and after every ``stride`` substeps of size ``h``
     (callers pass n_steps = horizon * steps_per_day and stride 1; stride
-    steps_per_day records the day samples alone). The arrays (s, i) come back, each of shape
-    (n_steps // stride + 1,); the first recorded row with a value at or
-    beyond _STATE_GUARD raises (``_check_guard``). Parameter sensitivities
-    are the tangent of this path (``inference.integrate_with_sensitivities``).
+    steps_per_day records the day samples alone). The arrays (s, i, c) come
+    back, each of shape (n_steps // stride + 1,); the first recorded row with
+    a value at or beyond _STATE_GUARD raises (``_check_guard``). c is the
+    outflow from s since t = 0, the running sum of every substep's decrement
+    of s: it equals s0 - s in exact arithmetic but carries no rounding of s
+    near 1, so daily incidence is read from it. Parameter sensitivities are
+    the tangent of this path (``inference.integrate_with_sensitivities``).
 
     ds/dt = -x with x = beta*i*s, so s subtracts h*x where the textbook
     scheme adds h*(-x); negation is exact, so the values are those of the
@@ -154,13 +164,14 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
     lane has the bits of this loop; ``_state_paths`` picks between them.
     """
     s, i = y0
+    c = 0.0
     h2 = 0.5 * h
     h6 = h / 6.0
-    rows = ([s], [i])
+    rows = ([s], [i], [c])
     # True after the last substep of each recorded row: cheaper than testing
     # k % stride, and than a loop per row, which costs most at stride 1.
     row_ends = islice(cycle((False,) * (stride - 1) + (True,)), n_steps)
-    record_s, record_i = (row.append for row in rows)
+    record_s, record_i, record_c = (row.append for row in rows)
     # A lane that blows up runs on as inf/NaN; the guard below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for row_end in row_ends:
@@ -175,32 +186,37 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
             s4, i4 = s - h * x3, i + h * k3i
             x4 = beta * i4 * s4
             k4i = x4 - gamma * i4
-            s = s - h6 * (x1 + 2.0 * (x2 + x3) + x4)
+            out = h6 * (x1 + 2.0 * (x2 + x3) + x4)
+            s = s - out
+            c = c + out
             i = i + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
             if row_end:
                 record_s(s)
                 record_i(i)
+                record_c(c)
     return _check_guard(tuple(np.array(row) for row in rows), stride, h)
 
 
 def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
     """The lane body of the RK4 kernel: ``_rk4`` for equal-length 1-d arrays
-    ``beta`` and ``gamma``, one lane per parameter pair, returning (s, i) of
-    shape (n_steps // stride + 1, lanes) unguarded. ``_state_paths`` calls it
-    for a batch of at least _LANE_BODY_LANES lanes, where it is the faster body.
+    ``beta`` and ``gamma``, one lane per parameter pair, returning (s, i, c)
+    of shape (n_steps // stride + 1, lanes) unguarded. ``_state_paths`` calls
+    it for a batch of at least _LANE_BODY_LANES lanes, where it is the faster body.
 
     Steps z = (u, i) with u = -s, so that both derivatives come from one
     product: with bi = beta*i, K = (bi*u, bi*u + gamma*i) = -(ds/dt, di/dt),
     each stage state is z - a*K and the step is z - h/6*(K1 + 2(K2 + K3) + K4).
-    Negation commutes with rounding, so every lane keeps the bits of the
-    scalar loop. At ~100 lanes numpy's cost per call outweighs the
-    arithmetic, so a substep is 24 ufunc calls writing into buffers made
+    The u row of that increment is minus the substep's outflow, so c
+    subtracts it. Negation commutes with rounding, so every lane keeps the
+    bits of the scalar loop. At ~100 lanes numpy's cost per call outweighs
+    the arithmetic, so a substep is 25 ufunc calls writing into buffers made
     before the loop, with operands of one shape: a scalar operand or a
     broadcast costs more per call.
     """
     lanes = len(beta)
-    rec = np.empty((n_steps // stride + 1, 2, lanes))  # recorded (u, i) rows
-    rec[0] = z = np.stack((np.negative(y0[0]), y0[1]))
+    rec = np.empty((n_steps // stride + 1, 3, lanes))  # recorded (u, i, c) rows
+    rec[0] = zc = np.stack((np.negative(y0[0]), y0[1], np.zeros(lanes)))
+    z, c = zc[:2], zc[2]
     bg = np.empty((2, lanes))  # (beta*i, gamma): one product gives (bi*u, gamma*i)
     bg[1] = gamma
     w = np.empty((2, lanes))  # stage state
@@ -208,7 +224,7 @@ def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
     k = np.empty((4, 2, lanes))
     k1, k2, k3, k4 = k
     (k1u, k1i), (k2u, k2i), (k3u, k3i), (k4u, k4i) = k
-    bi, zi, wi = bg[0], z[1], w[1]
+    bi, zi, wi, acc_u = bg[0], z[1], w[1], acc[0]
     h2, h1, h6 = (np.full((2, lanes), c) for c in (0.5 * h, h, h / 6.0))
     mul, add, sub = np.multiply, np.add, np.subtract
     # A lane that blows up runs on as inf/NaN; the guard reports it.
@@ -239,8 +255,9 @@ def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
                 add(acc, k4, acc)
                 mul(h6, acc, acc)
                 sub(z, acc, z)
-            row[...] = z
-    return np.negative(rec[:, 0], out=rec[:, 0]), rec[:, 1]
+                sub(c, acc_u, c)
+            row[...] = zc
+    return np.negative(rec[:, 0], out=rec[:, 0]), rec[:, 1], rec[:, 2]
 
 
 def _state_paths(betas, gammas, y0, n_steps, h, stride) -> list:
@@ -248,7 +265,7 @@ def _state_paths(betas, gammas, y0, n_steps, h, stride) -> list:
 
     Lane k steps (``betas[k]``, ``gammas[k]``) from ``y0`` = (s0, i0) on
     ``_rk4``'s grid (``n_steps`` substeps of size ``h``, recorded every
-    ``stride``). Its entry is the (s, i) arrays of its scalar loop, or the
+    ``stride``). Its entry is the (s, i, c) arrays of its scalar loop, or the
     IntegrationError that loop raises, so a lane that blows up fails alone.
     Below _LANE_BODY_LANES lanes each lane runs ``_rk4``; from there one
     ``_rk4_lanes`` call steps them all and each lane's columns pass the
@@ -263,11 +280,11 @@ def _state_paths(betas, gammas, y0, n_steps, h, stride) -> list:
                 outcomes.append(exc)
         return outcomes
     starts = tuple(np.full(len(betas), float(v)) for v in y0)
-    s, i = _rk4_lanes(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float), starts,
-                      n_steps, h, stride)
-    ok = ((np.abs(s) < _STATE_GUARD) & (np.abs(i) < _STATE_GUARD)).all(axis=0)
+    s, i, c = _rk4_lanes(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float), starts,
+                         n_steps, h, stride)
+    ok = (np.abs(np.stack((s, i, c))) < _STATE_GUARD).all(axis=(0, 1))
     for k, lane_ok in enumerate(ok):
-        path = (s[:, k], i[:, k])
+        path = (s[:, k], i[:, k], c[:, k])
         try:
             outcomes.append(path if lane_ok else _check_guard(path, stride, h))
         except IntegrationError as exc:
@@ -312,13 +329,14 @@ def integrate_exact(
     horizon, spd = _day_grid(horizon, steps_per_day)
     n = horizon * spd
     h = 1.0 / spd
-    fine_s, fine_i = _rk4(float(params.beta), float(params.gamma),
-                          (float(init.s0), float(init.i0)), n, h, 1)
+    fine_s, fine_i, fine_c = _rk4(float(params.beta), float(params.gamma),
+                                  (float(init.s0), float(init.i0)), n, h, 1)
     fine_t = np.arange(n + 1) * h
     return Trajectory(
         times=np.arange(horizon + 1, dtype=float),
         s=fine_s[::spd].copy(),
         i=fine_i[::spd].copy(),
+        c=fine_c[::spd].copy(),
         params=params,
         init=init,
         kind="exact",
@@ -332,8 +350,9 @@ def integrate_day_grid_batch(betas, gammas, init: InitialCondition, horizon: int
                              steps_per_day: int = DEFAULT_STEPS_PER_DAY):
     """RK4 for many parameter pairs on a shared day grid, sampled at whole days.
 
-    Returns (s, i) arrays of shape (horizon + 1, len(betas)). The direction
-    sweeps and the LRT hypotheses integrate through it. ``_state_paths``
+    Returns (s, i, c) arrays of shape (horizon + 1, len(betas)), c the
+    outflow from s (see ``Trajectory``). The direction sweeps and the LRT
+    hypotheses integrate through it. ``_state_paths``
     steps the lanes at day stride, and the guard checks every lane's day
     samples; each lane has the bits of ``integrate_exact``'s day samples.
     When lanes fail, the IntegrationError of the earliest failing substep
@@ -349,7 +368,7 @@ def integrate_day_grid_batch(betas, gammas, init: InitialCondition, horizon: int
     errors = [path for path in paths if isinstance(path, IntegrationError)]
     if errors:
         raise min(errors, key=lambda exc: exc.step)
-    return np.column_stack([s for s, _ in paths]), np.column_stack([i for _, i in paths])
+    return tuple(np.column_stack(rows) for rows in zip(*paths))
 
 
 def linearized_state(params: SirParams, init: InitialCondition, t):
@@ -364,6 +383,7 @@ def linearized_state(params: SirParams, init: InitialCondition, t):
 def integrate_linearized(params: SirParams, init: InitialCondition, horizon: int) -> Trajectory:
     """Evaluate the frozen-s closed form at each whole day (no stepping).
 
+    Its outflow is c(t) = (beta/delta) * expm1(delta*t) * i0, so s = s0 - c.
     delta = 0 would be a removable singularity of the formula; such parameters
     are already rejected by SirParams, so no special-casing is needed here.
     """
@@ -378,6 +398,7 @@ def integrate_linearized(params: SirParams, init: InitialCondition, horizon: int
         times=times,
         s=np.asarray(s),
         i=np.asarray(i),
+        c=(params.beta / params.delta()) * np.expm1(params.delta() * times) * init.i0,
         params=params,
         init=init,
         kind="linearized",
@@ -385,11 +406,16 @@ def integrate_linearized(params: SirParams, init: InitialCondition, horizon: int
 
 
 def incidence(traj: Trajectory) -> np.ndarray:
-    """Expected new-infection counts per day: delta_t = N * (s_{t-1} - s_t)."""
+    """Expected new-infection counts per day: delta_t = N * (c_t - c_{t-1}).
+
+    c is the trajectory's outflow from s, so this is N * (s_{t-1} - s_t) in
+    exact arithmetic without that difference's rounding floor of N*eps per
+    count (s is near 1 before the peak). Exact and linearized trajectories
+    both take this one path.
+    """
     if len(traj.times) < 2:
         raise InsufficientDataError("incidence needs at least two day samples")
-    n = traj.init.population
-    return n * (traj.s[:-1] - traj.s[1:])
+    return traj.init.population * np.diff(traj.c)
 
 
 def peak_time(traj: Trajectory) -> float:

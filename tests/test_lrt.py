@@ -410,6 +410,61 @@ def test_power_grid_integrates_each_distinct_hypothesis_once(monkeypatch):
     assert [len(betas) for betas, *_ in batch_calls] == [1 + 21]  # one lane per hypothesis
 
 
+def test_power_grid_forms_v_once_per_point(monkeypatch):
+    # the Monte Carlo threshold takes the point's V_T instead of forming it again
+    noises = [NoiseModel.case2(s) for s in (0.1, 0.3)]
+    v_calls = count_calls(monkeypatch, lrt, "_v")
+    rows = power_grid(BASE, INIT7, noises, GRID_OMEGAS, GRID_EPSILONS, alpha=0.05, T=60, p=1.0,
+                      replicates=100, seed=2)
+    assert len(v_calls) == len(rows) == 12
+
+
+@pytest.mark.parametrize("beta, steps", [(0.1, 10), (0.21, 10), (0.22, 11), (0.42, 20),
+                                         (0.63, 30), (1.68, 80)])
+def test_default_lrt_grid_follows_the_null_beta(beta, steps):
+    null = SirParams(beta, 0.05)
+    assert lrt.lrt_steps_per_day(null) == steps
+    spec = TestSpec(pert=Perturbation(null, 0.01, PI4), alpha=0.05, T=5, p=1.0,
+                    noise=NoiseModel.case2(0.3), init=INIT7)
+    assert spec.steps_per_day == steps
+    assert TestSpec(pert=spec.pert, alpha=0.05, T=5, p=1.0, noise=spec.noise, init=INIT7,
+                    steps_per_day=7).steps_per_day == 7
+
+
+# (null, population, T, noise, epsilons): the ``power`` benchmark design, and
+# a fast and the fastest of the reference rate pairs, each up to its peak
+FINE_GRID_DESIGNS = {
+    "benchmark": (BASE, 10**7, 60, NoiseModel.case2(0.05),
+                  (0.004, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06)),
+    "beta-0.42": (SirParams(0.42, 0.07), 10**5, 37, NoiseModel(kind="case3", sigma=1.0),
+                  (0.0035, 0.021, 0.056)),
+    "beta-1.68": (SirParams(1.68, 0.14), 10**5, 9, NoiseModel.case1(0.01),
+                  (0.007, 0.042, 0.112)),
+}
+
+
+@pytest.mark.parametrize("design, steps_per_day, bound", [
+    ("benchmark", None, 5e-8), ("beta-0.42", None, 5e-8), ("beta-1.68", None, 5e-8),
+    ("benchmark", 20, 5e-9)])
+def test_v_statistic_error_against_a_fine_grid(design, steps_per_day, bound):
+    # each design's alternatives in five directions against 400 substeps a
+    # day. At the default grid (10, 20 and 80 substeps here) the error is
+    # 2.6e-8, 8.9e-9 and 9.4e-9; a flat 10 substeps was 1.4e-7 off at beta
+    # 0.42 and 3.4e-5 at 1.68. Incidences read from the outflow have no
+    # rounding floor, so the error keeps falling as the grid is refined: the
+    # benchmark design at 20 substeps is 1.6e-9 off, where differencing s
+    # stalled near 3e-8.
+    null, n, T, noise, epsilons = FINE_GRID_DESIGNS[design]
+
+    def v(spd):
+        rows = power_grid(null, InitialCondition.from_population(n), [noise],
+                          (0.0, PI4, math.pi / 2, math.pi, 3 * math.pi / 2), epsilons,
+                          alpha=0.05, T=T, p=1.0, steps_per_day=spd)
+        return np.array([row[3].v_T for row in rows])
+
+    np.testing.assert_allclose(v(steps_per_day), v(400), rtol=bound, atol=0.0)
+
+
 def reference_rate(spec, replicates, seed, under_alternative):
     """The Monte Carlo estimate one replicate at a time: a Philox generator
     per replicate, seeded by replicate_seed(seed, r), and one np.dot per row."""

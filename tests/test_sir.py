@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sirlimits import sir
+from sirlimits import inference, sir
 from sirlimits.errors import (
     DegenerateParameterError,
     HorizonTooShortError,
@@ -153,12 +153,13 @@ class TestExactIntegration:
         omegas = np.linspace(0.0, 2.0 * math.pi, lanes, endpoint=False)
         betas = BASE.beta + 0.03 * np.cos(omegas)
         gammas = BASE.gamma + 0.03 * np.sin(omegas)
-        s, i = integrate_day_grid_batch(betas, gammas, INIT7, 96)
-        assert s.shape == i.shape == (97, lanes)
+        s, i, c = integrate_day_grid_batch(betas, gammas, INIT7, 96)
+        assert s.shape == i.shape == c.shape == (97, lanes)
         for k, (beta, gamma) in enumerate(zip(betas, gammas)):
             traj = integrate_exact(SirParams(beta, gamma), INIT7, 96)
             np.testing.assert_array_equal(s[:, k], traj.s)
             np.testing.assert_array_equal(i[:, k], traj.i)
+            np.testing.assert_array_equal(c[:, k], traj.c)
 
     @pytest.mark.parametrize("lanes", [1, 2, sir._LANE_BODY_LANES - 1, sir._LANE_BODY_LANES, 91])
     def test_batch_failure_names_the_earliest_substep_of_any_lane(self, lanes):
@@ -207,11 +208,38 @@ class TestExactIntegration:
                 integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
             assert batch.value.step == min(fail_steps)
             return
-        s, i = integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
-        assert s.shape == i.shape == (horizon + 1, lanes)
+        s, i, c = integrate_day_grid_batch(betas, gammas, init, horizon, steps_per_day)
+        assert s.shape == i.shape == c.shape == (horizon + 1, lanes)
         for k, p in enumerate(lane_params):
             np.testing.assert_array_equal(s[:, k], trajs[p].s)
             np.testing.assert_array_equal(i[:, k], trajs[p].i)
+            np.testing.assert_array_equal(c[:, k], trajs[p].c)
+
+    @pytest.mark.parametrize("lanes", [1, 20])
+    @pytest.mark.parametrize("steps_per_day", [5, 50])
+    def test_kernel_outflow_is_the_sensitivity_pass_outflow(self, lanes, steps_per_day):
+        # one lane runs the scalar body, 20 the lane body; either way c equals
+        # the c row of the sensitivity pass bit for bit, and (s, i) keep the
+        # bits of the scalar loop
+        assert (lanes >= sir._LANE_BODY_LANES) == (lanes == 20)
+        rng = np.random.default_rng(3)
+        rates = [SirParams(0.21 + d, 0.07 + g)
+                 for d, g in zip(0.01 * rng.standard_normal(lanes), 0.005 * rng.standard_normal(lanes))]
+        s, i, c = integrate_day_grid_batch([p.beta for p in rates], [p.gamma for p in rates],
+                                           INIT7, 60, steps_per_day)
+        passes = inference._sensitivity_passes(rates, INIT7, 60, steps_per_day)
+        for k, params in enumerate(rates):
+            traj = integrate_exact(params, INIT7, 60, steps_per_day)
+            s_scalar, i_scalar, c_scalar = sir._rk4(params.beta, params.gamma,
+                                                    (INIT7.s0, INIT7.i0), 60 * steps_per_day,
+                                                    1.0 / steps_per_day, steps_per_day)
+            sens = integrate_with_sensitivities(params, INIT7, 60, steps_per_day)
+            for got in (traj.c, c[:, k], sens[6], c_scalar):
+                np.testing.assert_array_equal(got, passes[k][6])
+            for got_s, got_i in ((traj.s, traj.i), (s[:, k], i[:, k]), (sens[0], sens[1]),
+                                 (passes[k][0], passes[k][1])):
+                np.testing.assert_array_equal(got_s, s_scalar)
+                np.testing.assert_array_equal(got_i, i_scalar)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -291,8 +319,17 @@ class TestIncidence:
         delta = BASE.delta()
         t = np.arange(1, 51)
         expected = BASE.beta * ((math.exp(-delta) - 1.0) / (-delta)) * 1e7 * INIT7.i0 * np.exp(delta * t)
-        # differencing s ~ 1 costs N * eps absolute, which dominates here
-        np.testing.assert_allclose(inc, expected, rtol=1e-7, atol=1e7 * 4e-16)
+        # read from the closed-form outflow, with no rounding floor of s near 1
+        np.testing.assert_allclose(inc, expected, rtol=1e-13)
+
+    def test_linearized_outflow_is_the_closed_form_drop_in_s(self):
+        # N * (s_{t-1} - s_t) of the closed form agrees up to the rounding of s
+        # near 1, N * eps per count; c carries none of it
+        lin = integrate_linearized(BASE, INIT7, 50)
+        np.testing.assert_array_equal(lin.c[0], 0.0)
+        np.testing.assert_allclose(incidence(lin), INIT7.population * (lin.s[:-1] - lin.s[1:]),
+                                   rtol=1e-13, atol=INIT7.population * 2.0 * np.finfo(float).eps)
+        np.testing.assert_allclose(lin.s, INIT7.s0 - lin.c, rtol=0.0, atol=np.finfo(float).eps)
 
     def test_telescoping_total(self):
         traj = integrate_exact(BASE, INIT7, 400)
@@ -306,7 +343,7 @@ class TestIncidence:
     def test_requires_two_samples(self):
         traj = integrate_exact(BASE, INIT7, 5)
         short = type(traj)(
-            times=traj.times[:1], s=traj.s[:1], i=traj.i[:1],
+            times=traj.times[:1], s=traj.s[:1], i=traj.i[:1], c=traj.c[:1],
             params=traj.params, init=traj.init, kind="exact",
         )
         with pytest.raises(InsufficientDataError):
