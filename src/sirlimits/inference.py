@@ -67,12 +67,13 @@ from ._csv import fmt, write_csv
 from .errors import (
     DegenerateParameterError,
     DegenerateVarianceError,
-    IntegrationError,
     OptimizationFailureError,
 )
-from .simulate import NoiseModel, ObservationSeries, check_variance, observe_batch
-from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, _check_guard, _state_paths
-from .sir import _LANE_BODY_LANES, _STATE_GUARD, _day_grid, integrate_exact
+from .simulate import (NoiseModel, ObservationSeries, check_reporting_rate, check_variance,
+                       observe_batch)
+from .sir import DEFAULT_STEPS_PER_DAY, InitialCondition, SirParams, integrate_exact
+from .sir import _LANE_BODY_LANES, _STATE_GUARD, _daily_counts, _day_grid, _guarded, _one_lane
+from .sir import _state_paths
 
 _MAX_ITERATIONS = 500  # cap on Levenberg-Marquardt trials
 _FIRST_ORDER_TOL = 1e-6  # converged: |projected gradient| <= this * max(1, |ll|)
@@ -105,7 +106,8 @@ def _sensitivity_passes(rates: list[SirParams], init: InitialCondition, horizon:
 
     Each lane's entry is the seven arrays of ``integrate_with_sensitivities``
     as the rows of one array, or the IntegrationError that lane raised; an
-    error in ``rates`` is passed through as that lane's entry. The state loop
+    error in ``rates`` is passed through as that lane's entry. The grid is
+    checked as every integration's is (``sir._day_grid``). The state loop
     of every valid lane runs first, as one batch of the kernel's entry
     (``sir._state_paths``, stride 1), which picks the scalar or the lane body
     by lane count; a lane that blows up there fails alone with its one-lane
@@ -116,11 +118,10 @@ def _sensitivity_passes(rates: list[SirParams], init: InitialCondition, horizon:
     substeps (at least one lane each), so its (lane, substep) arrays stay
     cache-sized; ``_sensitivity_chunk`` describes it.
     """
-    spd = int(steps_per_day)
-    n, h = int(horizon) * spd, 1.0 / spd
+    _, spd, n, h = _day_grid(horizon, steps_per_day)
     y0 = (float(init.s0), float(init.i0))
-    width = max(1, _CHUNK_LANE_SUBSTEPS // max(1, n))
-    group = max(_LANE_BODY_LANES, _STATE_LANE_SUBSTEPS // max(1, n))
+    width = max(1, _CHUNK_LANE_SUBSTEPS // n)
+    group = max(_LANE_BODY_LANES, _STATE_LANE_SUBSTEPS // n)
     outcomes = []
     for g in range(0, len(rates), group):
         block = rates[g : g + group]
@@ -148,8 +149,8 @@ def _sensitivity_chunk(rates: list[SirParams], states: list, h: float, spd: int)
     equations form one unit lower-triangular system of bandwidth 3 in the
     interleaved unknowns, with a right-hand side per rate. The lanes sit in
     it as consecutive blocks with no coupling between blocks, and one
-    ``dtbtrs`` call solves them all by plain substitution. All seven arrays
-    of a lane pass the kernel's guard.
+    ``dtbtrs`` call solves them all by plain substitution. The kernel's guard
+    (``sir._guarded``) then checks the seven day rows of every lane at once.
 
     A lane's arrays are those of its one-lane pass bit for bit: every
     operation is elementwise across lanes, and the zero coupling between
@@ -188,12 +189,8 @@ def _sensitivity_chunk(rates: list[SirParams], states: list, h: float, spd: int)
     z = np.concatenate((np.zeros((len(lanes), 1, 2, 2)), z), axis=1)
     days = np.array((s[:, ::spd], i[:, ::spd], z[..., 0, 0], z[..., 1, 0], z[..., 0, 1],
                      z[..., 1, 1], c[:, ::spd])).swapaxes(0, 1)  # [lane, array, day]
-    guarded = (np.abs(days) < _STATE_GUARD).all(axis=(1, 2))
-    for lane, k in enumerate(lanes):
-        try:
-            outcomes[k] = days[lane] if guarded[lane] else _check_guard(tuple(days[lane]), spd, h)
-        except IntegrationError as exc:
-            outcomes[k] = exc
+    for k, outcome in zip(lanes, _guarded(days, spd, h)):
+        outcomes[k] = outcome
     return outcomes
 
 
@@ -281,18 +278,9 @@ def _observed(spec: LikelihoodSpec, lanes: int) -> np.ndarray:
 
 
 def _residuals(c, y, spec: LikelihoodSpec) -> np.ndarray:
-    """r = y - p*delta, with delta_k = N*(c_k - c_{k-1}) from the cumulative
-    outflow c along the last axis, and y the observed row (or rows) it is scored against."""
-    T = spec.T
-    return y - spec.p * (spec.init.population * (c[..., 1 : T + 1] - c[..., :T]))
-
-
-def _one_lane(outcomes):
-    """The value of a one-lane batch, raising the error it holds instead."""
-    [outcome] = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    """r = y - p*delta, with delta the daily incidence N*diff(c) (``sir._daily_counts``)
+    of the outflow c along the last axis, and y the observed row (or rows) it is scored against."""
+    return y - spec.p * _daily_counts(spec.init.population, c)
 
 
 def _evaluate(params: SirParams, sigma: float | None, spec: LikelihoodSpec) -> _Point:
@@ -1025,6 +1013,7 @@ def mle_ensemble(true_params: SirParams, init: InitialCondition, noise: NoiseMod
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    check_reporting_rate(p)
     _day_grid(T, fit_steps_per_day)
     truth = integrate_exact(true_params, init, T)
     ys = observe_batch(truth, noise, p, T, seed, replicates)

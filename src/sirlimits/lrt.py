@@ -57,6 +57,7 @@ from .sir import (
     InitialCondition,
     SirParams,
     Trajectory,
+    _daily_counts,
     integrate_day_grid_batch,
     peak_time_for,
 )
@@ -147,7 +148,7 @@ def _hypotheses(null: SirParams, alternatives: list, init: InitialCondition, T: 
                                        T, steps_per_day)
     null_days = Trajectory(times=np.arange(T + 1, dtype=float), s=s[:, 0], i=i[:, 0],
                            c=c[:, 0], params=null, init=init, kind="exact")
-    return null_days, (init.population * np.diff(c, axis=0)).T
+    return null_days, _daily_counts(init.population, c.T)
 
 
 def _materialize(spec: TestSpec):

@@ -93,21 +93,25 @@ class FittedBand:
 def fitted_band(data: CaseData, fit: MleResult, p: float, level: float = 0.95,
                 steps_per_day: int = DEFAULT_STEPS_PER_DAY) -> FittedBand:
     """Per-day fitted mean p*N*(c_k - c_{k-1}) (``sir.incidence``) with
-    mean +/- z * sigma * sqrt(N i_k)."""
+    mean +/- z * sigma * sqrt(N i_k).
+
+    The series' T, initial condition and reporting rate are read from the
+    spec its fit scores (``nyc_likelihood_spec``), so the band refuses what
+    that spec refuses: fewer than two counts, or p outside (0, 1].
+    """
     if not fit.converged:
         raise OptimizationFailureError("refusing to draw a band from a non-converged fit")
     if fit.sigma_hat is None:
         raise ValueError("fit has no sigma estimate; the band width is undefined")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    T = len(data) - 1
-    n = data.population
-    traj = integrate_exact(fit.params(), InitialCondition.from_population(n), T, steps_per_day)
-    mean = p * incidence(traj)
+    spec = nyc_likelihood_spec(data, p, steps_per_day)
+    traj = integrate_exact(fit.params(), spec.init, spec.T, spec.steps_per_day)
+    mean = spec.p * incidence(traj)
     z = ndtri(0.5 * (1.0 + level))
-    half = z * sigma_sequence(NoiseModel(kind="case3", sigma=fit.sigma_hat), traj, T)
+    half = z * sigma_sequence(NoiseModel(kind="case3", sigma=fit.sigma_hat), traj, spec.T)
     return FittedBand(
-        days=np.arange(1.0, T + 1.0),
+        days=np.arange(1.0, spec.T + 1.0),
         mean=mean,
         lower=mean - half,
         upper=mean + half,

@@ -190,7 +190,9 @@ def observe_batch(traj: Trajectory, noise: NoiseModel, p: float, T: int,
 
     Row r draws from replicate_seed(seed, r), a stream of its own; it is not
     the series ``observe`` draws for any seed, which comes from SeedSequence(seed).
+    p must lie in (0, 1], as in every ``ObservationSeries``.
     """
+    check_reporting_rate(p)
     sig = sigma_sequence(noise, traj, T)
     mean = p * incidence(traj)[:T]
     return mean + sig * replicate_normals(seed, replicates, T)

@@ -11,14 +11,17 @@ deterministic. The removed compartment is never stored: r = 1 - s - i by
 construction, so the conservation identity cannot drift. The RK4 kernel has
 two bodies: ``_rk4``, a scalar loop for one parameter pair, and
 ``_rk4_lanes``, an in-place array loop whose lanes are many parameter pairs
-on one grid. Both return (s, i, c), c being the outflow from s: the running
+on one grid. Both record (s, i, c), c being the outflow from s: the running
 sum of every substep's decrement of s, which equals s0 - s in exact
-arithmetic without the rounding of s near 1. Daily incidence is read from c
-(``incidence``) by every caller. One entry, ``_state_paths``, picks the body
-by lane count: a scalar loop per lane for a narrow batch, one lane-body call
-for a wide one. Every batch goes through it (``integrate_day_grid_batch``
-and the sensitivity passes), and each lane has the bits of its scalar loop
-either way.
+arithmetic without the rounding of s near 1. Each rule of the kernel is
+written once. One entry, ``_state_paths``, is the only caller of either
+body and picks one by lane count: a scalar loop per lane for a narrow batch,
+one lane-body call for a wide one. Every integration goes through it
+(``integrate_exact`` as one lane, ``integrate_day_grid_batch`` and the
+sensitivity passes), and each lane has the bits of its scalar loop either
+way. Every integration entry checks its grid with ``_day_grid``, one guard
+(``_guarded``) reports a lane that blows up, and every daily incidence is
+N * diff(c) (``_daily_counts``).
 
 The companion closed form freezes s at 1 in the transmission term, giving
 exponential growth of infections; it is evaluated directly, with no stepping:
@@ -149,10 +152,9 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
 
     ``beta`` and ``gamma`` are floats and ``y0`` holds (s, i). The state is
     recorded at t = 0 and after every ``stride`` substeps of size ``h``
-    (callers pass n_steps = horizon * steps_per_day and stride 1; stride
-    steps_per_day records the day samples alone). The arrays (s, i, c) come
-    back, each of shape (n_steps // stride + 1,); the first recorded row with
-    a value at or beyond _STATE_GUARD raises (``_check_guard``). c is the
+    (stride 1 records every substep; stride steps_per_day records the day
+    samples alone). The recorded (s, i, c) come back unguarded as three lists
+    of n_steps // stride + 1 floats; ``_state_paths`` guards them. c is the
     outflow from s since t = 0, the running sum of every substep's decrement
     of s: it equals s0 - s in exact arithmetic but carries no rounding of s
     near 1, so daily incidence is read from it. Parameter sensitivities are
@@ -172,7 +174,7 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
     # k % stride, and than a loop per row, which costs most at stride 1.
     row_ends = islice(cycle((False,) * (stride - 1) + (True,)), n_steps)
     record_s, record_i, record_c = (row.append for row in rows)
-    # A lane that blows up runs on as inf/NaN; the guard below reports it.
+    # A lane that blows up runs on as inf/NaN; the guard reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for row_end in row_ends:
             x1 = beta * i * s
@@ -194,14 +196,15 @@ def _rk4(beta, gamma, y0, n_steps, h, stride):
                 record_s(s)
                 record_i(i)
                 record_c(c)
-    return _check_guard(tuple(np.array(row) for row in rows), stride, h)
+    return rows
 
 
 def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
     """The lane body of the RK4 kernel: ``_rk4`` for equal-length 1-d arrays
-    ``beta`` and ``gamma``, one lane per parameter pair, returning (s, i, c)
-    of shape (n_steps // stride + 1, lanes) unguarded. ``_state_paths`` calls
-    it for a batch of at least _LANE_BODY_LANES lanes, where it is the faster body.
+    ``beta`` and ``gamma``, one lane per parameter pair, returning the
+    recorded rows unguarded as a [lane, (s, i, c), row] view. ``_state_paths``
+    calls it for a batch of at least _LANE_BODY_LANES lanes, where it is the
+    faster body, and guards its rows.
 
     Steps z = (u, i) with u = -s, so that both derivatives come from one
     product: with bi = beta*i, K = (bi*u, bi*u + gamma*i) = -(ds/dt, di/dt),
@@ -257,66 +260,75 @@ def _rk4_lanes(beta, gamma, y0, n_steps, h, stride):
                 sub(z, acc, z)
                 sub(c, acc_u, c)
             row[...] = zc
-    return np.negative(rec[:, 0], out=rec[:, 0]), rec[:, 1], rec[:, 2]
+    np.negative(rec[:, 0], out=rec[:, 0])
+    return rec.transpose(2, 1, 0)
 
 
 def _state_paths(betas, gammas, y0, n_steps, h, stride) -> list:
-    """The RK4 state paths of many rate pairs on one grid: the kernel's one batched entry.
+    """The RK4 state paths of many rate pairs on one grid: the kernel's one entry.
 
     Lane k steps (``betas[k]``, ``gammas[k]``) from ``y0`` = (s0, i0) on
     ``_rk4``'s grid (``n_steps`` substeps of size ``h``, recorded every
-    ``stride``). Its entry is the (s, i, c) arrays of its scalar loop, or the
-    IntegrationError that loop raises, so a lane that blows up fails alone.
-    Below _LANE_BODY_LANES lanes each lane runs ``_rk4``; from there one
-    ``_rk4_lanes`` call steps them all and each lane's columns pass the
-    guard alone. Either way a lane has the bits of its scalar loop.
+    ``stride``). Its entry is its recorded (s, i, c) rows, or the
+    IntegrationError of its first row beyond the guard (``_guarded``), so a
+    lane that blows up fails alone. Below _LANE_BODY_LANES lanes each lane
+    runs ``_rk4``; from there one ``_rk4_lanes`` call steps them all. Either
+    way a lane has the bits of its scalar loop, and one guard checks them.
     """
-    outcomes = []
     if len(betas) < _LANE_BODY_LANES:
-        for beta, gamma in zip(betas, gammas):
-            try:
-                outcomes.append(_rk4(float(beta), float(gamma), y0, n_steps, h, stride))
-            except IntegrationError as exc:
-                outcomes.append(exc)
-        return outcomes
-    starts = tuple(np.full(len(betas), float(v)) for v in y0)
-    s, i, c = _rk4_lanes(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float), starts,
-                         n_steps, h, stride)
-    ok = (np.abs(np.stack((s, i, c))) < _STATE_GUARD).all(axis=(0, 1))
-    for k, lane_ok in enumerate(ok):
-        path = (s[:, k], i[:, k], c[:, k])
-        try:
-            outcomes.append(path if lane_ok else _check_guard(path, stride, h))
-        except IntegrationError as exc:
-            outcomes.append(exc)
-    return outcomes
+        rows = np.empty((len(betas), 3, n_steps // stride + 1))
+        for lane, beta, gamma in zip(rows, betas, gammas):
+            lane[...] = _rk4(float(beta), float(gamma), y0, n_steps, h, stride)
+    else:
+        starts = tuple(np.full(len(betas), float(v)) for v in y0)
+        rows = _rk4_lanes(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float),
+                          starts, n_steps, h, stride)
+    return _guarded(rows, stride, h)
 
 
-def _check_guard(out, stride, h):
-    """Return the recorded arrays ``out`` if every value keeps |x| < _STATE_GUARD.
+def _guarded(rows, stride, h) -> list:
+    """The kernel's one blow-up guard, over lanes stacked as [lane, array, recorded row].
 
-    Otherwise (NaN fails too) raise IntegrationError at the first recorded
-    row, ``stride`` substeps of size ``h`` apart, where one does not.
+    A lane whose every value keeps |x| < _STATE_GUARD is returned as its
+    rows. Otherwise (NaN fails too) its entry is the IntegrationError of its
+    first recorded row that does not, rows being ``stride`` substeps of size
+    ``h`` apart.
     """
-    ok = np.abs(np.stack(out)) < _STATE_GUARD
-    if not ok.all():
-        bad = int(np.flatnonzero(~ok.reshape(len(out), len(out[0]), -1).all(axis=(0, 2)))[0])
-        step = bad * stride
-        raise IntegrationError(
+    good = (np.abs(rows) < _STATE_GUARD).all(axis=1)  # [lane, row]
+    outcomes = []
+    for lane, lane_good in zip(rows, good):
+        if lane_good.all():
+            outcomes.append(lane)
+            continue
+        step = int(np.argmin(lane_good)) * stride
+        outcomes.append(IntegrationError(
             f"state beyond {_STATE_GUARD:g} at substep {step} (t = {step * h:.6g} days)",
             step=step,
             time=step * h,
-        )
-    return out
+        ))
+    return outcomes
+
+
+def _one_lane(outcomes):
+    """The value of a one-lane batch, raising the error it holds instead."""
+    [outcome] = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _day_grid(horizon, steps_per_day):
-    """The checked (horizon, steps_per_day) of an integration, as ints."""
+    """The checked grid of an integration, the one place its rules are written.
+
+    Returns (horizon, steps_per_day, n, h): the first two as ints, n =
+    horizon * steps_per_day substeps, and their size h = 1 / steps_per_day.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 day, got {horizon}")
     if steps_per_day < 1:
         raise ValueError(f"steps_per_day must be >= 1, got {steps_per_day}")
-    return int(horizon), int(steps_per_day)
+    horizon, spd = int(horizon), int(steps_per_day)
+    return horizon, spd, horizon * spd, 1.0 / spd
 
 
 def integrate_exact(
@@ -325,12 +337,14 @@ def integrate_exact(
     horizon: int,
     steps_per_day: int = DEFAULT_STEPS_PER_DAY,
 ) -> Trajectory:
-    """Integrate the full nonlinear system and sample it at whole days."""
-    horizon, spd = _day_grid(horizon, steps_per_day)
-    n = horizon * spd
-    h = 1.0 / spd
-    fine_s, fine_i, fine_c = _rk4(float(params.beta), float(params.gamma),
-                                  (float(init.s0), float(init.i0)), n, h, 1)
+    """Integrate the full nonlinear system and sample it at whole days.
+
+    One lane of the kernel's entry (``_state_paths``) at stride 1, so the
+    substep grid is kept; a blow-up raises that lane's IntegrationError.
+    """
+    horizon, spd, n, h = _day_grid(horizon, steps_per_day)
+    fine_s, fine_i, fine_c = _one_lane(_state_paths([params.beta], [params.gamma],
+                                                    (float(init.s0), float(init.i0)), n, h, 1))
     fine_t = np.arange(n + 1) * h
     return Trajectory(
         times=np.arange(horizon + 1, dtype=float),
@@ -358,17 +372,16 @@ def integrate_day_grid_batch(betas, gammas, init: InitialCondition, horizon: int
     When lanes fail, the IntegrationError of the earliest failing substep
     is raised.
     """
-    horizon, spd = _day_grid(horizon, steps_per_day)
+    _, spd, n, h = _day_grid(horizon, steps_per_day)
     betas = np.asarray(betas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     if betas.shape != gammas.shape or betas.ndim != 1 or betas.size == 0:
         raise ValueError("betas and gammas must be nonempty 1-d arrays of equal length")
-    paths = _state_paths(betas, gammas, (float(init.s0), float(init.i0)), horizon * spd,
-                         1.0 / spd, spd)
+    paths = _state_paths(betas, gammas, (float(init.s0), float(init.i0)), n, h, spd)
     errors = [path for path in paths if isinstance(path, IntegrationError)]
     if errors:
         raise min(errors, key=lambda exc: exc.step)
-    return tuple(np.column_stack(rows) for rows in zip(*paths))
+    return tuple(np.stack(paths, axis=-1))
 
 
 def linearized_state(params: SirParams, init: InitialCondition, t):
@@ -386,10 +399,10 @@ def integrate_linearized(params: SirParams, init: InitialCondition, horizon: int
     Its outflow is c(t) = (beta/delta) * expm1(delta*t) * i0, so s = s0 - c.
     delta = 0 would be a removable singularity of the formula; such parameters
     are already rejected by SirParams, so no special-casing is needed here.
+    There are no substeps, so ``_day_grid`` checks the horizon alone.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1 day, got {horizon}")
-    times = np.arange(int(horizon) + 1, dtype=float)
+    horizon = _day_grid(horizon, 1)[0]
+    times = np.arange(horizon + 1, dtype=float)
     s, i = linearized_state(params, init, times)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(i))):
         bad = int(np.flatnonzero(~(np.isfinite(s) & np.isfinite(i)))[0])
@@ -411,11 +424,19 @@ def incidence(traj: Trajectory) -> np.ndarray:
     c is the trajectory's outflow from s, so this is N * (s_{t-1} - s_t) in
     exact arithmetic without that difference's rounding floor of N*eps per
     count (s is near 1 before the peak). Exact and linearized trajectories
-    both take this one path.
+    both take this one path, ``_daily_counts``.
     """
     if len(traj.times) < 2:
         raise InsufficientDataError("incidence needs at least two day samples")
-    return traj.init.population * np.diff(traj.c)
+    return _daily_counts(traj.init.population, traj.c)
+
+
+def _daily_counts(population, c):
+    """N * diff(c) along the last (day) axis: each day's expected new
+    infections from the outflow c. Every daily incidence of the package
+    (``incidence``, the LRT hypotheses and the likelihood's residuals) is
+    this one subtraction."""
+    return population * np.diff(c)
 
 
 def peak_time(traj: Trajectory) -> float:

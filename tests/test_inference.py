@@ -402,8 +402,8 @@ class TestLikelihoodSpec:
         with pytest.raises(InsufficientDataError, match="provides 30 days, need 40"):
             LikelihoodSpec(obs=obs, init=INIT7, noise=NoiseModel.known(np.full(30, 3e4)))
 
-    @pytest.mark.parametrize("p", [0.0, 1.5])
-    def test_reporting_rate_outside_unit_interval_rejected(self, p):
+    @pytest.mark.parametrize("p", [0.0, 1.5, 2.0])
+    def test_reporting_rate_outside_unit_interval_rejected(self, monkeypatch, p):
         # both used to be fit and reported converged, p = 0 with a mean of zero
         # whatever the rates
         noise = NoiseModel.known(np.full(40, 3e4))
@@ -413,9 +413,15 @@ class TestLikelihoodSpec:
                                                          noise=noise, seed=0,
                                                          population=10**7),
                                    init=INIT7))
+        # the ensemble checks p with its other arguments, before any data is
+        # drawn: it used to integrate the truth and draw every replicate first
+        calls = []
+        for name in ("integrate_exact", "observe_batch"):
+            monkeypatch.setattr(inference, name, lambda *args, name=name, **kw: calls.append(name))
         with pytest.raises(ValueError, match="reporting rate"):
             mle_ensemble(BASE, INIT7, NoiseModel.known(np.full(30, 3e4)), p=p, T=30,
                          replicates=3, seed=1, fit_steps_per_day=5, n_starts=1)
+        assert calls == []
 
 
     @pytest.mark.parametrize("steps_per_day", [0, -1])

@@ -257,6 +257,18 @@ class TestFittedBand:
         with pytest.raises(OptimizationFailureError):
             fitted_band(data, bad, p=0.05)
 
+    @pytest.mark.parametrize("p", [0.0, 2.0, -1.0])
+    def test_refuses_the_reporting_rates_its_spec_refuses(self, data, fit_p05, p):
+        # each used to return a band, with a negative mean at p = -1
+        with pytest.raises(ValueError, match="reporting rate"):
+            fitted_band(data, fit_p05, p=p)
+
+    def test_refuses_a_series_of_one_count_as_its_spec_does(self, fit_p05):
+        # it used to fail in integrate_exact, on a horizon of 0 days
+        one = CaseData(dates=(dt.date(2020, 3, 1),), counts=np.array([1]), population=100)
+        with pytest.raises(InsufficientDataError, match="at least two daily counts"):
+            fitted_band(one, fit_p05, p=0.05)
+
     def test_requires_sigma(self, data, fit_p05):
         no_sigma = MleResult(beta_hat=fit_p05.beta_hat, gamma_hat=fit_p05.gamma_hat,
                              sigma_hat=None, loglik=fit_p05.loglik,

@@ -200,10 +200,12 @@ class TestObserve:
             observe(traj, NoiseModel.case1(0.1), p=0.5, T=81, seed=0)
 
     def test_bad_reporting_rate(self, traj):
-        with pytest.raises(ValueError):
-            observe(traj, NoiseModel.case1(0.1), p=0.0, T=10, seed=0)
-        with pytest.raises(ValueError):
-            observe(traj, NoiseModel.case1(0.1), p=1.2, T=10, seed=0)
+        # observe_batch used to draw rows at any p
+        for p in (0.0, 1.2, 2.0):
+            with pytest.raises(ValueError, match="reporting rate"):
+                observe(traj, NoiseModel.case1(0.1), p=p, T=10, seed=0)
+            with pytest.raises(ValueError, match="reporting rate"):
+                observe_batch(traj, NoiseModel.case1(0.1), p=p, T=10, seed=0, replicates=3)
 
     def test_csv_and_sidecar(self, traj, tmp_path):
         obs = observe(traj, NoiseModel.case1(0.05), p=0.5, T=15, seed=9)

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sirlimits import inference, sir
 from sirlimits.errors import (
@@ -14,6 +14,7 @@ from sirlimits.errors import (
 )
 from sirlimits.inference import integrate_with_sensitivities
 from sirlimits.perturb import reference_grid
+from sirlimits.simulate import NoiseModel, ObservationSeries
 from sirlimits.sir import (
     InitialCondition,
     SirParams,
@@ -184,6 +185,11 @@ class TestExactIntegration:
            steps_per_day=st.sampled_from([1, 2, 5, 50]),
            horizon=st.integers(1, 30),
            population=st.sampled_from([100, 10**4, 10**7]))
+    # a lane that blows up, in the scalar body and in the lane body: random
+    # draws reach the failure branch only by chance
+    @example(lanes=1, rates=[(0.1, 11.9)], steps_per_day=1, horizon=30, population=100)
+    @example(lanes=20, rates=[(0.07, 0.14), (0.1, 11.9)], steps_per_day=2, horizon=30,
+             population=100)
     def test_batch_lanes_have_the_bits_of_integrate_exact(self, lanes, rates, steps_per_day,
                                                            horizon, population):
         # lane k runs the (gamma, delta) pair k % len(rates); at one substep
@@ -197,10 +203,11 @@ class TestExactIntegration:
                 trajs[p] = integrate_exact(p, init, horizon, steps_per_day)
             except IntegrationError:
                 # the batch guards whole days only: the lane's first bad day
-                with pytest.raises(IntegrationError) as day_grid:
-                    sir._rk4(p.beta, p.gamma, (init.s0, init.i0), horizon * steps_per_day,
-                             1.0 / steps_per_day, steps_per_day)
-                fail_steps.append(day_grid.value.step)
+                [day_grid] = sir._state_paths([p.beta], [p.gamma], (init.s0, init.i0),
+                                              horizon * steps_per_day, 1.0 / steps_per_day,
+                                              steps_per_day)
+                assert isinstance(day_grid, IntegrationError)
+                fail_steps.append(day_grid.step)
         betas = [p.beta for p in lane_params]
         gammas = [p.gamma for p in lane_params]
         if fail_steps:
@@ -230,9 +237,9 @@ class TestExactIntegration:
         passes = inference._sensitivity_passes(rates, INIT7, 60, steps_per_day)
         for k, params in enumerate(rates):
             traj = integrate_exact(params, INIT7, 60, steps_per_day)
-            s_scalar, i_scalar, c_scalar = sir._rk4(params.beta, params.gamma,
-                                                    (INIT7.s0, INIT7.i0), 60 * steps_per_day,
-                                                    1.0 / steps_per_day, steps_per_day)
+            [(s_scalar, i_scalar, c_scalar)] = sir._state_paths(
+                [params.beta], [params.gamma], (INIT7.s0, INIT7.i0), 60 * steps_per_day,
+                1.0 / steps_per_day, steps_per_day)
             sens = integrate_with_sensitivities(params, INIT7, 60, steps_per_day)
             for got in (traj.c, c[:, k], sens[6], c_scalar):
                 np.testing.assert_array_equal(got, passes[k][6])
@@ -258,6 +265,101 @@ class TestExactIntegration:
     def test_batch_rejects_zero_lanes(self):
         with pytest.raises(ValueError, match="nonempty"):
             integrate_day_grid_batch([], [], INIT7, 10)
+
+
+def _likelihood_spec(horizon, steps_per_day):
+    noise = NoiseModel.case1(1e-3)
+    obs = ObservationSeries(values=np.ones(horizon), reporting_rate=1.0, noise=noise, seed=0,
+                            population=INIT7.population)
+    return inference.LikelihoodSpec(obs=obs, init=INIT7, steps_per_day=steps_per_day)
+
+
+# Every integration entry, as a call on a (horizon, steps_per_day) grid
+GRID_ENTRIES = {
+    "integrate_exact": lambda horizon, spd: integrate_exact(BASE, INIT7, horizon, spd),
+    "integrate_day_grid_batch": lambda horizon, spd: integrate_day_grid_batch(
+        [BASE.beta], [BASE.gamma], INIT7, horizon, spd),
+    "integrate_with_sensitivities": lambda horizon, spd: integrate_with_sensitivities(
+        BASE, INIT7, horizon, spd),
+    "integrate_linearized": lambda horizon, spd: integrate_linearized(BASE, INIT7, horizon),
+    "LikelihoodSpec": _likelihood_spec,
+    "mle_ensemble": lambda horizon, spd: inference.mle_ensemble(
+        BASE, INIT7, NoiseModel.case1(1e-3), p=1.0, T=horizon, replicates=1, seed=1,
+        fit_steps_per_day=spd),
+}
+
+
+@pytest.mark.parametrize("entry,horizon,steps_per_day", [
+    (entry, horizon, steps_per_day)
+    for entry in GRID_ENTRIES
+    for horizon, steps_per_day in ((0, 5), (-3, 5), (10, 0), (10, -1))
+    # the closed form has no substeps; a spec's T is a length, never negative
+    if not (entry == "integrate_linearized" and steps_per_day < 1)
+    and not (entry == "LikelihoodSpec" and horizon < 0)
+])
+def test_every_integration_entry_checks_its_grid_with_the_one_rule(entry, horizon, steps_per_day):
+    # integrate_with_sensitivities used to divide by zero at 0 substeps a
+    # day, return one-row arrays at horizon 0 and fail in islice() at -3
+    with pytest.raises(ValueError) as rule:
+        sir._day_grid(horizon, steps_per_day)
+    with pytest.raises(ValueError) as got:
+        GRID_ENTRIES[entry](horizon, steps_per_day)
+    assert str(got.value) == str(rule.value)
+
+
+class TestBlowUpGuard:
+    # (rates, init, steps_per_day, day-grid failure, sensitivity-pass failure),
+    # each failure a pinned (step, time) of the lane's first row beyond the
+    # guard; the pass guards every substep, the day grid whole days
+    CASES = [
+        (SirParams(400.0, 0.1), InitialCondition(s0=0.5, i0=0.5, population=100), 5,
+         (5, 1.0), (1, 0.2)),
+        (SirParams(12.0, 0.1), InitialCondition(s0=0.999, i0=1e-3, population=1000), 2,
+         (4, 2.0), (4, 2.0)),
+        (SirParams(6.0, 0.1), InitialCondition(s0=0.999, i0=1e-3, population=1000), 1,
+         (4, 4.0), (4, 4.0)),
+    ]
+
+    @staticmethod
+    def _message(step, time):
+        return f"state beyond 1e+06 at substep {step} (t = {time:g} days)"
+
+    @pytest.mark.parametrize("lanes", [1, 20])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_a_blowup_lane_keeps_its_step_time_and_message(self, case, lanes):
+        # one lane runs the scalar body, 20 the lane body; the blow-up lane is last
+        wild, init, spd, (day_step, day_time), (pass_step, pass_time) = self.CASES[case]
+        assert (lanes >= sir._LANE_BODY_LANES) == (lanes == 20)
+        rates = [SirParams(0.21 + 0.01 * k, 0.07) for k in range(lanes - 1)] + [wild]
+        with pytest.raises(IntegrationError) as batch:
+            integrate_day_grid_batch([p.beta for p in rates], [p.gamma for p in rates], init, 50,
+                                     spd)
+        assert (batch.value.step, batch.value.time) == (day_step, day_time)
+        assert str(batch.value) == self._message(day_step, day_time)
+        passes = inference._sensitivity_passes(rates, init, 50, spd)
+        error = passes[-1]
+        assert isinstance(error, IntegrationError)
+        assert (error.step, error.time) == (pass_step, pass_time)
+        assert str(error) == self._message(pass_step, pass_time)
+        # every other lane keeps the bits of its one-lane pass
+        for params, lane in zip(rates[:-1], passes):
+            alone = integrate_with_sensitivities(params, init, 50, spd)
+            assert [a.tobytes() for a in lane] == [a.tobytes() for a in alone]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 20])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_the_entry_fails_the_blowup_lane_alone(self, case, lanes):
+        # at day stride, the other lanes of the entry keep integrate_exact's day samples
+        wild, init, spd, (day_step, day_time), _ = self.CASES[case]
+        rates = [SirParams(0.21 + 0.01 * k, 0.07) for k in range(lanes - 1)] + [wild]
+        paths = sir._state_paths([p.beta for p in rates], [p.gamma for p in rates],
+                                 (init.s0, init.i0), 50 * spd, 1.0 / spd, spd)
+        assert isinstance(paths[-1], IntegrationError)
+        assert (paths[-1].step, paths[-1].time) == (day_step, day_time)
+        for params, path in zip(rates[:-1], paths):
+            traj = integrate_exact(params, init, 50, spd)
+            for got, want in zip(path, (traj.s, traj.i, traj.c)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestPeak:
